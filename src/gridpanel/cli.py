@@ -11,21 +11,21 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import statistics
 import sys
 from typing import Any, Iterable, Sequence
 
 from . import __version__
-from .config import CONFIG_KEYS, VARIANTS, RunConfig, apply_overrides, dump_config, load_config
+from .config import CONFIG_KEYS, VARIANTS, RunConfig, _format_value, apply_overrides, dump_config, load_config
 from .errors import GridPanelError, ParameterError, ValidationFailedError
 from .generators import FAMILIES, efficiency_comparison
 from .graph import AnnualSnapshot
-from .metrics import METRIC_NAMES, metric_panel
+from .metrics import METRIC_NAMES, _round_half_up, metric_panel
 from .motifs import MOTIF_NAMES, motif_counts, motif_shares
 from .records import (
     AssetRecordSet,
+    _year_range_within,
     build_panel,
     filter_by_voltage,
     load_asset_records,
@@ -123,27 +123,17 @@ def _load_validated(config: RunConfig) -> AssetRecordSet:
     )
 
 
-def _year_range(config: RunConfig, records: AssetRecordSet) -> tuple[int, int]:
-    start = config.year_start if config.year_start is not None else records.dataset_start
-    end = config.year_end if config.year_end is not None else records.dataset_end
-    return (start, end)
-
-
-def _fmt(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _load_snapshots(config: RunConfig) -> list[AnnualSnapshot]:
+    records = _load_validated(config)
+    year_range = _year_range_within(records, config.year_start, config.year_end)
+    return build_panel(records, year_range, config.voltage_floor_kv)
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt(value) for value in row] for row in rows)
+        writer.writerows([_format_value(value) for value in row] for row in rows)
 
 
 def _write_manifest(config: RunConfig, command: str) -> str:
@@ -183,8 +173,7 @@ def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_panel(config: RunConfig, args: argparse.Namespace) -> int:
-    records = _load_validated(config)
-    snapshots = build_panel(records, _year_range(config, records), config.voltage_floor_kv)
+    snapshots = _load_snapshots(config)
     rows = metric_panel(snapshots, gamma=config.gamma, seed=config.seed)
     _prepare_out_dir(config)
 
@@ -219,8 +208,7 @@ def cmd_panel(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_motifs(config: RunConfig, args: argparse.Namespace) -> int:
-    records = _load_validated(config)
-    snapshots = build_panel(records, _year_range(config, records), config.voltage_floor_kv)
+    snapshots = _load_snapshots(config)
     _prepare_out_dir(config)
 
     out_rows = []
@@ -253,13 +241,13 @@ def cmd_motifs(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_temporal(config: RunConfig, args: argparse.Namespace) -> int:
     records = _load_validated(config)
+    start, end = _year_range_within(records, config.year_start, config.year_end)
     scoped = filter_by_voltage(records, config.voltage_floor_kv)
     lifetimes = line_lifetimes(scoped)
     rates = annual_change_rates(scoped, window=config.window)
     flagged = underperformers(lifetimes, config.threshold)
     observed = average_lifetime_by_year(lifetimes)
     bounded = average_lifetime_by_year(lifetimes, include_censored=True)
-    start, end = _year_range(config, records)
     _prepare_out_dir(config)
 
     lifetime_header = (
@@ -336,13 +324,8 @@ def cmd_temporal(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
-
-
 def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
-    records = _load_validated(config)
-    snapshots = build_panel(records, _year_range(config, records), config.voltage_floor_kv)
+    snapshots = _load_snapshots(config)
     mean_nodes = _round_half_up(statistics.fmean(s.n_nodes for s in snapshots))
     mean_edges = _round_half_up(statistics.fmean(s.n_edges for s in snapshots))
     ensembles = efficiency_comparison(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import MetricUndefinedError, ParameterError
 from .graph import AnnualSnapshot, Graph, ring_lattice
-from .metrics import apsp_summary, small_world_sigma
+from .metrics import _round_half_up, _sigma, apsp_summary, average_degree, clustering_coefficient, random_baselines
 
 FAMILIES = ("erdos_renyi", "watts_strogatz", "ring_lattice")
 
@@ -195,10 +195,6 @@ def _check_coordination(n_nodes: int, coordination: int) -> None:
         )
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
-
-
 def _pair_at(index: int, n_nodes: int) -> tuple[int, int]:
     # Unrank into the lexicographic list of pairs (i, j), i < j.
     def pairs_before(i: int) -> int:
@@ -220,10 +216,11 @@ def _child_seeds(seed: int, family: str, count: int) -> list[int]:
 
 
 def _measure(snapshot: AnnualSnapshot) -> dict[str, float]:
-    row: dict[str, float] = {"n_edges": float(snapshot.n_edges)}
-    row["efficiency"] = apsp_summary(snapshot).efficiency
+    paths = apsp_summary(snapshot)
+    row: dict[str, float] = {"n_edges": float(snapshot.n_edges), "efficiency": paths.efficiency}
     try:
-        row["sigma"] = small_world_sigma(snapshot)
+        base = random_baselines(snapshot.n_nodes, average_degree(snapshot))
+        row["sigma"] = _sigma(paths, clustering_coefficient(snapshot), base)
     except MetricUndefinedError:
         pass  # degenerate replicate; left out of the sigma ensemble
     return row

@@ -388,10 +388,13 @@ def small_world_sigma(g: Graph | AnnualSnapshot) -> float:
     small-world structure."""
     graph = as_graph(g)
     paths = apsp_summary(graph)
+    base = random_baselines(graph.n_nodes, average_degree(graph))
+    return _sigma(paths, clustering_coefficient(graph), base)
+
+
+def _sigma(paths: PathSummary, c: float, base: RandomBaselines) -> float:
     if paths.avg_path_length is None:
         raise MetricUndefinedError("sigma needs at least one reachable pair")
-    base = random_baselines(graph.n_nodes, average_degree(graph))
-    c = clustering_coefficient(graph)
     return (c / base.clustering_random) / (paths.avg_path_length / base.path_length_random)
 
 
@@ -409,12 +412,14 @@ def small_world_omega(g: Graph | AnnualSnapshot) -> Omega:
     """
     graph = as_graph(g)
     paths = apsp_summary(graph)
-    if paths.avg_path_length is None:
-        raise MetricUndefinedError("omega needs at least one reachable pair")
     k = average_degree(graph)
     base = random_baselines(graph.n_nodes, k)
-    c = clustering_coefficient(graph)
-    c_lattice = lattice_clustering(graph.n_nodes, k)
+    return _omega(paths, clustering_coefficient(graph), lattice_clustering(graph.n_nodes, k), base)
+
+
+def _omega(paths: PathSummary, c: float, c_lattice: float, base: RandomBaselines) -> Omega:
+    if paths.avg_path_length is None:
+        raise MetricUndefinedError("omega needs at least one reachable pair")
     if c_lattice == 0.0:
         if c > 0.0:
             raise MetricUndefinedError("matched lattice clustering is zero, cannot normalize")
@@ -460,7 +465,6 @@ def metric_row(snapshot: AnnualSnapshot, gamma: float = 1.0, seed: int = 42) -> 
     else:
         values["modularity"] = modularity_detect(graph, gamma, seed).modularity
 
-    paths = None
     if n < 2:
         undefined(
             "too_few_nodes",
@@ -497,20 +501,14 @@ def metric_row(snapshot: AnnualSnapshot, gamma: float = 1.0, seed: int = 42) -> 
     values["clustering_random"] = base.clustering_random
     values["path_length_random"] = base.path_length_random
 
-    if paths is None or paths.avg_path_length is None:
-        undefined("no_reachable_pairs", "sigma", "omega", "omega_raw")
-    else:
-        values["sigma"] = (c / base.clustering_random) / (paths.avg_path_length / base.path_length_random)
-        c_lattice = values["clustering_lattice"]
-        if c_lattice is None:
-            undefined("too_few_nodes", "omega", "omega_raw")
-        elif c_lattice == 0.0 and c > 0.0:
-            undefined("lattice_clustering_zero", "omega", "omega_raw")
-        else:
-            ratio = 0.0 if c_lattice == 0.0 else c / c_lattice
-            raw = base.path_length_random / paths.avg_path_length - ratio
-            values["omega_raw"] = raw
-            values["omega"] = min(1.0, max(-1.0, raw))
+    # Average degree above one needs an edge and, with at most one edge
+    # between two nodes, at least three nodes: paths and the lattice
+    # reference are both set here, and a pair is reachable.
+    values["sigma"] = _sigma(paths, c, base)
+    try:
+        values["omega"], values["omega_raw"] = _omega(paths, c, values["clustering_lattice"], base)
+    except MetricUndefinedError:
+        undefined("lattice_clustering_zero", "omega", "omega_raw")
 
     return MetricRow(year=snapshot.year, reasons=reasons, **values)
 

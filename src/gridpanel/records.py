@@ -434,6 +434,24 @@ def snapshot_at(records: AssetRecordSet, year: int, voltage_floor_kv: int = 0) -
     return AnnualSnapshot(year=year, voltage_floor_kv=voltage_floor_kv, graph=Graph(alive_nodes, pairs))
 
 
+def _year_range_within(
+    records: AssetRecordSet,
+    start: int | None = None,
+    end: int | None = None,
+) -> tuple[int, int]:
+    # Every command's range check; a missing end defaults to the span's.
+    start = records.dataset_start if start is None else start
+    end = records.dataset_end if end is None else end
+    if start > end:
+        raise YearRangeError(f"empty year range {start}-{end}")
+    if start < records.dataset_start or end > records.dataset_end:
+        raise YearRangeError(
+            f"year range {start}-{end} leaves the dataset span "
+            f"{records.dataset_start}-{records.dataset_end}"
+        )
+    return start, end
+
+
 def build_panel(
     records: AssetRecordSet,
     year_range: tuple[int, int] | None = None,
@@ -443,16 +461,7 @@ def build_panel(
 
     The range defaults to the dataset span and must lie inside it.
     """
-    if year_range is None:
-        year_range = (records.dataset_start, records.dataset_end)
-    start, end = year_range
-    if start > end:
-        raise YearRangeError(f"empty year range {start}-{end}")
-    if start < records.dataset_start or end > records.dataset_end:
-        raise YearRangeError(
-            f"year range {start}-{end} leaves the dataset span "
-            f"{records.dataset_start}-{records.dataset_end}"
-        )
+    start, end = _year_range_within(records, *(year_range or ()))
     return [snapshot_at(records, year, voltage_floor_kv) for year in range(start, end + 1)]
 
 

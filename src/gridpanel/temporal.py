@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ParameterError
+from .errors import ParameterError, YearRangeError
 from .records import MAJOR_CHANGE_KINDS, AssetRecordSet
 
 
@@ -142,6 +142,8 @@ def annual_change_rates(records: AssetRecordSet, *, window: int = 5) -> ChangeRa
     decommission recorded both as an event and as ``year_out`` counts
     once. Counts respect the stock balance: lines in operation change
     from one year to the next by new lines minus decommissions.
+    Edges commissioned or retired outside the dataset span raise
+    :class:`YearRangeError`; events outside it are ignored.
     """
     start, end = records.dataset_start, records.dataset_end
     n_years = end - start + 1
@@ -151,6 +153,11 @@ def annual_change_rates(records: AssetRecordSet, *, window: int = 5) -> ChangeRa
     changes = [0] * n_years
 
     for rec in records.edges:
+        for year in (rec.year_in, rec.year_out):
+            if year is not None and not start <= year <= end:
+                raise YearRangeError(
+                    f"edge {rec.edge_id} has year {year} outside the dataset span {start}-{end}"
+                )
         first = rec.year_in - start
         new_lines[first] += 1
         alive_delta[first] += 1

@@ -291,6 +291,20 @@ def test_bad_year_range_exits_two(workspace):
     assert code == 2
 
 
+@pytest.mark.parametrize("year_start,year_end", [("1800", "1805"), ("1990", "1980")])
+def test_every_command_rejects_a_bad_year_range_alike(workspace, capsys, year_start, year_end):
+    tmp_path, paths = workspace
+    messages = set()
+    for command in ("panel", "motifs", "temporal", "baselines"):
+        out = tmp_path / command
+        code = run(command, *base_args(paths, out), "--year-start", year_start, "--year-end", year_end)
+        assert code == 2, command
+        assert not out.exists(), command
+        messages.add(capsys.readouterr().err)
+    assert len(messages) == 1
+    assert "year range" in messages.pop()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")

@@ -18,6 +18,8 @@ from gridpanel import (
     average_degree,
     build_panel,
     clustering_coefficient,
+    gen_erdos_renyi,
+    gen_ring_lattice,
     gen_watts_strogatz,
     is_small_world,
     lattice_clustering,
@@ -358,6 +360,39 @@ def test_metric_row_complete_fields_on_dense_graph():
     d = row.as_dict()
     assert set(d) == set(METRIC_NAMES)
     assert d["sigma"] == row.sigma
+
+
+def test_metric_row_scores_equal_public_scores_exactly():
+    rng = random.Random(17)
+    graphs = [random_test_graph(rng, rng.randint(2, 30), rng.uniform(0.02, 0.5)) for _ in range(60)]
+    graphs += [
+        as_graph(gen_watts_strogatz(60, 4, 0.1, seed=9)),
+        as_graph(gen_erdos_renyi(50, 120, seed=4)),
+        as_graph(gen_ring_lattice(40, 6)),
+        path_graph(25),
+        Graph(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]),  # triangle on a 2-lattice
+    ]
+    outcomes = set()
+    for graph in graphs:
+        row = metric_row(snap(2000, graph))
+        try:
+            sigma = small_world_sigma(graph)
+        except MetricUndefinedError:
+            assert row.sigma is None and row.reasons["sigma"]
+            outcomes.add("sigma undefined")
+        else:
+            assert row.sigma == sigma
+            outcomes.add("sigma")
+        try:
+            omega = small_world_omega(graph)
+        except MetricUndefinedError:
+            assert row.omega is None and row.omega_raw is None
+            assert row.reasons["omega"] and row.reasons["omega_raw"]
+            outcomes.add(row.reasons["omega"])
+        else:
+            assert (row.omega, row.omega_raw) == (omega.value, omega.raw)
+            outcomes.add("omega")
+    assert outcomes >= {"sigma", "sigma undefined", "omega", "lattice_clustering_zero", "avg_degree_not_above_one"}
 
 
 def test_metric_panel_over_fixture(country_records):

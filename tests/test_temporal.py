@@ -3,6 +3,7 @@ import pytest
 from helpers import make_edge, make_node
 from gridpanel import (
     ParameterError,
+    YearRangeError,
     annual_change_rates,
     average_lifetime_by_year,
     build_record_set,
@@ -194,6 +195,16 @@ def test_topological_changes_count_each_event_once():
     assert by_year[1962] == 1
     assert by_year[1963] == 1
     assert sum(series.topological_changes) == 4
+
+
+@pytest.mark.parametrize("start,end", [(1955, 1970), (1940, 1960)])
+def test_change_rates_reject_edges_outside_the_span(start, end):
+    # commissioned before the first year, or retired after the last
+    nodes = [make_node("a", 1950, voltage=400), make_node("b", 1950, voltage=400)]
+    edges = [make_edge("ab", "a", "b", 1950, year_out=1962, voltage=400)]
+    records = build_record_set(nodes, edges, dataset_start=start, dataset_end=end)
+    with pytest.raises(YearRangeError, match="outside the dataset span"):
+        annual_change_rates(records)
 
 
 def test_smoothed_series_present_and_aligned(country_records):
