@@ -68,11 +68,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=help_text)
         _add_common_arguments(sub)
         if name == "baselines":
-            sub.add_argument("--replicates", type=int, default=50, help="replicates per family (default 50)")
-            sub.add_argument("--rewiring-p", type=float, default=0.1, help="rewiring probability (default 0.1)")
+            sub.add_argument("--replicates", type=int, help="replicates per family (default 50)")
+            sub.add_argument("--rewiring-p", type=float, help="rewiring probability (default 0.1)")
             sub.add_argument(
                 "--per-year",
-                action="store_true",
+                action=argparse.BooleanOptionalAction,
                 help="also regenerate references at each year's size instead of only the averaged one",
             )
         sub.set_defaults(handler=handler)
@@ -329,11 +329,7 @@ def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
     mean_nodes = _round_half_up(statistics.fmean(s.n_nodes for s in snapshots))
     mean_edges = _round_half_up(statistics.fmean(s.n_edges for s in snapshots))
     ensembles = efficiency_comparison(
-        mean_nodes,
-        mean_edges,
-        args.replicates,
-        config.seed,
-        rewiring_p=args.rewiring_p,
+        mean_nodes, mean_edges, config.replicates, config.seed, rewiring_p=config.rewiring_p
     )
     _prepare_out_dir(config)
 
@@ -352,16 +348,12 @@ def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
     _write_csv(os.path.join(config.out_dir, "baselines.csv"), ("family", "replicate", "metric", "value"), rows)
     _write_csv(os.path.join(config.out_dir, "baselines_summary.csv"), ("family", "metric", "mean", "std"), summary)
 
-    if args.per_year:
+    if config.per_year:
         per_year_rows = []
         for snap in snapshots:
             try:
                 yearly = efficiency_comparison(
-                    snap.n_nodes,
-                    snap.n_edges,
-                    args.replicates,
-                    config.seed,
-                    rewiring_p=args.rewiring_p,
+                    snap.n_nodes, snap.n_edges, config.replicates, config.seed, rewiring_p=config.rewiring_p
                 )
             except ParameterError:
                 continue  # years too small to host a matched lattice
@@ -380,6 +372,6 @@ def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
     note = "" if lattice_edges == mean_edges else f" (lattice families achieve {lattice_edges})"
     print(
         f"wrote baselines for n={mean_nodes}, requested edges {mean_edges}{note}, "
-        f"{args.replicates} replicates to {config.out_dir}"
+        f"{config.replicates} replicates to {config.out_dir}"
     )
     return 0

@@ -33,6 +33,9 @@ class RunConfig:
     variant: str = "subgraph"
     window: int = 5
     threshold: float = 0.2
+    replicates: int = 50
+    rewiring_p: float = 0.1
+    per_year: bool = False
     out_dir: str = "out"
 
 

@@ -21,7 +21,7 @@ class Graph:
     Neighbor tuples are sorted, so iteration order is reproducible.
     """
 
-    __slots__ = ("_nodes", "_index", "_adj", "_sets", "_n_edges")
+    __slots__ = ("_nodes", "_index", "_adj", "_sets", "_rows", "_n_edges")
 
     def __init__(self, nodes: Iterable[NodeId], edges: Iterable[tuple[NodeId, NodeId]] = ()) -> None:
         adj: dict[NodeId, set[NodeId]] = {v: set() for v in nodes}
@@ -38,6 +38,7 @@ class Graph:
         self._index: dict[NodeId, int] = {v: i for i, v in enumerate(self._nodes)}
         self._adj: dict[NodeId, tuple[NodeId, ...]] = {v: tuple(sorted(adj[v])) for v in self._nodes}
         self._sets: dict[NodeId, frozenset[NodeId]] | None = None
+        self._rows: tuple[tuple[int, ...], ...] | None = None
         self._n_edges: int = sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
     @property
@@ -64,6 +65,14 @@ class Graph:
             self._sets = {v: frozenset(nbrs) for v, nbrs in self._adj.items()}
         return self._sets
 
+    def neighbor_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Adjacency by position: row ``i`` lists the sorted indices of the
+        neighbors of ``nodes[i]``. Built once and cached."""
+        if self._rows is None:
+            index = self._index
+            self._rows = tuple(tuple(index[w] for w in self._adj[v]) for v in self._nodes)
+        return self._rows
+
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         sets = self.neighbor_sets()
         try:
@@ -73,10 +82,6 @@ class Graph:
 
     def has_node(self, v: NodeId) -> bool:
         return v in self._index
-
-    def index(self, v: NodeId) -> int:
-        """Position of ``v`` in the sorted node order."""
-        return self._index[v]
 
     def edges(self) -> tuple[tuple[NodeId, NodeId], ...]:
         """Each edge once, endpoints in sorted order."""

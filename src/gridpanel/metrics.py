@@ -150,9 +150,17 @@ def average_degree(g: Graph | AnnualSnapshot) -> float:
 def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
     """Average shortest path, diameter, efficiency and pair coverage.
 
-    One breadth-first sweep per source node feeds a histogram of finite
-    distances; every statistic is read off that histogram, so partial
-    results could be merged in any order without changing the outcome.
+    All sources are swept at once, breadth-first: node ``i`` holds a
+    bitset (a Python int) of the sources that have reached it and another
+    of those that reached it at the last level. Each level ORs the latter
+    over a node's neighbors, masks out the sources it has already seen,
+    and counts the new bits into a histogram of finite distances. The
+    sweep stops at the first level that adds nothing, so it runs one level
+    past the diameter: O(diameter * m) ORs of n-bit integers. Memory is
+    three lists of n such integers (seen, last level, next level), about
+    3 * n**2 / 8 bytes, where one BFS per source needed O(n). Every
+    statistic is read off the histogram with exact rationals, so the
+    result does not depend on node labels or summation order.
 
     Averages run over ordered reachable pairs. With no reachable pair at
     all the path length and diameter are None while efficiency is 0.
@@ -161,23 +169,29 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
     n = graph.n_nodes
     if n < 2:
         raise MetricUndefinedError("path summary needs at least two nodes")
-    hist: Counter[int] = Counter()
-    for src in graph.nodes:
-        dist = {src: 0}
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in graph.neighbors(v):
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        for dv in dist.values():
-            if dv:
-                hist[dv] += 1
+    rows = graph.neighbor_rows()
+    seen = [1 << i for i in range(n)]
+    frontier = seen[:]
+    hist: dict[int, int] = {}
+    d = 0
+    while True:
+        d += 1
+        nxt = []
+        append = nxt.append
+        found = 0
+        for i, row in enumerate(rows):
+            reached = 0
+            for j in row:
+                reached |= frontier[j]
+            new = reached & ~seen[i]
+            if new:
+                seen[i] |= new
+                found += new.bit_count()
+            append(new)
+        if not found:
+            break
+        hist[d] = found
+        frontier = nxt
 
     total = n * (n - 1)
     reachable = sum(hist.values())
@@ -308,11 +322,9 @@ def modularity_detect(
     if graph.n_edges == 0:
         raise MetricUndefinedError("community detection needs at least one edge")
     n = graph.n_nodes
-    adj: dict[int, dict[int, float]] = {i: {} for i in range(n)}
-    for u, v in graph.edges():
-        iu, iv = graph.index(u), graph.index(v)
-        adj[iu][iv] = 1.0
-        adj[iv][iu] = 1.0
+    adj: dict[int, dict[int, float]] = {
+        i: dict.fromkeys(row, 1.0) for i, row in enumerate(graph.neighbor_rows())
+    }
 
     rng = random.Random(seed)
     membership = list(range(n))

@@ -8,6 +8,8 @@ code against these on small inputs.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from fractions import Fraction
 from math import inf
 
 import numpy as np
@@ -56,6 +58,37 @@ def path_stats(graph):
         efficiency,
         reached / total,
     )
+
+
+def path_summary_by_bfs(graph):
+    """(avg shortest path, diameter, efficiency, reachable pair fraction)
+    from one plain breadth-first search per source node, with the same
+    exact rational reduction as the package, so results compare by ``==``."""
+    n = graph.n_nodes
+    hist = Counter()
+    for src in graph.nodes:
+        dist = {src: 0}
+        frontier = [src]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for v in frontier:
+                for w in graph.neighbors(v):
+                    if w not in dist:
+                        dist[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        for dv in dist.values():
+            if dv:
+                hist[dv] += 1
+    total = n * (n - 1)
+    reachable = sum(hist.values())
+    if reachable == 0:
+        return None, None, 0.0, 0.0
+    avg = float(Fraction(sum(d * c for d, c in hist.items()), reachable))
+    eff = float(sum(Fraction(c, d) for d, c in hist.items()) / total)
+    return avg, max(hist), eff, float(Fraction(reachable, total))
 
 
 def density(graph) -> float:

@@ -274,6 +274,28 @@ def test_baselines_rerun_matches(workspace):
     assert tree_bytes(out) == first
 
 
+def test_baselines_manifest_replays_its_flags(workspace):
+    tmp_path, paths = workspace
+    out = tmp_path / "base_flags"
+    args = ("--replicates", "2", "--rewiring-p", "0.25", "--per-year", "--seed", "3")
+    assert run("baselines", *base_args(paths, out, "--voltage-floor", "0"), *args) == 0
+    manifest = (out / "baselines_manifest.txt").read_text(encoding="utf-8")
+    assert "replicates = 2\n" in manifest
+    assert "rewiring_p = 0.25\n" in manifest
+    assert "per_year = true\n" in manifest
+    first = tree_bytes(out)
+    backup = tmp_path / "baselines_manifest_copy.txt"
+    shutil.copy(out / "baselines_manifest.txt", backup)
+    shutil.rmtree(out)
+    assert run("baselines", "--config", str(backup)) == 0
+    assert tree_bytes(out) == first
+    # A flag on the command line still overrides the replayed value.
+    shutil.rmtree(out)
+    assert run("baselines", "--config", str(backup), "--no-per-year") == 0
+    assert not (out / "baselines_per_year.csv").exists()
+    assert "per_year = false\n" in (out / "baselines_manifest.txt").read_text(encoding="utf-8")
+
+
 # -- common ------------------------------------------------------------------
 
 

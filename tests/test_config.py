@@ -15,6 +15,9 @@ def test_defaults():
     assert cfg.variant == "subgraph"
     assert cfg.window == 5
     assert cfg.threshold == 0.2
+    assert cfg.replicates == 50
+    assert cfg.rewiring_p == 0.1
+    assert cfg.per_year is False
     assert cfg.out_dir == "out"
     assert cfg.node_file is None
     assert cfg.year_start is None
@@ -37,6 +40,9 @@ def test_dump_then_parse_is_identity():
             variant="induced",
             window=7,
             threshold=0.25,
+            replicates=7,
+            rewiring_p=0.3,
+            per_year=True,
             out_dir="runs/hu",
         ),
     ]

@@ -57,3 +57,9 @@ def test_ring_lattice_next_nearest():
     g = ring_lattice(6, 4)
     assert g.n_edges == 12
     assert all(g.degree(v) == 4 for v in g.nodes)
+
+
+def test_neighbor_rows_are_sorted_positions_built_once():
+    g = Graph(["c", "a", "b", "d"], [("a", "c"), ("b", "c"), ("d", "a")])
+    assert g.neighbor_rows() == ((2, 3), (2,), (0, 1), (0,))
+    assert g.neighbor_rows() is g.neighbor_rows()

@@ -145,6 +145,48 @@ def test_path_stats_match_dense_oracle():
             assert got.diameter == want[1]
         assert got.efficiency == pytest.approx(want[2], abs=1e-12)
         assert got.reachable_pair_fraction == pytest.approx(want[3], abs=1e-12)
+        assert got == oracles.path_summary_by_bfs(g)
+
+
+def mesh_graph(side):
+    return Graph(
+        [(r, c) for r in range(side) for c in range(side)],
+        [((r, c), (r, c + 1)) for r in range(side) for c in range(side - 1)]
+        + [((r, c), (r + 1, c)) for r in range(side - 1) for c in range(side)],
+    )
+
+
+def disconnected_union():
+    # A 70-node path, a 50-node cycle, K5 and ten isolated nodes: 135 nodes.
+    edges = [(i, i + 1) for i in range(69)]
+    edges += [(70 + i, 70 + (i + 1) % 50) for i in range(50)]
+    edges += [(a, b) for a in range(120, 125) for b in range(a + 1, 125)]
+    return Graph(range(135), edges)
+
+
+def string_labelled(graph, seed):
+    names = [f"bus-{i:04d}" for i in range(graph.n_nodes)]
+    random.Random(seed).shuffle(names)
+    name = dict(zip(graph.nodes, names))
+    return Graph(names, [(name[u], name[v]) for u, v in graph.edges()])
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        as_graph(gen_ring_lattice(65, 2)),
+        as_graph(gen_ring_lattice(130, 4)),
+        as_graph(gen_ring_lattice(257, 2)),
+        path_graph(300),
+        mesh_graph(20),
+        disconnected_union(),
+        string_labelled(as_graph(gen_ring_lattice(130, 4)), 5),
+        string_labelled(disconnected_union(), 6),
+    ],
+    ids=["ring65x2", "ring130x4", "ring257x2", "path300", "mesh20x20", "union", "ring130x4-str", "union-str"],
+)
+def test_path_summary_equals_per_source_bfs_past_word_boundaries(graph):
+    assert apsp_summary(graph) == oracles.path_summary_by_bfs(graph)
 
 
 # -- clustering --------------------------------------------------------------
@@ -213,11 +255,13 @@ def test_lattice_clustering_reference_points():
 
 
 def test_lattice_clustering_matches_constructed_ring():
-    from gridpanel import gen_ring_lattice
-
-    for n, m in ((10, 4), (21, 6), (30, 8)):
-        built = clustering_coefficient(gen_ring_lattice(n, m))
-        assert lattice_clustering(n, float(m)) == pytest.approx(built, abs=1e-12)
+    # Every even coordination from 0 up past the cap, so the floor at 2
+    # and the cap at what the ring can host are both exercised.
+    for n in range(3, 61):
+        cap = n - 1 if n % 2 else n - 2
+        for m in range(0, n + 3, 2):
+            built = clustering_coefficient(gen_ring_lattice(n, min(max(m, 2), cap)))
+            assert lattice_clustering(n, float(m)) == built, (n, m)
 
 
 # -- small-world scores ------------------------------------------------------
