@@ -17,12 +17,12 @@ import sys
 from typing import Any, Iterable, Sequence
 
 from . import __version__
-from .config import CONFIG_KEYS, VARIANTS, RunConfig, _format_value, apply_overrides, dump_config, load_config
+from .config import CONFIG_KEYS, RunConfig, _format_value, apply_overrides, dump_config, load_config
 from .errors import GridPanelError, ParameterError, ValidationFailedError
 from .generators import FAMILIES, efficiency_comparison
 from .graph import AnnualSnapshot
 from .metrics import METRIC_NAMES, _round_half_up, metric_panel
-from .motifs import MOTIF_NAMES, motif_counts, motif_shares
+from .motifs import MOTIF_NAMES, STAR_VARIANTS, motif_counts, motif_shares
 from .records import (
     AssetRecordSet,
     _year_range_within,
@@ -91,7 +91,7 @@ def _add_common_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gamma", type=float, help="modularity resolution")
     sub.add_argument("--seed", type=int, help="seed for every stochastic step")
     sub.add_argument("--chordless-only", dest="chordless_only", choices=("true", "false"))
-    sub.add_argument("--variant", choices=VARIANTS, help="star counting variant")
+    sub.add_argument("--variant", choices=STAR_VARIANTS, help="star counting variant")
     sub.add_argument("--window", type=int, help="moving-average window (odd)")
     sub.add_argument("--threshold", type=float, help="underperformer survived-ratio cutoff")
     sub.add_argument("--out", dest="out_dir", help="output directory")

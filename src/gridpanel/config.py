@@ -12,8 +12,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Any
 
 from .errors import ParameterError
-
-VARIANTS = ("subgraph", "induced")
+from .motifs import STAR_VARIANTS
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,9 @@ def _parse_value(key: str, raw: str, source: str, line: int) -> Any:
             return raw == "true"
     except ValueError:
         raise ParameterError(f"{source}:{line}: bad value for {key}: {raw!r}") from None
-    if key == "variant" and raw not in VARIANTS:
+    if key == "variant" and raw not in STAR_VARIANTS:
         raise ParameterError(
-            f"{source}:{line}: variant must be one of {', '.join(VARIANTS)}, got {raw!r}"
+            f"{source}:{line}: variant must be one of {', '.join(STAR_VARIANTS)}, got {raw!r}"
         )
     return raw
 
@@ -117,6 +116,6 @@ def apply_overrides(config: RunConfig, **overrides: Any) -> RunConfig:
     for key in changes:
         if key not in CONFIG_KEYS:
             raise ParameterError(f"unknown config field {key!r}")
-    if "variant" in changes and changes["variant"] not in VARIANTS:
-        raise ParameterError(f"variant must be one of {', '.join(VARIANTS)}")
+    if "variant" in changes and changes["variant"] not in STAR_VARIANTS:
+        raise ParameterError(f"variant must be one of {', '.join(STAR_VARIANTS)}")
     return replace(config, **changes)

@@ -4,6 +4,9 @@ Every traversal in the toolkit iterates nodes in sorted order, which makes
 results independent of input row order and of how a graph was assembled.
 Node identifiers therefore have to be mutually comparable (all strings or
 all integers within one graph).
+
+Adjacency is stored once, by node position; labels are translated only at
+the API boundary (``nodes``, ``neighbors``, ``degree``, ``has_edge``, ``edges``).
 """
 
 from __future__ import annotations
@@ -18,28 +21,27 @@ class Graph:
     """Immutable simple undirected graph.
 
     Parallel edges collapse on construction; self-loops are rejected.
-    Neighbor tuples are sorted, so iteration order is reproducible.
+    Nodes are sorted and row ``i`` of the adjacency holds the sorted
+    positions of the neighbors of ``nodes[i]``, so iteration is reproducible.
     """
 
-    __slots__ = ("_nodes", "_index", "_adj", "_sets", "_rows", "_n_edges")
+    __slots__ = ("_nodes", "_index", "_rows", "_n_edges")
 
     def __init__(self, nodes: Iterable[NodeId], edges: Iterable[tuple[NodeId, NodeId]] = ()) -> None:
-        adj: dict[NodeId, set[NodeId]] = {v: set() for v in nodes}
+        self._nodes: tuple[NodeId, ...] = tuple(sorted(set(nodes)))
+        index = self._index = {v: i for i, v in enumerate(self._nodes)}
+        adj: list[set[int]] = [set() for _ in self._nodes]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at node {u!r}")
-            if u not in adj:
+            if u not in index:
                 raise ValueError(f"edge endpoint {u!r} is not a node")
-            if v not in adj:
+            if v not in index:
                 raise ValueError(f"edge endpoint {v!r} is not a node")
-            adj[u].add(v)
-            adj[v].add(u)
-        self._nodes: tuple[NodeId, ...] = tuple(sorted(adj))
-        self._index: dict[NodeId, int] = {v: i for i, v in enumerate(self._nodes)}
-        self._adj: dict[NodeId, tuple[NodeId, ...]] = {v: tuple(sorted(adj[v])) for v in self._nodes}
-        self._sets: dict[NodeId, frozenset[NodeId]] | None = None
-        self._rows: tuple[tuple[int, ...], ...] | None = None
-        self._n_edges: int = sum(len(nbrs) for nbrs in self._adj.values()) // 2
+            adj[index[u]].add(index[v])
+            adj[index[v]].add(index[u])
+        self._rows: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(row)) for row in adj)
+        self._n_edges: int = sum(map(len, self._rows)) // 2
 
     @property
     def n_nodes(self) -> int:
@@ -54,42 +56,33 @@ class Graph:
         return self._nodes
 
     def neighbors(self, v: NodeId) -> tuple[NodeId, ...]:
-        return self._adj[v]
+        return tuple(self._nodes[j] for j in self._rows[self._index[v]])
 
     def degree(self, v: NodeId) -> int:
-        return len(self._adj[v])
-
-    def neighbor_sets(self) -> dict[NodeId, frozenset[NodeId]]:
-        """Adjacency as frozensets, built once and cached."""
-        if self._sets is None:
-            self._sets = {v: frozenset(nbrs) for v, nbrs in self._adj.items()}
-        return self._sets
+        return len(self._rows[self._index[v]])
 
     def neighbor_rows(self) -> tuple[tuple[int, ...], ...]:
         """Adjacency by position: row ``i`` lists the sorted indices of the
-        neighbors of ``nodes[i]``. Built once and cached."""
-        if self._rows is None:
-            index = self._index
-            self._rows = tuple(tuple(index[w] for w in self._adj[v]) for v in self._nodes)
+        neighbors of ``nodes[i]``. This is the graph's own storage."""
         return self._rows
 
+    def neighbor_sets(self) -> list[frozenset[int]]:
+        """Row ``i`` of :meth:`neighbor_rows` as a frozenset, for
+        intersections. Built on each call and not cached, so the sets live
+        only as long as the caller holds them."""
+        return [frozenset(row) for row in self._rows]
+
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        sets = self.neighbor_sets()
-        try:
-            return v in sets[u]
-        except KeyError:
-            return False
+        index = self._index
+        return u in index and v in index and index[v] in self._rows[index[u]]
 
     def has_node(self, v: NodeId) -> bool:
         return v in self._index
 
     def edges(self) -> tuple[tuple[NodeId, NodeId], ...]:
         """Each edge once, endpoints in sorted order."""
-        out = []
-        for u in self._nodes:
-            iu = self._index[u]
-            out.extend((u, v) for v in self._adj[u] if self._index[v] > iu)
-        return tuple(out)
+        nodes = self._nodes
+        return tuple((nodes[i], nodes[j]) for i, row in enumerate(self._rows) for j in row if j > i)
 
     def __contains__(self, v: NodeId) -> bool:
         return v in self._index

@@ -217,12 +217,11 @@ def clustering_coefficient(g: Graph | AnnualSnapshot, *, skip_low_degree: bool =
     sets = graph.neighbor_sets()
     total = Fraction(0)
     eligible = 0
-    for v in graph.nodes:
-        kv = graph.degree(v)
+    for sv in sets:
+        kv = len(sv)
         if kv < 2:
             continue
         eligible += 1
-        sv = sets[v]
         linked_twice = sum(len(sets[u] & sv) for u in sv)
         total += Fraction(linked_twice, kv * (kv - 1))
     if skip_low_degree:
@@ -243,6 +242,7 @@ def modularity_of(
     independent of community iteration order; the all-in-one partition
     yields exactly 0.0 at gamma 1.
     """
+    _check_gamma(gamma)
     graph = as_graph(g)
     if graph.n_edges == 0:
         raise MetricUndefinedError("modularity needs at least one edge")
@@ -250,18 +250,24 @@ def modularity_of(
     if missing:
         raise ParameterError(f"assignment misses {len(missing)} nodes, e.g. {missing[0]!r}")
     two_e = 2 * graph.n_edges
+    community = [assignment[v] for v in graph.nodes]
     intra: Counter = Counter()
     ktot: Counter = Counter()
-    for u, v in graph.edges():
-        if assignment[u] == assignment[v]:
-            intra[assignment[u]] += 2
-    for v in graph.nodes:
-        ktot[assignment[v]] += graph.degree(v)
+    for i, row in enumerate(graph.neighbor_rows()):
+        c = community[i]
+        ktot[c] += len(row)
+        # each internal edge is seen from both ends, so it adds 2
+        intra[c] += sum(1 for j in row if community[j] == c)
     gamma_exact = Fraction(gamma)
     q = Fraction(0)
     for label, k_sum in ktot.items():
         q += Fraction(intra.get(label, 0), two_e) - gamma_exact * Fraction(k_sum, two_e) ** 2
     return float(q)
+
+
+def _check_gamma(gamma: float) -> None:
+    if not math.isfinite(gamma):
+        raise ParameterError(f"gamma must be a finite number, got {gamma!r}")
 
 
 def _local_moving(
@@ -318,6 +324,7 @@ def modularity_detect(
     seed, and all remaining choices break ties toward the lowest label,
     so a given (graph, gamma, seed) always yields the same partition.
     """
+    _check_gamma(gamma)
     graph = as_graph(g)
     if graph.n_edges == 0:
         raise MetricUndefinedError("community detection needs at least one edge")

@@ -75,11 +75,10 @@ class MotifShares:
 
 def count_triangles(g: Graph | AnnualSnapshot) -> int:
     """Number of triangles, via common neighbors of each edge."""
-    graph = as_graph(g)
-    sets = graph.neighbor_sets()
+    sets = as_graph(g).neighbor_sets()
     acc = 0
-    for u, v in graph.edges():
-        acc += len(sets[u] & sets[v])
+    for u, su in enumerate(sets):
+        acc += sum(len(su & sets[v]) for v in su if v > u)
     # each triangle is seen once per edge
     return acc // 3
 
@@ -94,10 +93,8 @@ def count_four_cycles(g: Graph | AnnualSnapshot, *, chordless_only: bool = True)
     which is exactly the induced-cycle condition.
     """
     graph = as_graph(g)
-    sets = graph.neighbor_sets()
-    wedges: Counter[tuple] = Counter()
-    for center in graph.nodes:
-        nbrs = graph.neighbors(center)
+    wedges: Counter[tuple[int, int]] = Counter()
+    for nbrs in graph.neighbor_rows():
         for i in range(len(nbrs)):
             for j in range(i + 1, len(nbrs)):
                 wedges[(nbrs[i], nbrs[j])] += 1
@@ -106,6 +103,7 @@ def count_four_cycles(g: Graph | AnnualSnapshot, *, chordless_only: bool = True)
         doubled = sum(comb(w, 2) for w in wedges.values())
         return doubled // 2
 
+    sets = graph.neighbor_sets()
     doubled = 0
     for (u, v), w in wedges.items():
         if w < 2 or v in sets[u]:
@@ -129,19 +127,18 @@ def count_stars(g: Graph | AnnualSnapshot, leaves: int, *, variant: str = "subgr
         raise ParameterError(f"variant must be one of {', '.join(STAR_VARIANTS)}, got {variant!r}")
     graph = as_graph(g)
     if variant == "subgraph":
-        return sum(comb(graph.degree(v), leaves) for v in graph.nodes)
+        return sum(comb(len(nbrs), leaves) for nbrs in graph.neighbor_rows())
 
     sets = graph.neighbor_sets()
     acc = 0
-    for center in graph.nodes:
-        nbrs = graph.neighbors(center)
+    for nbrs in graph.neighbor_rows():
         if len(nbrs) < leaves:
             continue
         acc += _independent_subsets(nbrs, sets, leaves)
     return acc
 
 
-def _independent_subsets(candidates: tuple, sets: dict, size: int) -> int:
+def _independent_subsets(candidates: tuple[int, ...], sets: list[frozenset[int]], size: int) -> int:
     # Depth-first choice of pairwise-unlinked members from a sorted pool.
     def extend(start: int, chosen: list) -> int:
         if len(chosen) == size:

@@ -59,6 +59,14 @@ def relabeled(graph: Graph, rng: random.Random) -> tuple[Graph, dict]:
     return Graph(mapping.values(), [(mapping[u], mapping[v]) for u, v in graph.edges()]), mapping
 
 
+def string_relabeled(graph: Graph) -> tuple[Graph, dict]:
+    """Copy of an int-labelled graph of at most 97 nodes under string
+    labels whose sorted order differs from the int order, so that a node's
+    position no longer equals its label."""
+    mapping = {v: f"n{(37 * v + 3) % 97:02d}" for v in graph.nodes}
+    return Graph(mapping.values(), [(mapping[u], mapping[v]) for u, v in graph.edges()]), mapping
+
+
 def synthetic_records(seed=7, start=1950, n_years=55, country="testland") -> AssetRecordSet:
     """A deterministic grown grid: mixed voltages, decommissions, events.
 

@@ -327,6 +327,26 @@ def test_every_command_rejects_a_bad_year_range_alike(workspace, capsys, year_st
     assert "year range" in messages.pop()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_non_finite_gamma_exits_two(workspace, capsys, source, gamma):
+    tmp_path, paths = workspace
+    out = tmp_path / "gamma_out"
+    if source == "flag":
+        code = run("panel", *base_args(paths, out), "--gamma", gamma)
+    else:
+        cfg = tmp_path / "gamma.cfg"
+        cfg.write_text(
+            f"node_file = {paths['nodes']}\nedge_file = {paths['edges']}\n"
+            f"event_file = {paths['events']}\ngamma = {gamma}\nout_dir = {out}\n",
+            encoding="utf-8",
+        )
+        code = run("panel", "--config", str(cfg))
+    assert code == 2
+    assert not out.exists()
+    assert "gamma" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")

@@ -36,6 +36,8 @@ def test_neighbors_sorted_and_degree():
     assert g.degree(1) == 1
     assert g.has_edge(0, 2) and g.has_edge(2, 0)
     assert not g.has_edge(1, 2)
+    assert not g.has_edge(0, 99)
+    assert not g.has_edge(99, 0)
 
 
 def test_edges_canonical_order():
@@ -63,3 +65,5 @@ def test_neighbor_rows_are_sorted_positions_built_once():
     g = Graph(["c", "a", "b", "d"], [("a", "c"), ("b", "c"), ("d", "a")])
     assert g.neighbor_rows() == ((2, 3), (2,), (0, 1), (0,))
     assert g.neighbor_rows() is g.neighbor_rows()
+    assert g.neighbor_sets() == [frozenset({2, 3}), frozenset({2}), frozenset({0, 1}), frozenset({0})]
+    assert g.neighbor_sets() is not g.neighbor_sets()

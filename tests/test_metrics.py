@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import random_test_graph, relabeled
+from helpers import random_test_graph, relabeled, string_relabeled
 from gridpanel import (
     AnnualSnapshot,
     Graph,
@@ -217,11 +217,12 @@ def test_clustering_all_low_degree():
 def test_clustering_matches_pair_enumeration_oracle():
     rng = random.Random(2024)
     for _ in range(60):
-        g = random_test_graph(rng, rng.randint(2, 35), rng.uniform(0.05, 0.5))
-        for skip in (False, True):
-            assert clustering_coefficient(g, skip_low_degree=skip) == pytest.approx(
-                oracles.clustering(g, skip_low_degree=skip), abs=1e-12
-            )
+        base = random_test_graph(rng, rng.randint(2, 35), rng.uniform(0.05, 0.5))
+        for g in (base, string_relabeled(base)[0]):
+            for skip in (False, True):
+                assert clustering_coefficient(g, skip_low_degree=skip) == pytest.approx(
+                    oracles.clustering(g, skip_low_degree=skip), abs=1e-12
+                )
 
 
 # -- reference values --------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from helpers import random_test_graph, relabeled
+from helpers import random_test_graph, relabeled, string_relabeled
 from gridpanel import (
     Graph,
     MetricUndefinedError,
@@ -58,10 +58,13 @@ def test_matches_pairwise_double_sum():
             continue
         n_comm = rng.randint(1, 4)
         assignment = {v: rng.randrange(n_comm) for v in g.nodes}
-        for gamma in (1.0, 0.5, 2.0):
-            assert modularity_of(g, assignment, gamma=gamma) == pytest.approx(
-                oracles.modularity_pairwise(g, assignment, gamma), abs=1e-12
-            )
+        named, name = string_relabeled(g)
+        named_assignment = {name[v]: c for v, c in assignment.items()}
+        for graph, parts in ((g, assignment), (named, named_assignment)):
+            for gamma in (1.0, 0.5, 2.0):
+                assert modularity_of(graph, parts, gamma=gamma) == pytest.approx(
+                    oracles.modularity_pairwise(graph, parts, gamma), abs=1e-12
+                )
 
 
 def test_missing_nodes_rejected():
@@ -130,6 +133,16 @@ def test_gamma_is_honored():
         )
     low = modularity_detect(g, gamma=0.1, seed=2)
     assert low.n_communities <= 2
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_gamma_rejected(gamma):
+    g = two_cliques_with_bridge()
+    split = {v: 0 if v < 4 else 1 for v in g.nodes}
+    with pytest.raises(ParameterError, match="gamma"):
+        modularity_of(g, split, gamma=gamma)
+    with pytest.raises(ParameterError, match="gamma"):
+        modularity_detect(g, gamma=gamma)
 
 
 def test_detection_rejects_empty_graph():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import random_test_graph
+from helpers import random_test_graph, string_relabeled
 from gridpanel import (
     Graph,
     ParameterError,
@@ -167,17 +167,18 @@ def test_shares_invariant_under_disjoint_duplication():
 def test_counts_match_subset_enumeration():
     rng = random.Random(777)
     for _ in range(25):
-        g = random_test_graph(rng, rng.randint(4, 11), rng.uniform(0.2, 0.7))
-        assert count_triangles(g) == oracles.triangles_by_subsets(g)
-        for chordless in (False, True):
-            assert count_four_cycles(g, chordless_only=chordless) == oracles.four_cycles_by_subsets(
-                g, chordless
-            )
-        for leaves in (3, 4):
-            for variant in ("subgraph", "induced"):
-                assert count_stars(g, leaves, variant=variant) == oracles.stars_by_subsets(
-                    g, leaves, variant
+        base = random_test_graph(rng, rng.randint(4, 11), rng.uniform(0.2, 0.7))
+        for g in (base, string_relabeled(base)[0]):
+            assert count_triangles(g) == oracles.triangles_by_subsets(g)
+            for chordless in (False, True):
+                assert count_four_cycles(g, chordless_only=chordless) == oracles.four_cycles_by_subsets(
+                    g, chordless
                 )
+            for leaves in (3, 4):
+                for variant in ("subgraph", "induced"):
+                    assert count_stars(g, leaves, variant=variant) == oracles.stars_by_subsets(
+                        g, leaves, variant
+                    )
 
 
 @settings(max_examples=30, deadline=None)
