@@ -9,6 +9,7 @@ with comment headers) parses back to an identical RunConfig.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from math import isfinite
 from typing import Any
 
 from .errors import ParameterError
@@ -36,6 +37,12 @@ class RunConfig:
     rewiring_p: float = 0.1
     per_year: bool = False
     out_dir: str = "out"
+
+    def __post_init__(self) -> None:
+        # Checked for every command, not only where Louvain runs, so a
+        # manifest never records a gamma no run could use.
+        if not isfinite(self.gamma):
+            raise ParameterError(f"gamma must be a finite number, got {self.gamma!r}")
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
@@ -80,7 +87,10 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         if key in seen:
             raise ParameterError(f"{source}:{lineno}: config key {key!r} given twice")
         seen[key] = _parse_value(key, raw, source, lineno)
-    return RunConfig(**seen)
+    try:
+        return RunConfig(**seen)
+    except ParameterError as exc:
+        raise ParameterError(f"{source}: {exc}") from None
 
 
 def load_config(path: str) -> RunConfig:

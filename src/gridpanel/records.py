@@ -15,7 +15,7 @@ reflect equipment in service rather than connectivity.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -213,26 +213,22 @@ def load_asset_records(
     if not nodes:
         raise ParseError(node_file, None, "no node records")
 
-    edges = []
+    # Edge fields first, as EdgeRecord's positional arguments; each record
+    # is built once, after its events are known.
+    edge_fields = []
     for lineno, row in _read_rows(edge_file, EDGE_HEADER):
         edge_id, node_a, node_b, voltage, circuits, y_in, y_out = row
         if edge_id.strip() == "":
             raise ParseError(edge_file, lineno, "edge_id must not be empty")
-        edges.append(
-            EdgeRecord(
-                edge_id=edge_id.strip(),
-                node_a=node_a.strip(),
-                node_b=node_b.strip(),
-                voltage_kv=_int_field(voltage, "voltage_kv", edge_file, lineno),
-                circuits=_int_field(circuits, "circuits", edge_file, lineno),
-                year_in=_year_field(y_in, "year_in", edge_file, lineno),
-                year_out=_opt_year_field(y_out, "year_out", edge_file, lineno),
-            )
-        )
+        voltage_kv = _int_field(voltage, "voltage_kv", edge_file, lineno)
+        n_circuits = _int_field(circuits, "circuits", edge_file, lineno)
+        year_in = _year_field(y_in, "year_in", edge_file, lineno)
+        year_out = _opt_year_field(y_out, "year_out", edge_file, lineno)
+        edge_fields.append((edge_id.strip(), node_a.strip(), node_b.strip(), voltage_kv, year_in, year_out, n_circuits))
 
+    by_edge: dict[str, list[ChangeEvent]] = {}
     if event_file is not None:
-        by_edge: dict[str, list[ChangeEvent]] = {}
-        known = {e.edge_id for e in edges}
+        known = {fields[0] for fields in edge_fields}
         for lineno, row in _read_rows(event_file, EVENT_HEADER):
             edge_id, year, kind = (c.strip() for c in row)
             if kind not in EVENT_KINDS:
@@ -244,11 +240,14 @@ def load_asset_records(
             by_edge.setdefault(edge_id, []).append(
                 ChangeEvent(year=_year_field(year, "year", event_file, lineno), kind=kind)
             )
-        if by_edge:
-            edges = [
-                replace(e, events=tuple(sorted(by_edge.get(e.edge_id, []), key=lambda ev: (ev.year, ev.kind))))
-                for e in edges
-            ]
+
+    edges = []
+    for fields in edge_fields:
+        events = by_edge.get(fields[0])
+        if events:
+            edges.append(EdgeRecord(*fields, events=tuple(sorted(events, key=lambda ev: (ev.year, ev.kind)))))
+        else:
+            edges.append(EdgeRecord(*fields))
 
     return build_record_set(
         nodes,

@@ -60,10 +60,12 @@ def relabeled(graph: Graph, rng: random.Random) -> tuple[Graph, dict]:
 
 
 def string_relabeled(graph: Graph) -> tuple[Graph, dict]:
-    """Copy of an int-labelled graph of at most 97 nodes under string
-    labels whose sorted order differs from the int order, so that a node's
-    position no longer equals its label."""
-    mapping = {v: f"n{(37 * v + 3) % 97:02d}" for v in graph.nodes}
+    """Copy of a graph labelled by ints below 997 under string labels whose
+    sorted order differs from the int order, so that a node's position no
+    longer equals its label. Graphs with labels below 97 keep their
+    two-digit labels."""
+    modulus, width = (97, 2) if max(graph.nodes, default=0) < 97 else (997, 3)
+    mapping = {v: f"n{(37 * v + 3) % modulus:0{width}d}" for v in graph.nodes}
     return Graph(mapping.values(), [(mapping[u], mapping[v]) for u, v in graph.edges()]), mapping
 
 

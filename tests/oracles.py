@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import inf
+from math import comb, inf
 
 import numpy as np
 
@@ -204,6 +204,52 @@ def stars_by_subsets(graph, leaves: int, variant: str) -> int:
             rest = [node for node in subset if node != center]
             if not all(graph.has_edge(center, leaf) for leaf in rest):
                 continue
+            if variant == "induced" and any(
+                graph.has_edge(a, b) for a, b in itertools.combinations(rest, 2)
+            ):
+                continue
+            count += 1
+    return count
+
+
+def triangles_by_edge_intersections(graph) -> int:
+    """Common neighbours of each edge's endpoints, summed over edges; each
+    triangle is seen once per edge. Works on graphs too large to enumerate."""
+    sets = graph.neighbor_sets()
+    acc = 0
+    for u, su in enumerate(sets):
+        acc += sum(len(su & sets[v]) for v in su if v > u)
+    return acc // 3
+
+
+def four_cycles_by_wedge_pairs(graph, chordless: bool) -> int:
+    """A dict of wedge counts filled by a double loop over every node's
+    neighbour pairs; a diagonal pair with w common neighbours closes
+    ``w choose 2`` cycles, and each cycle has two diagonals."""
+    wedges = Counter()
+    for nbrs in graph.neighbor_rows():
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                wedges[(nbrs[i], nbrs[j])] += 1
+    if not chordless:
+        return sum(comb(w, 2) for w in wedges.values()) // 2
+    sets = graph.neighbor_sets()
+    doubled = 0
+    for (u, v), w in wedges.items():
+        if w < 2 or v in sets[u]:
+            continue
+        common = sets[u] & sets[v]
+        linked_pairs = sum(len(sets[x] & common) for x in common) // 2
+        doubled += comb(w, 2) - linked_pairs
+    return doubled // 2
+
+
+def stars_by_neighbour_subsets(graph, leaves: int, variant: str) -> int:
+    """Every ``leaves``-subset of every node's neighbours, kept when the
+    variant allows it; linear in stars rather than in node subsets."""
+    count = 0
+    for center in graph.nodes:
+        for rest in itertools.combinations(graph.neighbors(center), leaves):
             if variant == "induced" and any(
                 graph.has_edge(a, b) for a, b in itertools.combinations(rest, 2)
             ):

@@ -347,6 +347,38 @@ def test_non_finite_gamma_exits_two(workspace, capsys, source, gamma):
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_non_finite_gamma_exits_two_for_every_command(workspace, capsys, source, gamma):
+    # Also on a record set without an edge, where panel never runs Louvain.
+    tmp_path, paths = workspace
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "nodes.csv").write_text(
+        "node_id,label,voltage_kv,year_in,year_out,lat,lon\nA,a,220,1960,,,\nB,b,220,1962,,,\n",
+        encoding="utf-8",
+    )
+    (bare / "edges.csv").write_text("edge_id,node_a,node_b,voltage_kv,circuits,year_in,year_out\n", encoding="utf-8")
+    (bare / "events.csv").write_text("edge_id,year,kind\n", encoding="utf-8")
+    bare_paths = {name: str(bare / f"{name}.csv") for name in ("nodes", "edges", "events")}
+    for inputs in (paths, bare_paths):
+        for command in ("validate", "panel", "motifs", "temporal", "baselines"):
+            out = tmp_path / f"{command}_out"
+            if source == "flag":
+                code = run(command, *base_args(inputs, out), "--gamma", gamma)
+            else:
+                cfg = tmp_path / "gamma.cfg"
+                cfg.write_text(
+                    f"node_file = {inputs['nodes']}\nedge_file = {inputs['edges']}\n"
+                    f"event_file = {inputs['events']}\nvoltage_floor_kv = 0\ngamma = {gamma}\nout_dir = {out}\n",
+                    encoding="utf-8",
+                )
+                code = run(command, "--config", str(cfg))
+            assert code == 2, (command, inputs["nodes"])
+            assert not out.exists(), command
+            assert "gamma" in capsys.readouterr().err, command
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")

@@ -82,6 +82,9 @@ def test_bad_values_rejected():
     for text in (
         "seed = soon\n",
         "gamma = big\n",
+        "gamma = nan\n",
+        "gamma = inf\n",
+        "gamma = -inf\n",
         "chordless_only = yes\n",
         "variant = maximal\n",
     ):
@@ -117,6 +120,9 @@ def test_apply_overrides():
     with pytest.raises(ParameterError):
         apply_overrides(cfg, nope=1)
     assert apply_overrides(cfg, seed=None).seed == 42
+    for gamma in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ParameterError, match="gamma"):
+            apply_overrides(cfg, gamma=gamma)
 
 
 def test_config_is_frozen():

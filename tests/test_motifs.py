@@ -15,6 +15,7 @@ from gridpanel import (
     motif_counts,
     motif_shares,
 )
+from gridpanel.graph import ring_lattice
 from gridpanel.motifs import MOTIF_NAMES
 
 
@@ -179,6 +180,71 @@ def test_counts_match_subset_enumeration():
                     assert count_stars(g, leaves, variant=variant) == oracles.stars_by_subsets(
                         g, leaves, variant
                     )
+
+
+def mesh_graph(side):
+    # Node r * side + c links to its right and lower neighbours.
+    edges = [(v, v + 1) for v in range(side * side) if (v + 1) % side]
+    edges += [(v, v + side) for v in range(side * (side - 1))]
+    return Graph(range(side * side), edges)
+
+
+def complete_bipartite(a, b, *extra):
+    return Graph(range(a + b), [(i, a + j) for i in range(a) for j in range(b)] + list(extra))
+
+
+def disjoint_union():
+    # K5, a 4-cycle, a diamond with a pendant, a 4-star and six isolated nodes.
+    edges = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    edges += [(5, 6), (6, 7), (7, 8), (8, 5)]
+    edges += [(9, 10), (9, 11), (9, 12), (10, 11), (10, 12), (12, 13)]
+    edges += [(14, 15), (14, 16), (14, 17), (14, 18)]
+    return Graph(range(25), edges)
+
+
+LARGER_GRAPHS = {
+    "mesh20x20": mesh_graph(20),
+    "ring60x4": ring_lattice(60, 4),
+    "ring61x6": ring_lattice(61, 6),
+    "k44": complete_bipartite(4, 4),
+    "k44-chord": complete_bipartite(4, 4, (0, 1)),
+    "sparse300": random_test_graph(random.Random(5), 300, 0.02),
+    "union": disjoint_union(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_GRAPHS))
+def test_counts_match_edge_and_wedge_oracles_on_larger_graphs(name):
+    base = LARGER_GRAPHS[name]
+    for g in (base, string_relabeled(base)[0]):
+        assert count_triangles(g) == oracles.triangles_by_edge_intersections(g)
+        for chordless in (False, True):
+            assert count_four_cycles(g, chordless_only=chordless) == oracles.four_cycles_by_wedge_pairs(
+                g, chordless
+            )
+        for leaves in (3, 4):
+            for variant in ("subgraph", "induced"):
+                assert count_stars(g, leaves, variant=variant) == oracles.stars_by_neighbour_subsets(
+                    g, leaves, variant
+                )
+
+
+def test_larger_graph_counts_by_hand():
+    mesh = LARGER_GRAPHS["mesh20x20"]
+    assert (count_triangles(mesh), count_four_cycles(mesh, chordless_only=True)) == (0, 19 * 19)
+    # In the (60, 4) ring each i, i+1, i+2 is a triangle and each window
+    # i..i+3 (K4 less the edge i, i+3) holds one 4-cycle, chorded by i+1, i+2.
+    ring = LARGER_GRAPHS["ring60x4"]
+    assert count_triangles(ring) == 60
+    assert (count_four_cycles(ring, chordless_only=False), count_four_cycles(ring, chordless_only=True)) == (60, 0)
+    # The chord 0-1 closes 4 triangles and spoils the 6 squares with diagonal 0-1.
+    for name, triangles, chordless in (("k44", 0, 36), ("k44-chord", 4, 30)):
+        g = LARGER_GRAPHS[name]
+        assert count_triangles(g) == triangles
+        assert count_four_cycles(g, chordless_only=False) == 36
+        assert count_four_cycles(g, chordless_only=True) == chordless
+    sparse = LARGER_GRAPHS["sparse300"]
+    assert count_triangles(sparse) > 0 and count_four_cycles(sparse, chordless_only=True) > 0
 
 
 @settings(max_examples=30, deadline=None)

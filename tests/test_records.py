@@ -4,6 +4,7 @@ import pytest
 
 from helpers import make_edge, make_node, synthetic_records, write_fixture_csvs
 from gridpanel import (
+    ChangeEvent,
     IntervalError,
     ParseError,
     ReferentialError,
@@ -135,6 +136,40 @@ def test_unknown_event_kind_rejected(tmp_path, country_records):
     )
     with pytest.raises(ParseError):
         load_asset_records(paths["nodes"], paths["edges"], events)
+
+
+def event_fixture(tmp_path, edge_rows, event_rows):
+    nodes = write_lines(
+        tmp_path / "n.csv",
+        ["node_id,label,voltage_kv,year_in,year_out,lat,lon", "A,a,220,1960,,,", "B,b,220,1960,,,"],
+    )
+    edges = write_lines(tmp_path / "e.csv", ["edge_id,node_a,node_b,voltage_kv,circuits,year_in,year_out", *edge_rows])
+    events = write_lines(tmp_path / "ev.csv", ["edge_id,year,kind", *event_rows])
+    return nodes, edges, events
+
+
+def test_loaded_events_sorted_shared_by_duplicates_and_empty_when_absent(tmp_path):
+    files = event_fixture(
+        tmp_path,
+        ["AB,A,B,220,1,1960,", "AB,A,B,220,2,1965,", "BA,B,A,220,1,1961,"],
+        ["AB,1970,split", "AB,1962,other", "AB,1970,reroute"],
+    )
+    records = load_asset_records(*files)
+    want = (ChangeEvent(1962, "other"), ChangeEvent(1970, "reroute"), ChangeEvent(1970, "split"))
+    assert [(e.edge_id, e.year_in, e.events) for e in records.edges] == [
+        ("AB", 1960, want),
+        ("AB", 1965, want),
+        ("BA", 1961, ()),
+    ]
+    assert records.edges[1].circuits == 2
+
+
+def test_bad_edge_field_reported_before_bad_event_row(tmp_path):
+    files = event_fixture(tmp_path, ["AB,A,B,high,1,1960,"], ["AB,1970,refurbished"])
+    with pytest.raises(ParseError) as exc:
+        load_asset_records(*files)
+    assert "e.csv:2" in str(exc.value)
+    assert "voltage_kv" in str(exc.value)
 
 
 # -- validation ------------------------------------------------------------
