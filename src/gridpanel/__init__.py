@@ -54,7 +54,6 @@ from .motifs import (
     count_stars,
     count_triangles,
     motif_counts,
-    motif_share_series,
     motif_shares,
 )
 from .records import (

@@ -18,7 +18,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Mapping, NamedTuple
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import MetricUndefinedError, ParameterError
 from .graph import AnnualSnapshot, Graph, as_graph, ring_lattice
@@ -249,7 +249,6 @@ def modularity_of(
     missing = [v for v in graph.nodes if v not in assignment]
     if missing:
         raise ParameterError(f"assignment misses {len(missing)} nodes, e.g. {missing[0]!r}")
-    two_e = 2 * graph.n_edges
     community = [assignment[v] for v in graph.nodes]
     intra: Counter = Counter()
     ktot: Counter = Counter()
@@ -258,11 +257,15 @@ def modularity_of(
         ktot[c] += len(row)
         # each internal edge is seen from both ends, so it adds 2
         intra[c] += sum(1 for j in row if community[j] == c)
-    gamma_exact = Fraction(gamma)
-    q = Fraction(0)
-    for label, k_sum in ktot.items():
-        q += Fraction(intra.get(label, 0), two_e) - gamma_exact * Fraction(k_sum, two_e) ** 2
-    return float(q)
+    return _modularity(intra.values(), ktot.values(), 2 * graph.n_edges, gamma)
+
+
+def _modularity(internal: Iterable[int], degree_sums: Iterable[int], two_m: int, gamma: float) -> float:
+    # sum over communities of in_c / 2m - gamma * (tot_c / 2m)**2, where
+    # in_c counts each internal edge from both ends; with gamma = p / q
+    # exactly, that is one integer ratio, rounded to float once.
+    p, q = Fraction(gamma).as_integer_ratio()
+    return float(Fraction(q * two_m * sum(internal) - p * sum(t * t for t in degree_sums), q * two_m * two_m))
 
 
 def _check_gamma(gamma: float) -> None:
@@ -271,45 +274,50 @@ def _check_gamma(gamma: float) -> None:
 
 
 def _local_moving(
-    adj: dict[int, dict[int, float]],
+    adj: list[tuple[tuple[int, int], ...]],
+    k: list[int],
     order: list[int],
-    gamma: float,
-) -> tuple[dict[int, int], bool]:
-    # Weighted one-level pass: each node joins the candidate community with
-    # the best strictly-improving gain; equal gains go to the lowest label.
-    k = {u: sum(nbrs.values()) for u, nbrs in adj.items()}
-    two_m = sum(k.values())
-    comm = {u: u for u in adj}
-    tot = dict(k)
-    moved_any = False
+    p: int,
+    q: int,
+) -> list[int]:
+    # Weighted one-level pass over nodes 0..len(adj)-1: each node joins the
+    # candidate community with the largest gain; equal gains go to the
+    # lowest label. Scaled by q * 2m, the gain of community c for node u is
+    # the integer q * 2m * w_c - p * k_u * tot_c, so the comparison is exact.
+    size = len(adj)
+    q_two_m = q * sum(k)
+    comm = list(range(size))
+    tot = k[:]
+    acc = [0] * size  # weight from u to each community; zero between nodes
     for _ in range(64):  # converges in a handful of passes; cap is defensive
         improved = False
         for u in order:
             a = comm[u]
             ku = k[u]
             tot[a] -= ku
-            weights: dict[int, float] = {}
-            for v, w in adj[u].items():
-                if v != u:
-                    c = comm[v]
-                    weights[c] = weights.get(c, 0.0) + w
-            weights.setdefault(a, 0.0)
+            row = adj[u]
+            for v, w in row:
+                acc[comm[v]] += w
+            p_ku = p * ku
             best_c = a
-            best_gain = weights[a] - gamma * ku * tot[a] / two_m
-            for c in sorted(weights):
-                if c == a:
-                    continue
-                gain = weights[c] - gamma * ku * tot[c] / two_m
-                if gain > best_gain or (gain == best_gain and c < best_c):
-                    best_gain, best_c = gain, c
-            comm[u] = best_c
-            tot[best_c] += ku
+            best_gain = q_two_m * acc[a] - p_ku * tot[a]
+            # weights are positive, so a nonzero acc[c] marks a candidate
+            # not yet scored; scoring it resets acc[c] for the next node
+            for v, _w in row:
+                c = comm[v]
+                w_c = acc[c]
+                if w_c:
+                    acc[c] = 0
+                    gain = q_two_m * w_c - p_ku * tot[c]
+                    if gain > best_gain or (gain == best_gain and c < best_c):
+                        best_gain, best_c = gain, c
             if best_c != a:
+                comm[u] = best_c
                 improved = True
-                moved_any = True
+            tot[best_c] += ku
         if not improved:
             break
-    return comm, moved_any
+    return comm
 
 
 def modularity_detect(
@@ -317,53 +325,80 @@ def modularity_detect(
     gamma: float = 1.0,
     seed: int = 42,
 ) -> CommunityPartition:
-    """Greedy multi-level community detection.
+    """Greedy multi-level community detection (Louvain).
 
     Repeats local moving and community aggregation until no merge
     happens. The node visiting order is shuffled once per level from the
-    seed, and all remaining choices break ties toward the lowest label,
-    so a given (graph, gamma, seed) always yields the same partition.
+    seed. Gains are compared exactly, with ``gamma`` taken as its binary
+    fraction; the largest gain wins and equal gains go to the lowest
+    community label, so a given (graph, gamma, seed) always yields the
+    same partition. Each level makes at most 64 passes.
     """
     _check_gamma(gamma)
     graph = as_graph(g)
     if graph.n_edges == 0:
         raise MetricUndefinedError("community detection needs at least one edge")
     n = graph.n_nodes
-    adj: dict[int, dict[int, float]] = {
-        i: dict.fromkeys(row, 1.0) for i, row in enumerate(graph.neighbor_rows())
-    }
+    p, q = Fraction(gamma).as_integer_ratio()
+    # Level nodes are 0..size-1: adj[u] holds (v, weight) for v != u, and
+    # loop[u] is u's self-weight, every internal edge counted from both ends.
+    adj = [tuple((j, 1) for j in row) for row in graph.neighbor_rows()]
+    loop = [0] * n
+    k = [len(row) for row in adj]
 
     rng = random.Random(seed)
     membership = list(range(n))
     while True:
-        order = sorted(adj)
+        size = len(adj)
+        order = list(range(size))
         rng.shuffle(order)
-        comm, _moved = _local_moving(adj, order, gamma)
-        groups: dict[int, list[int]] = {}
-        for node, label in comm.items():
-            groups.setdefault(label, []).append(node)
-        # Relabel communities 0..k-1 by their smallest member, which keeps
-        # labels anchored to the lowest original node id through levels.
-        ordered = sorted(groups.items(), key=lambda kv: min(kv[1]))
-        to_new = {label: i for i, (label, _members) in enumerate(ordered)}
-        membership = [to_new[comm[s]] for s in membership]
-        if len(groups) == len(adj):
+        comm = _local_moving(adj, k, order, p, q)
+        # Relabel communities 0..count-1 by first appearance in node order,
+        # that is by smallest member, which keeps labels anchored to the
+        # lowest original node id through levels.
+        to_new = [-1] * size
+        members: list[list[int]] = []
+        for u in range(size):
+            c = comm[u]
+            if to_new[c] < 0:
+                to_new[c] = len(members)
+                members.append([])
+            members[to_new[c]].append(u)
+        node_to_new = [to_new[c] for c in comm]
+        membership = [node_to_new[s] for s in membership]
+        count = len(members)
+        if count == size:
             break
-        new_adj: dict[int, dict[int, float]] = {i: {} for i in range(len(ordered))}
-        for u, nbrs in adj.items():
-            cu = to_new[comm[u]]
-            row = new_adj[cu]
-            for v, w in nbrs.items():
-                cv = to_new[comm[v]]
-                row[cv] = row.get(cv, 0.0) + w
-        adj = new_adj
+        acc = [0] * count
+        new_adj = []
+        new_loop = []
+        for cu, group in enumerate(members):
+            self_weight = 0
+            touched = []
+            for u in group:
+                self_weight += loop[u]
+                for v, w in adj[u]:
+                    cv = node_to_new[v]
+                    if cv == cu:
+                        self_weight += w
+                    else:
+                        if not acc[cv]:
+                            touched.append(cv)
+                        acc[cv] += w
+            new_adj.append(tuple((cv, acc[cv]) for cv in touched))
+            for cv in touched:
+                acc[cv] = 0
+            new_loop.append(self_weight)
+        k = [sum(w for _, w in row) + self_weight for row, self_weight in zip(new_adj, new_loop)]
+        adj, loop = new_adj, new_loop
 
     assignment = {graph.nodes[i]: membership[i] for i in range(n)}
     return CommunityPartition(
         assignment=assignment,
         gamma=gamma,
         seed=seed,
-        modularity=modularity_of(graph, assignment, gamma),
+        # every last-level node is its own community
+        modularity=_modularity(loop, k, 2 * graph.n_edges, gamma),
     )
 
 

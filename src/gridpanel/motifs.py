@@ -185,15 +185,3 @@ def motif_shares(counts: MotifCounts) -> MotifShares:
     shares = {name: float(Fraction(raw[name], total)) for name in MOTIF_NAMES}
     return MotifShares(counts.year, shares["triangle"], shares["four_cycle"], shares["three_star"], shares["four_star"], total)
 
-
-def motif_share_series(
-    snapshots: list[AnnualSnapshot],
-    *,
-    chordless_only: bool = True,
-    variant: str = "subgraph",
-) -> list[MotifShares]:
-    """Per-year motif shares across a panel of snapshots."""
-    return [
-        motif_shares(motif_counts(snap, chordless_only=chordless_only, variant=variant))
-        for snap in snapshots
-    ]

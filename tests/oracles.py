@@ -8,6 +8,7 @@ code against these on small inputs.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb, inf
@@ -163,6 +164,65 @@ def best_partition_exhaustive(graph, gamma=1.0):
             best_q = q
             best = frozenset(frozenset(block) for block in blocks)
     return best_q, best
+
+
+def louvain_by_fractions(graph, gamma=1.0, seed=42):
+    """(assignment, modularity) of seeded multi-level Louvain with every
+    gain an exact ``Fraction``: dict adjacency keyed by level node, the
+    visiting order shuffled once per level, the largest gain winning and
+    equal gains going to the lowest community label, communities relabelled
+    by smallest member, at most 64 passes per level."""
+    gamma = Fraction(gamma)
+    rng = random.Random(seed)
+    idx = index_of(graph)
+    adj = {idx[u]: {idx[v]: 1 for v in graph.neighbors(u)} for u in graph.nodes}
+    two_m = 2 * graph.n_edges
+    membership = list(range(graph.n_nodes))
+    while True:
+        k = {u: sum(nbrs.values()) for u, nbrs in adj.items()}
+        comm = {u: u for u in adj}
+        tot = dict(k)
+        order = sorted(adj)
+        rng.shuffle(order)
+        for _ in range(64):
+            improved = False
+            for u in order:
+                a = comm[u]
+                tot[a] -= k[u]
+                weights = {a: 0}
+                for v, w in adj[u].items():
+                    if v != u:
+                        weights[comm[v]] = weights.get(comm[v], 0) + w
+                gains = {c: w - gamma * k[u] * Fraction(tot[c], two_m) for c, w in weights.items()}
+                best = max(gains.values())
+                comm[u] = min(c for c, gain in gains.items() if gain == best)
+                tot[comm[u]] += k[u]
+                improved = improved or comm[u] != a
+            if not improved:
+                break
+        groups = {}
+        for u in sorted(adj):
+            groups.setdefault(comm[u], []).append(u)
+        to_new = {label: i for i, label in enumerate(groups)}
+        membership = [to_new[comm[s]] for s in membership]
+        if len(groups) == len(adj):
+            break
+        new_adj = {i: {} for i in range(len(groups))}
+        for u, nbrs in adj.items():
+            row = new_adj[to_new[comm[u]]]
+            for v, w in nbrs.items():
+                cv = to_new[comm[v]]
+                row[cv] = row.get(cv, 0) + w
+        adj = new_adj
+    assignment = {node: membership[i] for i, node in enumerate(graph.nodes)}
+    internal, degree_sum = Counter(), Counter()
+    for u, v in graph.edges():
+        if assignment[u] == assignment[v]:
+            internal[assignment[u]] += 1
+    for u in graph.nodes:
+        degree_sum[assignment[u]] += graph.degree(u)
+    q = sum(Fraction(internal[c], graph.n_edges) - gamma * Fraction(d, two_m) ** 2 for c, d in degree_sum.items())
+    return assignment, float(q)
 
 
 def triangles_by_subsets(graph) -> int:

@@ -11,6 +11,7 @@ from gridpanel import (
     modularity_detect,
     modularity_of,
 )
+from gridpanel.graph import ring_lattice
 
 
 def two_cliques_with_bridge():
@@ -82,7 +83,7 @@ def test_detection_recovers_planted_cliques():
     part = modularity_detect(two_cliques_with_bridge(), seed=42)
     assert set(part.communities()) == {frozenset(range(4)), frozenset(range(4, 8))}
     assert part.n_communities == 2
-    assert part.modularity == pytest.approx(0.4230769230769231, abs=1e-15)
+    assert part.modularity == 0.4230769230769231
 
 
 def test_detection_reaches_exhaustive_optimum_on_small_graphs():
@@ -148,3 +149,40 @@ def test_non_finite_gamma_rejected(gamma):
 def test_detection_rejects_empty_graph():
     with pytest.raises(MetricUndefinedError):
         modularity_detect(Graph(range(4), []))
+
+
+def mesh_graph(side):
+    # Node r * side + c links to its right and lower neighbours.
+    edges = [(v, v + 1) for v in range(side * side) if (v + 1) % side]
+    edges += [(v, v + side) for v in range(side * (side - 1))]
+    return Graph(range(side * side), edges)
+
+
+def oracle_graphs():
+    rng = random.Random(2008)
+    graphs = [random_test_graph(rng, rng.randint(5, 60), rng.uniform(0.04, 0.5)) for _ in range(12)]
+    graphs += [ring_lattice(30, 2), ring_lattice(60, 4), ring_lattice(61, 6), mesh_graph(20)]
+    graphs = [g for g in graphs if g.n_edges]
+    return graphs + [string_relabeled(g)[0] for g in graphs]
+
+
+ORACLE_GRAPHS = oracle_graphs()
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.7, 1.0, 1.1, 1.3, 2.0])
+def test_detection_equals_fraction_gain_oracle(gamma):
+    for g in ORACLE_GRAPHS:
+        part = modularity_detect(g, gamma=gamma, seed=11)
+        assert (part.assignment, part.modularity) == oracles.louvain_by_fractions(g, gamma, 11)
+
+
+def test_equal_gains_go_to_the_lowest_label():
+    # Comparing rounded float gains by ``==`` puts nodes 4 and 5 into
+    # communities 1 and 2 here, scoring about -0.0115; the exact rule gives
+    # them a community of their own.
+    edges = [(0, 1), (0, 7), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 5), (2, 6), (4, 5), (5, 6), (6, 7)]
+    g = Graph(range(8), edges)
+    part = modularity_detect(g, gamma=1.3, seed=42)
+    assert [part.assignment[v] for v in g.nodes] == [0, 1, 2, 1, 3, 3, 2, 0]
+    assert part.modularity == -0.026923076923076935
+    assert (part.assignment, part.modularity) == oracles.louvain_by_fractions(g, 1.3, 42)
