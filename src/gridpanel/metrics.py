@@ -389,7 +389,7 @@ def modularity_detect(
             for cv in touched:
                 acc[cv] = 0
             new_loop.append(self_weight)
-        k = [sum(w for _, w in row) + self_weight for row, self_weight in zip(new_adj, new_loop)]
+        k = [sum(k[u] for u in group) for group in members]
         adj, loop = new_adj, new_loop
 
     assignment = {graph.nodes[i]: membership[i] for i in range(n)}

@@ -51,6 +51,14 @@ def random_test_graph(rng: random.Random, n_nodes: int, edge_p: float) -> Graph:
     return Graph(range(n_nodes), edges)
 
 
+def mesh_graph(side: int) -> Graph:
+    """Square grid of ``side * side`` int nodes: node ``r * side + c``
+    links to its right and lower neighbours."""
+    edges = [(v, v + 1) for v in range(side * side) if (v + 1) % side]
+    edges += [(v, v + side) for v in range(side * (side - 1))]
+    return Graph(range(side * side), edges)
+
+
 def relabeled(graph: Graph, rng: random.Random) -> tuple[Graph, dict]:
     """Copy of the graph under a random node-id permutation."""
     shuffled = list(graph.nodes)

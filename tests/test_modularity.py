@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from helpers import random_test_graph, relabeled, string_relabeled
+from helpers import mesh_graph, random_test_graph, relabeled, string_relabeled
 from gridpanel import (
     Graph,
     MetricUndefinedError,
@@ -149,13 +149,6 @@ def test_non_finite_gamma_rejected(gamma):
 def test_detection_rejects_empty_graph():
     with pytest.raises(MetricUndefinedError):
         modularity_detect(Graph(range(4), []))
-
-
-def mesh_graph(side):
-    # Node r * side + c links to its right and lower neighbours.
-    edges = [(v, v + 1) for v in range(side * side) if (v + 1) % side]
-    edges += [(v, v + side) for v in range(side * (side - 1))]
-    return Graph(range(side * side), edges)
 
 
 def oracle_graphs():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import random_test_graph, string_relabeled
+from helpers import mesh_graph, random_test_graph, string_relabeled
 from gridpanel import (
     Graph,
     ParameterError,
@@ -180,13 +180,6 @@ def test_counts_match_subset_enumeration():
                     assert count_stars(g, leaves, variant=variant) == oracles.stars_by_subsets(
                         g, leaves, variant
                     )
-
-
-def mesh_graph(side):
-    # Node r * side + c links to its right and lower neighbours.
-    edges = [(v, v + 1) for v in range(side * side) if (v + 1) % side]
-    edges += [(v, v + side) for v in range(side * (side - 1))]
-    return Graph(range(side * side), edges)
 
 
 def complete_bipartite(a, b, *extra):
