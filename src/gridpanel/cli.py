@@ -11,25 +11,26 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import os
 import statistics
 import sys
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import __version__
 from .config import CONFIG_KEYS, RunConfig, _format_value, apply_overrides, dump_config, load_config
 from .errors import GridPanelError, ParameterError, ValidationFailedError
 from .generators import FAMILIES, efficiency_comparison
 from .graph import AnnualSnapshot
-from .metrics import METRIC_NAMES, _round_half_up, metric_panel
+from .metrics import METRIC_NAMES, _round_half_up, metric_row
 from .motifs import MOTIF_NAMES, STAR_VARIANTS, motif_counts, motif_shares
 from .records import (
     AssetRecordSet,
     _year_range_within,
-    build_panel,
     filter_by_voltage,
     load_asset_records,
     parse_asset_records,
+    snapshot_at,
     validate_records,
 )
 from .temporal import annual_change_rates, average_lifetime_by_year, line_lifetimes, underperformers
@@ -38,6 +39,11 @@ from .temporal import annual_change_rates, average_lifetime_by_year, line_lifeti
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # No command leaves cyclic garbage, so the cyclic collector's passes over
+    # the long-lived records and graphs free nothing. It is paused for the
+    # run and the caller's setting is restored on every exit.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         config = _resolve_config(args)
         return args.handler(config, args)
@@ -47,6 +53,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (GridPanelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,10 +132,13 @@ def _load_validated(config: RunConfig) -> AssetRecordSet:
     )
 
 
-def _load_snapshots(config: RunConfig) -> list[AnnualSnapshot]:
+def _year_snapshots(config: RunConfig) -> Iterator[AnnualSnapshot]:
+    """The configured years' snapshots, built one at a time as they are
+    consumed. Loading, validation and the year-range check run on the call,
+    before any output is written."""
     records = _load_validated(config)
-    year_range = _year_range_within(records, config.year_start, config.year_end)
-    return build_panel(records, year_range, config.voltage_floor_kv)
+    start, end = _year_range_within(records, config.year_start, config.year_end)
+    return (snapshot_at(records, year, config.voltage_floor_kv) for year in range(start, end + 1))
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
@@ -173,8 +185,7 @@ def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_panel(config: RunConfig, args: argparse.Namespace) -> int:
-    snapshots = _load_snapshots(config)
-    rows = metric_panel(snapshots, gamma=config.gamma, seed=config.seed)
+    rows = [metric_row(snap, gamma=config.gamma, seed=config.seed) for snap in _year_snapshots(config)]
     _prepare_out_dir(config)
 
     tidy = []
@@ -208,11 +219,10 @@ def cmd_panel(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_motifs(config: RunConfig, args: argparse.Namespace) -> int:
-    snapshots = _load_snapshots(config)
-    _prepare_out_dir(config)
-
+    n_years = 0
     out_rows = []
-    for snap in snapshots:
+    for snap in _year_snapshots(config):
+        n_years += 1
         counts = motif_counts(snap, chordless_only=config.chordless_only, variant=config.variant)
         shares = motif_shares(counts)
         count_map = counts.as_dict()
@@ -229,13 +239,14 @@ def cmd_motifs(config: RunConfig, args: argparse.Namespace) -> int:
                     config.chordless_only,
                 )
             )
+    _prepare_out_dir(config)
     _write_csv(
         os.path.join(config.out_dir, "motifs.csv"),
         ("country", "year", "motif", "count", "share", "variant", "chordless_only"),
         out_rows,
     )
     _write_manifest(config, "motifs")
-    print(f"wrote motifs.csv for {len(snapshots)} years to {config.out_dir}")
+    print(f"wrote motifs.csv for {n_years} years to {config.out_dir}")
     return 0
 
 
@@ -325,9 +336,9 @@ def cmd_temporal(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
-    snapshots = _load_snapshots(config)
-    mean_nodes = _round_half_up(statistics.fmean(s.n_nodes for s in snapshots))
-    mean_edges = _round_half_up(statistics.fmean(s.n_edges for s in snapshots))
+    sizes = [(snap.year, snap.n_nodes, snap.n_edges) for snap in _year_snapshots(config)]
+    mean_nodes = _round_half_up(statistics.fmean(n_nodes for _, n_nodes, _ in sizes))
+    mean_edges = _round_half_up(statistics.fmean(n_edges for _, _, n_edges in sizes))
     ensembles = efficiency_comparison(
         mean_nodes, mean_edges, config.replicates, config.seed, rewiring_p=config.rewiring_p
     )
@@ -350,17 +361,17 @@ def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
 
     if config.per_year:
         per_year_rows = []
-        for snap in snapshots:
+        for year, n_nodes, n_edges in sizes:
             try:
                 yearly = efficiency_comparison(
-                    snap.n_nodes, snap.n_edges, config.replicates, config.seed, rewiring_p=config.rewiring_p
+                    n_nodes, n_edges, config.replicates, config.seed, rewiring_p=config.rewiring_p
                 )
             except ParameterError:
                 continue  # years too small to host a matched lattice
             for family in FAMILIES:
                 for replicate, row in enumerate(yearly[family].rows):
                     for metric in sorted(row):
-                        per_year_rows.append((snap.year, family, replicate, metric, row[metric]))
+                        per_year_rows.append((year, family, replicate, metric, row[metric]))
         _write_csv(
             os.path.join(config.out_dir, "baselines_per_year.csv"),
             ("year", "family", "replicate", "metric", "value"),

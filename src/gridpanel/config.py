@@ -43,6 +43,8 @@ class RunConfig:
         # manifest never records a gamma no run could use.
         if not isfinite(self.gamma):
             raise ParameterError(f"gamma must be a finite number, got {self.gamma!r}")
+        if self.voltage_floor_kv < 0:
+            raise ParameterError(f"voltage_floor_kv must not be negative, got {self.voltage_floor_kv}")
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))

@@ -15,8 +15,11 @@ reflect equipment in service rather than connectivity.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -36,6 +39,8 @@ MAJOR_CHANGE_KINDS = ("split", "reroute", "voltage_upgrade", "decommission")
 NODE_HEADER = ("node_id", "label", "voltage_kv", "year_in", "year_out", "lat", "lon")
 EDGE_HEADER = ("edge_id", "node_a", "node_b", "voltage_kv", "circuits", "year_in", "year_out")
 EVENT_HEADER = ("edge_id", "year", "kind")
+
+_year_in = attrgetter("year_in")
 
 
 @dataclass(frozen=True)
@@ -91,9 +96,11 @@ class AssetRecordSet:
             out.setdefault(rec.node_id, rec)
         return out
 
-
-def _alive(year_in: int, year_out: int | None, year: int) -> bool:
-    return year_in <= year and (year_out is None or year < year_out)
+    @cached_property
+    def by_year_in(self) -> tuple[tuple[NodeRecord, ...], tuple[EdgeRecord, ...]]:
+        """Nodes and edges in ``year_in`` order, ties kept in identifier
+        order, so a snapshot reads only the records that have started."""
+        return tuple(sorted(self.nodes, key=_year_in)), tuple(sorted(self.edges, key=_year_in))
 
 
 @dataclass(frozen=True)
@@ -419,14 +426,16 @@ def snapshot_at(records: AssetRecordSet, year: int, voltage_floor_kv: int = 0) -
             f"year {year} is outside the dataset span "
             f"{records.dataset_start}-{records.dataset_end}"
         )
+    # Records are read in year_in order up to the first one not yet started.
+    nodes, edges = records.by_year_in
     alive_nodes = {
         rec.node_id
-        for rec in records.nodes
-        if rec.voltage_kv >= voltage_floor_kv and _alive(rec.year_in, rec.year_out, year)
+        for rec in islice(nodes, bisect_right(nodes, year, key=_year_in))
+        if rec.voltage_kv >= voltage_floor_kv and (rec.year_out is None or year < rec.year_out)
     }
     pairs = set()
-    for rec in records.edges:
-        if rec.voltage_kv < voltage_floor_kv or not _alive(rec.year_in, rec.year_out, year):
+    for rec in islice(edges, bisect_right(edges, year, key=_year_in)):
+        if rec.voltage_kv < voltage_floor_kv or (rec.year_out is not None and rec.year_out <= year):
             continue
         if rec.node_a in alive_nodes and rec.node_b in alive_nodes:
             pairs.add((rec.node_a, rec.node_b) if rec.node_a < rec.node_b else (rec.node_b, rec.node_a))

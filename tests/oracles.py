@@ -15,6 +15,8 @@ from math import comb, inf
 
 import numpy as np
 
+from gridpanel import Graph
+
 
 def index_of(graph) -> dict:
     return {node: i for i, node in enumerate(graph.nodes)}
@@ -316,3 +318,23 @@ def stars_by_neighbour_subsets(graph, leaves: int, variant: str) -> int:
                 continue
             count += 1
     return count
+
+
+def snapshot_by_full_scan(records, year: int, voltage_floor_kv: int = 0) -> Graph:
+    """A year's snapshot graph from checking every node and edge record,
+    started or not, against the year and the floor."""
+
+    def in_service(rec) -> bool:
+        return (
+            rec.voltage_kv >= voltage_floor_kv
+            and rec.year_in <= year
+            and (rec.year_out is None or year < rec.year_out)
+        )
+
+    alive_nodes = {rec.node_id for rec in records.nodes if in_service(rec)}
+    pairs = {
+        tuple(sorted((rec.node_a, rec.node_b)))
+        for rec in records.edges
+        if in_service(rec) and rec.node_a in alive_nodes and rec.node_b in alive_nodes
+    }
+    return Graph(alive_nodes, pairs)

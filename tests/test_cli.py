@@ -1,10 +1,12 @@
 import csv
+import gc
 import os
 import shutil
 
 import pytest
 
 from helpers import write_fixture_csvs
+from gridpanel import cli
 from gridpanel.cli import main
 
 
@@ -377,6 +379,101 @@ def test_non_finite_gamma_exits_two_for_every_command(workspace, capsys, source,
             assert code == 2, (command, inputs["nodes"])
             assert not out.exists(), command
             assert "gamma" in capsys.readouterr().err, command
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_voltage_floor_exits_two_for_every_command(workspace, capsys, source):
+    tmp_path, paths = workspace
+    for command in ("validate", "panel", "motifs", "temporal", "baselines"):
+        out = tmp_path / f"{command}_out"
+        if source == "flag":
+            code = run(command, *base_args(paths, out), "--voltage-floor", "-5")
+        else:
+            cfg = tmp_path / "floor.cfg"
+            cfg.write_text(
+                f"node_file = {paths['nodes']}\nedge_file = {paths['edges']}\n"
+                f"event_file = {paths['events']}\nvoltage_floor_kv = -5\nout_dir = {out}\n",
+                encoding="utf-8",
+            )
+            code = run(command, "--config", str(cfg))
+        assert code == 2, command
+        assert not out.exists(), command
+        assert "voltage_floor_kv" in capsys.readouterr().err, command
+
+
+COMMAND_ARGS = {
+    "validate": (),
+    "panel": ("--voltage-floor", "0"),
+    "motifs": ("--voltage-floor", "0"),
+    "temporal": ("--voltage-floor", "0"),
+    "baselines": ("--voltage-floor", "0", "--replicates", "2", "--per-year"),
+}
+
+
+def set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def parser_garbage(argv):
+    """What a full collection reclaims after only building the parser and
+    parsing ``argv``."""
+    gc.collect()
+    cli._build_parser().parse_args(argv)
+    return gc.collect()
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_commands_leave_no_cyclic_garbage(workspace, capsys, command):
+    # main pauses the cyclic collector, which is safe only while a command
+    # leaves nothing for it beyond what argparse's parser leaves.
+    tmp_path, paths = workspace
+    argv = [command, *base_args(paths, tmp_path / "out"), *COMMAND_ARGS[command]]
+    assert main(argv) == 0  # first-use imports and caches
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        expected = parser_garbage(argv)
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == expected
+    finally:
+        set_collector(collecting)
+
+
+def test_command_runs_with_the_collector_paused(workspace, monkeypatch):
+    _, paths = workspace
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda config, args: seen.append(gc.isenabled()) or 0)
+    assert run("validate", "--nodes", paths["nodes"], "--edges", paths["edges"]) == 0
+    assert seen == [False]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_restores_the_collector_setting_on_every_exit(workspace, capsys, collecting):
+    tmp_path, paths = workspace
+    (tmp_path / "dangling.csv").write_text(
+        "edge_id,node_a,node_b,voltage_kv,circuits,year_in,year_out\nE,A,Z,220,1,1960,\n", encoding="utf-8"
+    )
+    exits = {
+        0: ("validate", "--nodes", paths["nodes"], "--edges", paths["edges"]),
+        1: ("validate", "--nodes", paths["nodes"], "--edges", str(tmp_path / "dangling.csv")),
+        2: ("panel", *base_args(paths, tmp_path / "out"), "--year-start", "1800", "--year-end", "1805"),
+    }
+    was_enabled = gc.isenabled()
+    try:
+        for code, argv in exits.items():
+            set_collector(collecting)
+            assert run(*argv) == code
+            assert gc.isenabled() is collecting, code
+        set_collector(collecting)
+        with pytest.raises(SystemExit):
+            run("panel", "--no-such-flag")
+        assert gc.isenabled() is collecting
+    finally:
+        set_collector(was_enabled)
 
 
 def test_version_flag(capsys):

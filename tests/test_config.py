@@ -125,6 +125,16 @@ def test_apply_overrides():
             apply_overrides(cfg, gamma=gamma)
 
 
+def test_negative_voltage_floor_rejected():
+    with pytest.raises(ParameterError, match="voltage_floor_kv"):
+        RunConfig(voltage_floor_kv=-1)
+    with pytest.raises(ParameterError, match="bad.cfg"):
+        parse_config_text("voltage_floor_kv = -5\n", source="bad.cfg")
+    with pytest.raises(ParameterError, match="voltage_floor_kv"):
+        apply_overrides(RunConfig(), voltage_floor_kv=-5)
+    assert apply_overrides(RunConfig(), voltage_floor_kv=0).voltage_floor_kv == 0
+
+
 def test_config_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         RunConfig().seed = 1

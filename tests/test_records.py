@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import make_edge, make_node, synthetic_records, write_fixture_csvs
+from oracles import snapshot_by_full_scan
 from gridpanel import (
     ChangeEvent,
     IntervalError,
@@ -409,6 +410,79 @@ def test_snapshot_matches_direct_predicate(country_records):
         and e.node_b in expected_nodes
     }
     assert {frozenset(pair) for pair in snap.graph.edges()} == expected_pairs
+
+
+def out_of_order_records():
+    """Records whose year_in order differs from their id order, with starts
+    in the span's last year, deaths right after its first year, and
+    parallel circuits of different lives and voltages."""
+    nodes = [
+        make_node("A", 1990, voltage=400),
+        make_node("B", 1950, voltage=400),
+        make_node("C", 1950, year_out=1951, voltage=400),
+        make_node("D", 1970, voltage=110),
+        make_node("E", 2000, voltage=400),
+        make_node("F", 1950, voltage=400),
+        make_node("G", 1960, year_out=1985, voltage=380),
+    ]
+    edges = [
+        make_edge("E1", "F", "B", 1950, year_out=1970, voltage=220),
+        make_edge("E2", "B", "F", 1965, year_out=1990, voltage=400),
+        make_edge("E3", "F", "B", 1992, voltage=380, circuits=2),
+        make_edge("E4", "C", "F", 1950, year_out=1951, voltage=400),
+        make_edge("E5", "A", "F", 2000, voltage=400),
+        make_edge("E6", "E", "A", 2000, voltage=400),
+        make_edge("E7", "D", "B", 1970, voltage=110),
+        make_edge("E8", "G", "F", 1960, year_out=1985, voltage=380),
+        make_edge("E9", "A", "G", 1990, year_out=1991, voltage=400),
+    ]
+    return build_record_set(nodes, edges, dataset_start=1950, dataset_end=2000)
+
+
+@pytest.mark.parametrize("floor", [0, 220, 380])
+def test_snapshot_equals_full_scan_oracle_every_year(country_records, planted_records, floor):
+    for records in (country_records, planted_records, out_of_order_records()):
+        for year in range(records.dataset_start, records.dataset_end + 1):
+            graph = snapshot_at(records, year, voltage_floor_kv=floor).graph
+            expected = snapshot_by_full_scan(records, year, voltage_floor_kv=floor)
+            assert graph.nodes == expected.nodes, (records.country_tag, year)
+            assert graph.edges() == expected.edges(), (records.country_tag, year)
+
+
+def test_out_of_order_records_cover_the_edge_cases():
+    records = out_of_order_records()
+    nodes, edges = records.by_year_in
+    assert [rec.node_id for rec in nodes] == ["B", "C", "F", "G", "D", "A", "E"]
+    assert [rec.edge_id for rec in edges] == ["E1", "E4", "E8", "E2", "E7", "E9", "E3", "E5", "E6"]
+    first = snapshot_at(records, 1950, voltage_floor_kv=0).graph
+    assert first.edges() == (("B", "F"), ("C", "F"))
+    assert snapshot_at(records, 1951, voltage_floor_kv=0).graph.edges() == (("B", "F"),)
+    # Three F-B circuits: 220 kV 1950-1970, 400 kV 1965-1990, 380 kV from 1992.
+    for year, floor, present in [
+        (1960, 0, True),
+        (1960, 380, False),
+        (1966, 380, True),
+        (1990, 0, False),
+        (1992, 380, True),
+    ]:
+        graph = snapshot_at(records, year, voltage_floor_kv=floor).graph
+        assert graph.has_edge("B", "F") is present, (year, floor)
+    last = snapshot_at(records, 2000, voltage_floor_kv=0).graph
+    assert last.nodes == ("A", "B", "D", "E", "F")
+    assert last.edges() == (("A", "E"), ("A", "F"), ("B", "D"), ("B", "F"))
+
+
+def test_snapshot_reads_the_cached_year_in_order():
+    records = out_of_order_records()
+    assert "by_year_in" not in vars(records)
+    snapshot_at(records, 1975)
+    cached = vars(records)["by_year_in"]
+    snapshot_at(records, 1995)
+    assert vars(records)["by_year_in"] is cached
+    # A call reads the cache and does not sort again: an empty cached
+    # order yields an empty snapshot.
+    vars(records)["by_year_in"] = ((), ())
+    assert snapshot_at(records, 1995).n_nodes == 0
 
 
 def test_filter_by_voltage_keeps_span(country_records):
