@@ -45,6 +45,16 @@ class RunConfig:
             raise ParameterError(f"gamma must be a finite number, got {self.gamma!r}")
         if self.voltage_floor_kv < 0:
             raise ParameterError(f"voltage_floor_kv must not be negative, got {self.voltage_floor_kv}")
+        if self.replicates < 1:
+            raise ParameterError(f"replicates must be at least 1, got {self.replicates}")
+        # The range checks are chained comparisons, so NaN, which compares
+        # false with everything, fails them.
+        if not 0.0 <= self.rewiring_p <= 1.0:
+            raise ParameterError(f"rewiring_p must lie in [0, 1], got {self.rewiring_p!r}")
+        if not isinstance(self.window, int) or self.window < 1 or self.window % 2 == 0:
+            raise ParameterError(f"window must be a positive odd integer, got {self.window!r}")
+        if not 0.0 < self.threshold < 1.0:
+            raise ParameterError(f"threshold must lie strictly between 0 and 1, got {self.threshold!r}")
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))

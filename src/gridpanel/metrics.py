@@ -151,13 +151,25 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
     """Average shortest path, diameter, efficiency and pair coverage.
 
     All sources are swept at once, breadth-first: node ``i`` holds a
-    bitset (a Python int) of the sources that have reached it and another
-    of those that reached it at the last level. Each level ORs the latter
-    over a node's neighbors, masks out the sources it has already seen,
-    and counts the new bits into a histogram of finite distances. The
-    sweep stops at the first level that adds nothing, so it runs one level
-    past the diameter: O(diameter * m) ORs of n-bit integers. Memory is
-    three lists of n such integers (seen, last level, next level), about
+    bitset (a Python int) ``unseen[i]`` of the sources in its own
+    connected component, other than ``i``, that have not reached it yet,
+    and another of those that reached it at the last level. The component
+    masks come from one O(n + m) pass over the rows. Each level ORs the
+    last-level bitsets over a node's neighbors, keeps the bits still in
+    ``unseen``, removes them from it, and counts them into a histogram of
+    finite distances.
+
+    Only active nodes, those with ``unseen`` nonzero, are walked; a node
+    drops out once it has been reached from its whole component, and
+    passes nothing on after the level at which it finished. An active
+    node gains at least one source at every level: if some source is
+    farther than ``d - 1`` from it, the breadth-first layers around it are
+    contiguous, so some source sits at exactly ``d``, and distance is
+    symmetric. The histogram therefore has no empty level and the sweep
+    ends, at the diameter, when no node is active. That is about
+    sum over i of ecc(i) * deg(i) ORs of n-bit integers, where visiting
+    every node at every level took (diameter + 1) * 2m. Memory is three
+    lists of n such integers (unseen, last level, next level), about
     3 * n**2 / 8 bytes, where one BFS per source needed O(n). Every
     statistic is read off the histogram with exact rationals, so the
     result does not depend on node labels or summation order.
@@ -170,28 +182,30 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
     if n < 2:
         raise MetricUndefinedError("path summary needs at least two nodes")
     rows = graph.neighbor_rows()
-    seen = [1 << i for i in range(n)]
-    frontier = seen[:]
+    unseen = _component_masks(rows)
+    frontier = [1 << i for i in range(n)]
+    active = [i for i in range(n) if unseen[i]]
     hist: dict[int, int] = {}
     d = 0
-    while True:
+    while active:
         d += 1
-        nxt = []
-        append = nxt.append
+        nxt = [0] * n
         found = 0
-        for i, row in enumerate(rows):
+        still = []
+        for i in active:
             reached = 0
-            for j in row:
+            for j in rows[i]:
                 reached |= frontier[j]
-            new = reached & ~seen[i]
-            if new:
-                seen[i] |= new
-                found += new.bit_count()
-            append(new)
-        if not found:
-            break
+            new = reached & unseen[i]
+            found += new.bit_count()
+            nxt[i] = new
+            left = unseen[i] ^ new
+            unseen[i] = left
+            if left:
+                still.append(i)
         hist[d] = found
         frontier = nxt
+        active = still
 
     total = n * (n - 1)
     reachable = sum(hist.values())
@@ -202,6 +216,28 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
     return PathSummary(avg, max(hist), eff, float(Fraction(reachable, total)))
 
 
+def _component_masks(rows: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Entry ``i`` is the bitset of the positions in the connected
+    component of ``i``, without ``i`` itself: 0 for an isolated node."""
+    n = len(rows)
+    masks = [0] * n
+    placed = [False] * n
+    for start in range(n):
+        if placed[start]:
+            continue
+        placed[start] = True
+        members = [start]
+        for v in members:
+            for w in rows[v]:
+                if not placed[w]:
+                    placed[w] = True
+                    members.append(w)
+        mask = sum(1 << v for v in members)
+        for v in members:
+            masks[v] = mask ^ (1 << v)
+    return masks
+
+
 def clustering_coefficient(g: Graph | AnnualSnapshot, *, skip_low_degree: bool = False) -> float:
     """Mean local clustering.
 
@@ -209,13 +245,18 @@ def clustering_coefficient(g: Graph | AnnualSnapshot, *, skip_low_degree: bool =
     that are themselves linked. Nodes with degree below two contribute
     zero by default; ``skip_low_degree=True`` drops them from the mean
     instead (0.0 if nothing is left).
+
+    Nodes of one degree ``k`` share the denominator ``k (k - 1)``, so
+    their linked-neighbor counts are summed as integers per degree and
+    the mean is one exact rational sum over the distinct degrees: the
+    same rational, and so the same float, as a sum over nodes.
     """
     graph = as_graph(g)
     n = graph.n_nodes
     if n == 0:
         raise MetricUndefinedError("clustering needs at least one node")
     sets = graph.neighbor_sets()
-    total = Fraction(0)
+    linked_by_degree: dict[int, int] = {}
     eligible = 0
     for sv in sets:
         kv = len(sv)
@@ -223,7 +264,8 @@ def clustering_coefficient(g: Graph | AnnualSnapshot, *, skip_low_degree: bool =
             continue
         eligible += 1
         linked_twice = sum(len(sets[u] & sv) for u in sv)
-        total += Fraction(linked_twice, kv * (kv - 1))
+        linked_by_degree[kv] = linked_by_degree.get(kv, 0) + linked_twice
+    total = sum((Fraction(t, k * (k - 1)) for k, t in linked_by_degree.items()), Fraction(0))
     if skip_low_degree:
         return float(total / eligible) if eligible else 0.0
     return float(total / n)

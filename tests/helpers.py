@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import os
 import random
 
 from gridpanel import (
@@ -225,3 +226,14 @@ def write_fixture_csvs(records: AssetRecordSet, directory) -> dict[str, str]:
             for ev in rec.events:
                 writer.writerow((rec.edge_id, ev.year, ev.kind))
     return paths
+
+
+def tree_bytes(directory) -> dict[str, bytes]:
+    """Contents of the regular files directly inside ``directory``, by name."""
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        path = os.path.join(directory, name)
+        if os.path.isfile(path):
+            with open(path, "rb") as handle:
+                out[name] = handle.read()
+    return out

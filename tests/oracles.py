@@ -126,6 +126,24 @@ def clustering(graph, skip_low_degree=False) -> float:
     return sum(values) / len(values)
 
 
+def clustering_by_node_fractions(graph, skip_low_degree=False) -> float:
+    """Mean local clustering with one exact ``Fraction`` per node, summed
+    in node order, so results compare with the package by ``==``."""
+    sets = {v: frozenset(graph.neighbors(v)) for v in graph.nodes}
+    total = Fraction(0)
+    eligible = 0
+    for sv in sets.values():
+        kv = len(sv)
+        if kv < 2:
+            continue
+        eligible += 1
+        linked_twice = sum(len(sets[u] & sv) for u in sv)
+        total += Fraction(linked_twice, kv * (kv - 1))
+    if skip_low_degree:
+        return float(total / eligible) if eligible else 0.0
+    return float(total / graph.n_nodes)
+
+
 def modularity_pairwise(graph, assignment, gamma=1.0) -> float:
     """Double sum over all ordered node pairs, diagonal included."""
     a = adjacency_matrix(graph)

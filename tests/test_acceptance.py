@@ -21,6 +21,7 @@ from helpers import (
     planted_lifetime_records,
     random_test_graph,
     synthetic_records,
+    tree_bytes,
     write_fixture_csvs,
 )
 from gridpanel import (
@@ -311,12 +312,6 @@ def test_criterion_7_historical_trend_shapes():
 def test_criterion_8_cli_reruns_are_byte_identical(tmp_path):
     records = synthetic_records()
     paths = write_fixture_csvs(records, tmp_path)
-
-    def tree_bytes(directory):
-        return {
-            name: open(os.path.join(directory, name), "rb").read()
-            for name in sorted(os.listdir(directory))
-        }
 
     stable = []
     for command, extra in (

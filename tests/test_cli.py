@@ -1,11 +1,10 @@
 import csv
 import gc
-import os
 import shutil
 
 import pytest
 
-from helpers import write_fixture_csvs
+from helpers import tree_bytes, write_fixture_csvs
 from gridpanel import cli
 from gridpanel.cli import main
 
@@ -13,15 +12,6 @@ from gridpanel.cli import main
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.reader(handle))
-
-
-def tree_bytes(directory):
-    out = {}
-    for name in sorted(os.listdir(directory)):
-        path = os.path.join(directory, name)
-        if os.path.isfile(path):
-            out[name] = open(path, "rb").read()
-    return out
 
 
 def run(*argv):
@@ -399,6 +389,39 @@ def test_negative_voltage_floor_exits_two_for_every_command(workspace, capsys, s
         assert code == 2, command
         assert not out.exists(), command
         assert "voltage_floor_kv" in capsys.readouterr().err, command
+
+
+@pytest.mark.parametrize(
+    "key,flag,value",
+    [
+        ("replicates", "--replicates", "0"),
+        ("rewiring_p", "--rewiring-p", "nan"),
+        ("rewiring_p", "--rewiring-p", "1.5"),
+        ("window", "--window", "4"),
+        ("window", "--window", "0"),
+        ("threshold", "--threshold", "5.0"),
+        ("threshold", "--threshold", "7"),
+        ("threshold", "--threshold", "nan"),
+    ],
+)
+def test_out_of_range_run_parameters_exit_two_for_every_command(workspace, capsys, key, flag, value):
+    tmp_path, paths = workspace
+    for command in ("validate", "panel", "motifs", "temporal", "baselines"):
+        out = tmp_path / f"{command}_out"
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(
+            f"node_file = {paths['nodes']}\nedge_file = {paths['edges']}\n"
+            f"event_file = {paths['events']}\n{key} = {value}\nout_dir = {out}\n",
+            encoding="utf-8",
+        )
+        runs = [("config", ("--config", str(cfg)))]
+        # --replicates and --rewiring-p exist only on baselines.
+        if command == "baselines" or key in ("window", "threshold"):
+            runs.append(("flag", (*base_args(paths, out), flag, value)))
+        for source, argv in runs:
+            assert run(command, *argv) == 2, (command, source)
+            assert not out.exists(), (command, source)
+            assert key in capsys.readouterr().err, (command, source)
 
 
 COMMAND_ARGS = {

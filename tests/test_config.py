@@ -135,6 +135,38 @@ def test_negative_voltage_floor_rejected():
     assert apply_overrides(RunConfig(), voltage_floor_kv=0).voltage_floor_kv == 0
 
 
+OUT_OF_RANGE = [
+    ("replicates", 0),
+    ("replicates", -3),
+    ("rewiring_p", float("nan")),
+    ("rewiring_p", -0.1),
+    ("rewiring_p", 1.5),
+    ("window", 0),
+    ("window", 4),
+    ("window", -3),
+    ("threshold", float("nan")),
+    ("threshold", 0.0),
+    ("threshold", 1.0),
+    ("threshold", 5.0),
+]
+
+
+@pytest.mark.parametrize("key,value", OUT_OF_RANGE)
+def test_out_of_range_run_parameters_rejected(key, value):
+    with pytest.raises(ParameterError, match=key):
+        RunConfig(**{key: value})
+    with pytest.raises(ParameterError, match="bad.cfg"):
+        parse_config_text(f"{key} = {value}\n", source="bad.cfg")
+    with pytest.raises(ParameterError, match=key):
+        apply_overrides(RunConfig(), **{key: value})
+
+
+def test_run_parameter_range_edges_accepted():
+    cfg = RunConfig(replicates=1, rewiring_p=0.0, window=1, threshold=0.001)
+    assert parse_config_text(dump_config(cfg), source="edges") == cfg
+    assert RunConfig(rewiring_p=1.0, window=3, threshold=0.999).rewiring_p == 1.0
+
+
 def test_config_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         RunConfig().seed = 1

@@ -171,20 +171,61 @@ def string_labelled(graph, seed):
     return Graph(names, [(name[u], name[v]) for u, v in graph.edges()])
 
 
-@pytest.mark.parametrize(
-    "graph",
-    [
-        as_graph(gen_ring_lattice(65, 2)),
-        as_graph(gen_ring_lattice(130, 4)),
-        as_graph(gen_ring_lattice(257, 2)),
-        path_graph(300),
-        mesh_graph(20),
-        disconnected_union(),
-        string_labelled(as_graph(gen_ring_lattice(130, 4)), 5),
-        string_labelled(disconnected_union(), 6),
-    ],
-    ids=["ring65x2", "ring130x4", "ring257x2", "path300", "mesh20x20", "union", "ring130x4-str", "union-str"],
+def isolated_first_union():
+    # Node 0 is isolated, then a 6-node path, then the largest component,
+    # a 150-node cycle with a 40-node tail, then a triangle: 200 nodes.
+    edges = [(i, i + 1) for i in range(1, 6)]
+    edges += [(7 + i, 7 + (i + 1) % 150) for i in range(150)]
+    edges += [(156 + i, 157 + i) for i in range(40)]
+    edges += [(197, 198), (198, 199), (197, 199)]
+    return Graph(range(200), edges)
+
+
+def mixed_diameter_union():
+    # A 120-node path (diameter 119), K12 (diameter 1), a 9-cycle
+    # (diameter 4) and a single edge, in that order: 143 nodes.
+    edges = [(i, i + 1) for i in range(119)]
+    edges += [(a, b) for a in range(120, 132) for b in range(a + 1, 132)]
+    edges += [(132 + i, 132 + (i + 1) % 9) for i in range(9)]
+    edges += [(141, 142)]
+    return Graph(range(143), edges)
+
+
+def long_armed_star(arms=5, length=30):
+    # Centre 0 and ``arms`` paths of ``length`` nodes hanging off it.
+    edges = []
+    for a in range(arms):
+        first = 1 + a * length
+        edges.append((0, first))
+        edges += [(first + i, first + i + 1) for i in range(length - 1)]
+    return Graph(range(1 + arms * length), edges)
+
+
+APSP_CASES = {
+    "ring65x2": as_graph(gen_ring_lattice(65, 2)),
+    "ring130x4": as_graph(gen_ring_lattice(130, 4)),
+    "ring257x2": as_graph(gen_ring_lattice(257, 2)),
+    "path300": path_graph(300),
+    "mesh20x20": mesh_graph(20),
+    "union": disconnected_union(),
+    "isolated-first": isolated_first_union(),
+    "mixed-diameters": mixed_diameter_union(),
+    "star5x30": long_armed_star(),
+    **{f"er177-s{s}": as_graph(gen_erdos_renyi(177, 177, s)) for s in (1, 2, 3)},
+    **{f"ws177-s{s}": as_graph(gen_watts_strogatz(177, 2, 0.1, s)) for s in (1, 2, 3)},
+}
+APSP_CASES.update(
+    {
+        f"{name}-str": string_labelled(APSP_CASES[name], seed)
+        for seed, name in enumerate(
+            ("ring130x4", "union", "isolated-first", "mixed-diameters", "star5x30", "er177-s1", "ws177-s1"),
+            start=5,
+        )
+    }
 )
+
+
+@pytest.mark.parametrize("graph", APSP_CASES.values(), ids=APSP_CASES.keys())
 def test_path_summary_equals_per_source_bfs_past_word_boundaries(graph):
     assert apsp_summary(graph) == oracles.path_summary_by_bfs(graph)
 
@@ -204,8 +245,8 @@ def test_clustering_diamond():
 
 def test_clustering_triangle_with_pendant():
     g = Graph(range(4), [(0, 1), (0, 2), (1, 2), (0, 3)])
-    assert clustering_coefficient(g) == pytest.approx(7 / 12, abs=1e-15)
-    assert clustering_coefficient(g, skip_low_degree=True) == pytest.approx(7 / 9, abs=1e-15)
+    assert clustering_coefficient(g) == 7 / 12
+    assert clustering_coefficient(g, skip_low_degree=True) == 7 / 9
 
 
 def test_clustering_all_low_degree():
@@ -220,9 +261,26 @@ def test_clustering_matches_pair_enumeration_oracle():
         base = random_test_graph(rng, rng.randint(2, 35), rng.uniform(0.05, 0.5))
         for g in (base, string_relabeled(base)[0]):
             for skip in (False, True):
-                assert clustering_coefficient(g, skip_low_degree=skip) == pytest.approx(
-                    oracles.clustering(g, skip_low_degree=skip), abs=1e-12
-                )
+                got = clustering_coefficient(g, skip_low_degree=skip)
+                assert got == pytest.approx(oracles.clustering(g, skip_low_degree=skip), abs=1e-12)
+                assert got == oracles.clustering_by_node_fractions(g, skip_low_degree=skip)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        *(as_graph(gen_ring_lattice(n, m)) for n, m in ((3, 2), (20, 4), (65, 6), (177, 2), (200, 10))),
+        mesh_graph(20),
+        as_graph(gen_watts_strogatz(177, 4, 0.1, 3)),
+    ],
+    ids=["ring3x2", "ring20x4", "ring65x6", "ring177x2", "ring200x10", "mesh20x20", "ws177x4"],
+)
+def test_clustering_equals_per_node_fractions(graph):
+    for g in (graph, relabeled(graph, random.Random(8))[0], string_labelled(graph, 9)):
+        for skip in (False, True):
+            assert clustering_coefficient(g, skip_low_degree=skip) == oracles.clustering_by_node_fractions(
+                g, skip_low_degree=skip
+            )
 
 
 # -- reference values --------------------------------------------------------

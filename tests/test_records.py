@@ -53,7 +53,8 @@ def test_row_order_is_irrelevant(tmp_path, country_records):
     paths = write_fixture_csvs(country_records, tmp_path)
     rng = random.Random(11)
     for key in paths:
-        lines = open(paths[key], encoding="utf-8").read().splitlines()
+        with open(paths[key], encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
         body = lines[1:]
         rng.shuffle(body)
         write_lines(tmp_path / f"shuffled_{key}.csv", [lines[0]] + body)
