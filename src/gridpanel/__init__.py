@@ -70,6 +70,7 @@ from .records import (
     parse_asset_records,
     snapshot_at,
     validate_records,
+    year_snapshots,
 )
 from .temporal import (
     ChangeRateSeries,

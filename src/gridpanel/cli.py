@@ -30,8 +30,8 @@ from .records import (
     filter_by_voltage,
     load_asset_records,
     parse_asset_records,
-    snapshot_at,
     validate_records,
+    year_snapshots,
 )
 from .temporal import annual_change_rates, average_lifetime_by_year, line_lifetimes, underperformers
 
@@ -133,12 +133,11 @@ def _load_validated(config: RunConfig) -> AssetRecordSet:
 
 
 def _year_snapshots(config: RunConfig) -> Iterator[AnnualSnapshot]:
-    """The configured years' snapshots, built one at a time as they are
-    consumed. Loading, validation and the year-range check run on the call,
-    before any output is written."""
+    """The configured years' snapshots from one sweep over the records,
+    built one at a time as they are consumed. Loading, validation and the
+    year-range check run on the call, before any output is written."""
     records = _load_validated(config)
-    start, end = _year_range_within(records, config.year_start, config.year_end)
-    return (snapshot_at(records, year, config.voltage_floor_kv) for year in range(start, end + 1))
+    return year_snapshots(records, config.year_start, config.year_end, config.voltage_floor_kv)
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:

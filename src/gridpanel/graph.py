@@ -91,6 +91,25 @@ class Graph:
         return f"Graph(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
 
 
+def _from_rows(
+    nodes: tuple[NodeId, ...],
+    index: dict[NodeId, int],
+    rows: tuple[tuple[int, ...], ...],
+) -> Graph:
+    # A graph over storage the caller already holds in the form __init__
+    # produces: sorted nodes, their positions, and sorted symmetric rows
+    # without self-loops. The parts are shared, never copied, so the caller
+    # must not mutate them afterwards. Module-level rather than a
+    # classmethod, so that callers reach it even where their module's
+    # ``Graph`` name is rebound to a plain function.
+    graph = Graph.__new__(Graph)
+    graph._nodes = nodes
+    graph._index = index
+    graph._rows = rows
+    graph._n_edges = sum(map(len, rows)) // 2
+    return graph
+
+
 @dataclass(frozen=True)
 class AnnualSnapshot:
     """One year's network state after filtering and circuit collapsing."""

@@ -88,8 +88,7 @@ def count_triangles(g: Graph | AnnualSnapshot) -> int:
     Every triangle closes three wedges, one per corner.
     """
     rows = as_graph(g).neighbor_rows()
-    closed = sum(w for (a, b), w in _wedges(rows).items() if b in rows[a])
-    return closed // 3
+    return _triangles(rows, _wedges(rows))
 
 
 def count_four_cycles(g: Graph | AnnualSnapshot, *, chordless_only: bool = True) -> int:
@@ -102,7 +101,15 @@ def count_four_cycles(g: Graph | AnnualSnapshot, *, chordless_only: bool = True)
     exactly the induced-cycle condition.
     """
     rows = as_graph(g).neighbor_rows()
-    wedges = _wedges(rows)
+    return _four_cycles(rows, _wedges(rows), chordless_only)
+
+
+def _triangles(rows: tuple[tuple[int, ...], ...], wedges: Counter[tuple[int, int]]) -> int:
+    closed = sum(w for (a, b), w in wedges.items() if b in rows[a])
+    return closed // 3
+
+
+def _four_cycles(rows: tuple[tuple[int, ...], ...], wedges: Counter[tuple[int, int]], chordless_only: bool) -> int:
     if not chordless_only:
         return sum(map(comb, wedges.values(), repeat(2))) // 2
 
@@ -163,12 +170,15 @@ def motif_counts(
     chordless_only: bool = True,
     variant: str = "subgraph",
 ) -> MotifCounts:
-    """All four motif counts for one graph or snapshot."""
+    """All four motif counts for one graph or snapshot, with triangles
+    and 4-cycles read from one wedge count."""
     year = g.year if isinstance(g, AnnualSnapshot) else 0
+    rows = as_graph(g).neighbor_rows()
+    wedges = _wedges(rows)
     return MotifCounts(
         year=year,
-        triangles=count_triangles(g),
-        four_cycles=count_four_cycles(g, chordless_only=chordless_only),
+        triangles=_triangles(rows, wedges),
+        four_cycles=_four_cycles(rows, wedges, chordless_only),
         three_stars=count_stars(g, 3, variant=variant),
         four_stars=count_stars(g, 4, variant=variant),
         variant=variant,

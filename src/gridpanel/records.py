@@ -15,12 +15,12 @@ reflect equipment in service rather than connectivity.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     IntervalError,
@@ -29,7 +29,7 @@ from .errors import (
     ValidationFailedError,
     YearRangeError,
 )
-from .graph import AnnualSnapshot, Graph
+from .graph import AnnualSnapshot, Graph, _from_rows
 
 EVENT_KINDS = ("split", "reroute", "voltage_upgrade", "decommission", "other")
 
@@ -473,11 +473,139 @@ def build_panel(
     return [snapshot_at(records, year, voltage_floor_kv) for year in range(start, end + 1)]
 
 
+def year_snapshots(
+    records: AssetRecordSet,
+    start: int | None = None,
+    end: int | None = None,
+    voltage_floor_kv: int = 0,
+) -> Iterator[AnnualSnapshot]:
+    """One snapshot per year from ``start`` through ``end``, ascending,
+    each equal to :func:`snapshot_at` for its year, built as consumed.
+
+    The range defaults to the dataset span and is checked on the call.
+    The records are read once: births and deaths are grouped by year and
+    the years are walked once, keeping for each station its live record
+    count and the far ends of its live circuit records. Each year's graph
+    is the previous year's with only the rows of stations whose
+    neighbourhood changed rebuilt.
+    """
+    start, end = _year_range_within(records, start, end)
+    return _sweep(filter_by_voltage(records, voltage_floor_kv), start, end, voltage_floor_kv)
+
+
+def _lives(recs: Sequence[NodeRecord] | Sequence[EdgeRecord], start: int, end: int) -> tuple[dict, dict]:
+    # The records by the year they enter the walked years and by the year
+    # they leave them; records with an empty life there are skipped.
+    enter: dict[int, list] = {}
+    leave: dict[int, list] = {}
+    for rec in recs:
+        first = max(rec.year_in, start)
+        stop = end + 1 if rec.year_out is None else min(rec.year_out, end + 1)
+        if first < stop:
+            enter.setdefault(first, []).append(rec)
+            if stop <= end:
+                leave.setdefault(stop, []).append(rec)
+    return enter, leave
+
+
+def _sweep(scoped: AssetRecordSet, start: int, end: int, voltage_floor_kv: int) -> Iterator[AnnualSnapshot]:
+    node_enter, node_leave = _lives(scoped.nodes, start, end)
+    edge_enter, edge_leave = _lives(scoped.edges, start, end)
+    alive: dict = {}  # station -> its live node records
+    partners: dict = {}  # station -> the other end of each live edge record on it
+    graph = None
+    for year in range(start, end + 1):
+        # Entries go first: what leaves in a year entered earlier, so a
+        # count never drops to zero and comes back within the year.
+        flipped = []
+        for rec in node_enter.get(year, ()):
+            count = alive.get(rec.node_id, 0)
+            alive[rec.node_id] = count + 1
+            if not count:
+                flipped.append(rec.node_id)
+        for rec in node_leave.get(year, ()):
+            count = alive[rec.node_id] - 1
+            if count:
+                alive[rec.node_id] = count
+            else:
+                del alive[rec.node_id]
+                flipped.append(rec.node_id)
+        touched = set(flipped)
+        for rec in edge_enter.get(year, ()):
+            a, b = rec.node_a, rec.node_b
+            if a not in partners:
+                partners[a] = []
+            if b not in partners:
+                partners[b] = []
+            if b not in partners[a]:
+                touched.add(a)
+                touched.add(b)
+            partners[a].append(b)
+            partners[b].append(a)
+        for rec in edge_leave.get(year, ()):
+            a, b = rec.node_a, rec.node_b
+            partners[a].remove(b)
+            partners[b].remove(a)
+            if b not in partners[a]:
+                touched.add(a)
+                touched.add(b)
+        if graph is None:
+            graph = Graph(alive, [(a, b) for a, near in partners.items() if a in alive for b in near if b in alive])
+            nodes, rows = graph.nodes, graph.neighbor_rows()
+            index = {v: i for i, v in enumerate(nodes)}
+        else:
+            for v in flipped:
+                touched.update(partners.get(v, ()))
+            nodes, index, rows = _next_rows(nodes, index, rows, alive, partners, flipped, touched)
+            graph = _from_rows(nodes, index, rows)
+        yield AnnualSnapshot(year=year, voltage_floor_kv=voltage_floor_kv, graph=graph)
+
+
+def _next_rows(
+    nodes: tuple, index: dict, rows: tuple, alive: dict, partners: dict, flipped: list, touched: set
+) -> tuple[tuple, dict, tuple]:
+    # The next year's sorted stations, their positions and their rows.
+    # Untouched stations keep their rows, renumbered by the monotone map
+    # from old to new positions; the rows of touched live stations are
+    # rebuilt from their live partners.
+    rows = list(rows)
+    if flipped:
+        gone = {v for v in flipped if v not in alive}
+        born = [v for v in flipped if v in alive]
+        kept = [v for v in nodes if v not in gone] if gone else list(nodes)
+        kept += born
+        kept.sort()
+        old_nodes, old_index = nodes, index
+        nodes = tuple(kept)
+        # Positions below the first gone or born station are unchanged.
+        first = min([old_index[v] for v in gone] + [bisect_left(kept, v) for v in born])
+        index = dict(old_index)
+        for v in gone:
+            del index[v]
+        index.update(zip(nodes[first:], range(first, len(nodes))))
+        for i in sorted((old_index[v] for v in gone), reverse=True):
+            del rows[i]
+        for i in sorted(index[v] for v in born):
+            rows.insert(i, ())
+        remap = list(range(first))
+        remap += [index.get(v, -1) for v in old_nodes[first:]]
+        rows = [row if not row or row[-1] < first else tuple(map(remap.__getitem__, row)) for row in rows]
+    for v in touched:
+        if v in alive:
+            near = partners.get(v, ())
+            if v in near:
+                raise ValueError(f"self-loop at node {v!r}")
+            rows[index[v]] = tuple(sorted({index[u] for u in near if u in alive}))
+    return nodes, index, tuple(rows)
+
+
 def filter_by_voltage(records: AssetRecordSet, voltage_floor_kv: int) -> AssetRecordSet:
     """Sub-record-set at or above the floor, keeping the original span.
 
     Mirrors snapshot filtering: an edge survives only if its own voltage
-    and both endpoint nodes pass.
+    and both endpoint nodes pass. :func:`year_snapshots` reads its voltage
+    and endpoint rule from here; :func:`snapshot_at` keeps its own copy as
+    the reference the sweep is tested against.
     """
     nodes = tuple(rec for rec in records.nodes if rec.voltage_kv >= voltage_floor_kv)
     kept = {rec.node_id for rec in nodes}

@@ -5,7 +5,7 @@ import shutil
 import pytest
 
 from helpers import tree_bytes, write_fixture_csvs
-from gridpanel import cli
+from gridpanel import cli, records
 from gridpanel.cli import main
 
 
@@ -497,6 +497,23 @@ def test_main_restores_the_collector_setting_on_every_exit(workspace, capsys, co
         assert gc.isenabled() is collecting
     finally:
         set_collector(was_enabled)
+
+
+@pytest.mark.parametrize("years", [("--year-start", "1990", "--year-end", "1992"), ()], ids=["3 years", "55 years"])
+@pytest.mark.parametrize("command", ["panel", "motifs", "baselines"])
+def test_commands_build_years_without_a_snapshot_call_per_year(workspace, capsys, monkeypatch, command, years):
+    calls = []
+    snapshot_at = records.snapshot_at
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return snapshot_at(*args, **kwargs)
+
+    monkeypatch.setattr(records, "snapshot_at", counting)
+    monkeypatch.setattr(cli, "snapshot_at", counting, raising=False)
+    tmp_path, paths = workspace
+    assert main([command, *base_args(paths, tmp_path / "out"), *COMMAND_ARGS[command], *years]) == 0
+    assert len(calls) <= 1
 
 
 def test_version_flag(capsys):

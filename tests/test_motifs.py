@@ -14,7 +14,9 @@ from gridpanel import (
     count_triangles,
     motif_counts,
     motif_shares,
+    year_snapshots,
 )
+from gridpanel import motifs as motifs_module
 from gridpanel.graph import ring_lattice
 from gridpanel.motifs import MOTIF_NAMES
 
@@ -259,3 +261,41 @@ def test_motif_counts_carry_snapshot_year(country_records):
     snap = snapshot_at(country_records, 1990, voltage_floor_kv=220)
     counts = motif_counts(snap, chordless_only=True, variant="subgraph")
     assert counts.year == 1990
+
+
+def assert_bundle_matches_kernels(g):
+    for chordless in (True, False):
+        counts = motif_counts(g, chordless_only=chordless)
+        assert counts.triangles == count_triangles(g)
+        assert counts.four_cycles == count_four_cycles(g, chordless_only=chordless)
+        assert counts.chordless_only is chordless
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_GRAPHS))
+def test_motif_counts_equal_the_single_kernels(name):
+    assert_bundle_matches_kernels(LARGER_GRAPHS[name])
+
+
+def test_motif_counts_equal_the_single_kernels_on_fixture_years(country_records):
+    for snap in year_snapshots(country_records, voltage_floor_kv=0):
+        assert_bundle_matches_kernels(snap)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.integers(min_value=4, max_value=12),
+    st.floats(min_value=0.1, max_value=0.8),
+)
+def test_property_motif_counts_equal_the_single_kernels(rng, n, p):
+    assert_bundle_matches_kernels(random_test_graph(rng, n, p))
+
+
+def test_motif_counts_builds_one_wedge_count_per_snapshot(monkeypatch, country_records):
+    calls = []
+    wedges = motifs_module._wedges
+    monkeypatch.setattr(motifs_module, "_wedges", lambda rows: calls.append(rows) or wedges(rows))
+    snapshots = list(year_snapshots(country_records, voltage_floor_kv=0))
+    for snap in snapshots:
+        motif_counts(snap, chordless_only=True, variant="induced")
+    assert calls == [snap.graph.neighbor_rows() for snap in snapshots]

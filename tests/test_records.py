@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_edge, make_node, synthetic_records, write_fixture_csvs
 from oracles import snapshot_by_full_scan
@@ -18,7 +20,9 @@ from gridpanel import (
     parse_asset_records,
     snapshot_at,
     validate_records,
+    year_snapshots,
 )
+from gridpanel import records as records_module
 
 
 def small_record_set(**kwargs):
@@ -484,6 +488,165 @@ def test_snapshot_reads_the_cached_year_in_order():
     # order yields an empty snapshot.
     vars(records)["by_year_in"] = ((), ())
     assert snapshot_at(records, 1995).n_nodes == 0
+
+
+# -- the one-pass sweep ----------------------------------------------------
+
+
+def assert_sweep_matches_snapshots(records, start, end, floor):
+    # Every year is collected before any is checked, so that storage the
+    # sweep handed out and then changed in a later year shows up.
+    swept = list(year_snapshots(records, start, end, floor))
+    assert [snap.year for snap in swept] == list(range(start, end + 1))
+    for snap in swept:
+        where = (records.country_tag, snap.year, floor)
+        assert snap.voltage_floor_kv == floor
+        graph = snap.graph
+        expected = snapshot_at(records, snap.year, voltage_floor_kv=floor).graph
+        assert graph.nodes == expected.nodes, where
+        assert graph.neighbor_rows() == expected.neighbor_rows(), where
+        assert graph.edges() == expected.edges(), where
+        assert graph.n_edges == expected.n_edges, where
+        for u, v in zip(expected.nodes, expected.nodes[1:]):
+            assert graph.degree(u) == expected.degree(u), where
+            assert graph.neighbors(u) == expected.neighbors(u), where
+            assert graph.has_edge(u, v) is expected.has_edge(u, v), where
+
+
+def sweep_ranges(records):
+    first, last = records.dataset_start, records.dataset_end
+    return [(first, last), (first + 3, last - 2), (first + 5, first + 5), (last, last)]
+
+
+@pytest.mark.parametrize("floor", [0, 220, 380])
+def test_sweep_equals_snapshot_at_every_year(country_records, planted_records, floor):
+    for records in (country_records, planted_records, out_of_order_records()):
+        for start, end in sweep_ranges(records):
+            assert_sweep_matches_snapshots(records, start, end, floor)
+
+
+def unvalidated_records(label=str):
+    """Records that break integrity rules in the ways a sweep could get
+    wrong, over a span pinned to 1985-2000."""
+    nodes = [
+        make_node(label("A"), 1990),
+        make_node(label("B"), 1985, year_out=1995),
+        make_node(label("B"), 1998),  # duplicate id, a second life after a gap
+        make_node(label("C"), 1988, year_out=1988),  # empty interval
+        make_node(label("D"), 1992, year_out=1989),  # reversed interval
+        make_node(label("E"), 1986, voltage=110),  # below a 220 kV floor
+        make_node(label("F"), 1975),  # starts before the pinned span
+        make_node(label("G"), 1980, year_out=1993),
+        make_node(label("H"), 1985, voltage=110),
+        make_node(label("H"), 1990, year_out=1997, voltage=400),  # duplicate id, another voltage
+        make_node(label("I"), 1985, year_out=1993),  # dies with G, an untouched H between them
+    ]
+    edges = [
+        make_edge("AB", label("A"), label("B"), 1990),  # crosses B's gap
+        make_edge("AG", label("A"), label("G"), 1990),  # outlives G
+        make_edge("AE", label("A"), label("E"), 1990, voltage=400),  # endpoint below the floor
+        make_edge("FG", label("F"), label("G"), 1980, year_out=1987),  # starts before the span
+        make_edge("BF", label("B"), label("F"), 1986, year_out=1986),  # empty interval
+        make_edge("CF", label("C"), label("F"), 1985),  # endpoint never alive
+        make_edge("DF", label("D"), label("F"), 1990, year_out=1989),  # reversed interval
+        make_edge("FH", label("F"), label("H"), 1985, voltage=400),  # H below the floor until 1990
+        make_edge("GB", label("G"), label("B"), 1986, year_out=1999),
+        make_edge("AZ", label("A"), label("Z"), 1991),  # unknown endpoint
+        make_edge("FI", label("F"), label("I"), 1985, year_out=1996),  # outlives I
+    ]
+    return build_record_set(nodes, edges, country_tag="unvalidated", dataset_start=1985, dataset_end=2000)
+
+
+# Integer ids whose order differs from the letters' order.
+INT_LABELS = {letter: (7 * i + 3) % 11 for i, letter in enumerate("ABCDEFGHIZ")}
+
+
+@pytest.mark.parametrize("label", [str, INT_LABELS.__getitem__], ids=["str", "int"])
+@pytest.mark.parametrize("floor", [0, 220])
+def test_sweep_equals_snapshot_at_on_unvalidated_records(label, floor):
+    records = unvalidated_records(label)
+    assert {"duplicate_node_id", "interval_reversed", "endpoint_dead", "unknown_endpoint", "year_outside_span"} <= (
+        validate_records(records).codes()
+    )
+    for start, end in sweep_ranges(records):
+        assert_sweep_matches_snapshots(records, start, end, floor)
+
+
+def test_sweep_through_an_empty_year_to_the_span_edges():
+    nodes = [
+        make_node("A", 1950, year_out=1952),
+        make_node("B", 1950, year_out=1952),
+        make_node("C", 1953),
+        make_node("D", 1953, year_out=1956),
+    ]
+    edges = [
+        make_edge("AB", "A", "B", 1950, year_out=1952),
+        make_edge("CD", "C", "D", 1953, year_out=1956),
+        make_edge("DC", "D", "C", 1956),
+    ]
+    records = build_record_set(nodes, edges, dataset_start=1950, dataset_end=1956)
+    swept = list(year_snapshots(records))
+    assert [(snap.n_nodes, snap.n_edges) for snap in swept] == [(2, 1), (2, 1), (0, 0), (2, 1), (2, 1), (2, 1), (1, 0)]
+    assert_sweep_matches_snapshots(records, 1950, 1956, 0)
+
+
+def test_sweep_checks_its_range_on_the_call():
+    records = small_record_set()
+    with pytest.raises(YearRangeError):
+        year_snapshots(records, 1959, 1962)
+    with pytest.raises(YearRangeError):
+        year_snapshots(records, 1962, 1961)
+    assert [snap.year for snap in year_snapshots(records)] == [1960, 1961, 1962]
+
+
+def test_sweep_rejects_a_self_loop_in_the_year_it_appears():
+    nodes = [make_node("A", 1950), make_node("B", 1950)]
+    edges = [make_edge("AB", "A", "B", 1950), make_edge("AA", "A", "A", 1952)]
+    records = build_record_set(nodes, edges, dataset_end=1955)
+    swept = year_snapshots(records)
+    assert [next(swept).year, next(swept).year] == [1950, 1951]
+    with pytest.raises(ValueError, match="self-loop"):
+        snapshot_at(records, 1952)
+    with pytest.raises(ValueError, match="self-loop"):
+        next(swept)
+
+
+def test_sweep_reads_the_filter_rule_from_filter_by_voltage(monkeypatch, country_records):
+    floors = []
+
+    def recording(records, voltage_floor_kv):
+        floors.append(voltage_floor_kv)
+        return filter_by_voltage(records, voltage_floor_kv)
+
+    monkeypatch.setattr(records_module, "filter_by_voltage", recording)
+    assert len(list(year_snapshots(country_records, voltage_floor_kv=220))) == 55
+    assert floors == [220]
+
+
+@st.composite
+def small_record_sets(draw):
+    ids = st.sampled_from("PQRSTU")
+    years = st.integers(1998, 2012)
+    lives = st.tuples(years, st.one_of(st.none(), years))
+    voltages = st.sampled_from((110, 220, 400))
+    nodes = [
+        make_node(node_id, year_in, year_out=year_out, voltage=voltage)
+        for node_id, (year_in, year_out), voltage in draw(st.lists(st.tuples(ids, lives, voltages), min_size=1, max_size=10))
+    ]
+    ends = st.lists(ids, min_size=2, max_size=2, unique=True)
+    edges = [
+        make_edge(f"e{i}", a, b, year_in, year_out=year_out, voltage=voltage)
+        for i, ((a, b), (year_in, year_out), voltage) in enumerate(
+            draw(st.lists(st.tuples(ends, lives, voltages), max_size=14))
+        )
+    ]
+    return build_record_set(nodes, edges, dataset_start=2000, dataset_end=2010)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_record_sets(), st.sampled_from((0, 220, 400)), st.integers(2000, 2010), st.integers(0, 10))
+def test_property_sweep_equals_snapshot_at(records, floor, start, length):
+    assert_sweep_matches_snapshots(records, start, min(start + length, 2010), floor)
 
 
 def test_filter_by_voltage_keeps_span(country_records):
