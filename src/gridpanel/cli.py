@@ -15,6 +15,8 @@ import gc
 import os
 import statistics
 import sys
+from dataclasses import fields
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from . import __version__
@@ -33,7 +35,13 @@ from .records import (
     validate_records,
     year_snapshots,
 )
-from .temporal import annual_change_rates, average_lifetime_by_year, line_lifetimes, underperformers
+from .temporal import (
+    LifetimeRecord,
+    annual_change_rates,
+    average_lifetime_by_year,
+    line_lifetimes,
+    underperformers,
+)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -163,10 +171,6 @@ def _write_manifest(config: RunConfig, command: str) -> str:
     return path
 
 
-def _prepare_out_dir(config: RunConfig) -> None:
-    os.makedirs(config.out_dir, exist_ok=True)
-
-
 def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
     _require_inputs(config)
     records = load_asset_records(
@@ -185,7 +189,7 @@ def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_panel(config: RunConfig, args: argparse.Namespace) -> int:
     rows = [metric_row(snap, gamma=config.gamma, seed=config.seed) for snap in _year_snapshots(config)]
-    _prepare_out_dir(config)
+    os.makedirs(config.out_dir, exist_ok=True)
 
     tidy = []
     for row in rows:
@@ -238,7 +242,7 @@ def cmd_motifs(config: RunConfig, args: argparse.Namespace) -> int:
                     config.chordless_only,
                 )
             )
-    _prepare_out_dir(config)
+    os.makedirs(config.out_dir, exist_ok=True)
     _write_csv(
         os.path.join(config.out_dir, "motifs.csv"),
         ("country", "year", "motif", "count", "share", "variant", "chordless_only"),
@@ -258,7 +262,7 @@ def cmd_temporal(config: RunConfig, args: argparse.Namespace) -> int:
     flagged = underperformers(lifetimes, config.threshold)
     observed = average_lifetime_by_year(lifetimes)
     bounded = average_lifetime_by_year(lifetimes, include_censored=True)
-    _prepare_out_dir(config)
+    os.makedirs(config.out_dir, exist_ok=True)
 
     lifetime_header = (
         "edge_id",
@@ -269,57 +273,22 @@ def cmd_temporal(config: RunConfig, args: argparse.Namespace) -> int:
         "max_expected",
         "survived_ratio",
     )
-
-    def lifetime_row(rec):
-        return (
-            rec.edge_id,
-            rec.year_commissioned,
-            rec.first_change_year,
-            rec.lifetime_years,
-            rec.censored,
-            rec.max_expected_lifetime,
-            rec.survived_ratio,
-        )
-
+    lifetime_row = attrgetter(*(f.name for f in fields(LifetimeRecord)))
     _write_csv(
         os.path.join(config.out_dir, "lifetimes.csv"),
         lifetime_header,
-        (lifetime_row(rec) for rec in lifetimes),
+        map(lifetime_row, lifetimes),
     )
     _write_csv(
         os.path.join(config.out_dir, "underperformers.csv"),
         lifetime_header,
-        (lifetime_row(rec) for rec in flagged),
+        map(lifetime_row, flagged),
     )
-    rate_rows = [
-        (
-            rates.years[i],
-            rates.lines_in_operation[i],
-            rates.new_lines[i],
-            rates.decommissions[i],
-            rates.topological_changes[i],
-            rates.new_lines_relative[i],
-            rates.changes_relative[i],
-            rates.new_lines_relative_smooth[i],
-            rates.changes_relative_smooth[i],
-        )
-        for i in range(len(rates.years))
-        if start <= rates.years[i] <= end
-    ]
+    rate_names = [f.name for f in fields(rates)]
     _write_csv(
         os.path.join(config.out_dir, "change_rates.csv"),
-        (
-            "year",
-            "lines_in_operation",
-            "new_lines",
-            "decommissions",
-            "topological_changes",
-            "new_lines_relative",
-            "changes_relative",
-            "new_lines_relative_smooth",
-            "changes_relative_smooth",
-        ),
-        rate_rows,
+        ["year"] + rate_names[1:],
+        (row for row in zip(*(getattr(rates, name) for name in rate_names)) if start <= row[0] <= end),
     )
     _write_csv(
         os.path.join(config.out_dir, "avg_lifetime_by_year.csv"),
@@ -341,7 +310,7 @@ def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
     ensembles = efficiency_comparison(
         mean_nodes, mean_edges, config.replicates, config.seed, rewiring_p=config.rewiring_p
     )
-    _prepare_out_dir(config)
+    os.makedirs(config.out_dir, exist_ok=True)
 
     rows = []
     summary = []

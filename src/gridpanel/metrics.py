@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
@@ -29,25 +29,6 @@ RANDOM_PATH_CONSTANT = 0.5772
 
 # |omega| below this counts as small-world-compatible.
 OMEGA_BAND = 0.7
-
-METRIC_NAMES = (
-    "n_nodes",
-    "n_edges",
-    "density",
-    "avg_degree",
-    "avg_path_length",
-    "diameter",
-    "clustering",
-    "modularity",
-    "efficiency",
-    "clustering_random",
-    "path_length_random",
-    "clustering_lattice",
-    "sigma",
-    "omega",
-    "omega_raw",
-    "reachable_pair_fraction",
-)
 
 
 class PathSummary(NamedTuple):
@@ -128,6 +109,9 @@ class MetricRow:
 
     def as_dict(self) -> dict[str, float | int | None]:
         return {name: getattr(self, name) for name in METRIC_NAMES}
+
+
+METRIC_NAMES = tuple(f.name for f in fields(MetricRow) if f.name not in ("year", "reasons"))
 
 
 def link_density(g: Graph | AnnualSnapshot) -> float:

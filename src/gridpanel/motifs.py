@@ -68,12 +68,7 @@ class MotifShares:
     total: int
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "triangle": self.triangle,
-            "four_cycle": self.four_cycle,
-            "three_star": self.three_star,
-            "four_star": self.four_star,
-        }
+        return {name: getattr(self, name) for name in MOTIF_NAMES}
 
 
 def _wedges(rows: tuple[tuple[int, ...], ...]) -> Counter[tuple[int, int]]:
@@ -189,9 +184,7 @@ def motif_counts(
 def motif_shares(counts: MotifCounts) -> MotifShares:
     """Normalize one year's counts; an all-zero year keeps zero shares."""
     total = counts.total
-    if total == 0:
-        return MotifShares(counts.year, 0.0, 0.0, 0.0, 0.0, 0)
     raw = counts.as_dict()
-    shares = {name: float(Fraction(raw[name], total)) for name in MOTIF_NAMES}
-    return MotifShares(counts.year, shares["triangle"], shares["four_cycle"], shares["three_star"], shares["four_star"], total)
+    shares = {name: float(Fraction(raw[name], total)) if total else 0.0 for name in MOTIF_NAMES}
+    return MotifShares(counts.year, total=total, **shares)
 
