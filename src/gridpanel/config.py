@@ -55,6 +55,8 @@ class RunConfig:
             raise ParameterError(f"window must be a positive odd integer, got {self.window!r}")
         if not 0.0 < self.threshold < 1.0:
             raise ParameterError(f"threshold must lie strictly between 0 and 1, got {self.threshold!r}")
+        if self.variant not in STAR_VARIANTS:
+            raise ParameterError(f"variant must be one of {', '.join(STAR_VARIANTS)}, got {self.variant!r}")
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
@@ -75,10 +77,6 @@ def _parse_value(key: str, raw: str, source: str, line: int) -> Any:
             return raw == "true"
     except ValueError:
         raise ParameterError(f"{source}:{line}: bad value for {key}: {raw!r}") from None
-    if key == "variant" and raw not in STAR_VARIANTS:
-        raise ParameterError(
-            f"{source}:{line}: variant must be one of {', '.join(STAR_VARIANTS)}, got {raw!r}"
-        )
     return raw
 
 
@@ -138,6 +136,4 @@ def apply_overrides(config: RunConfig, **overrides: Any) -> RunConfig:
     for key in changes:
         if key not in CONFIG_KEYS:
             raise ParameterError(f"unknown config field {key!r}")
-    if "variant" in changes and changes["variant"] not in STAR_VARIANTS:
-        raise ParameterError(f"variant must be one of {', '.join(STAR_VARIANTS)}")
     return replace(config, **changes)

@@ -233,7 +233,9 @@ def _summarize(spec: BaselineSpec, rows: list[dict[str, float]], achieved_edges:
     for name in metrics:
         values = [row[name] for row in rows if name in row]
         mean[name] = statistics.fmean(values)
-        std[name] = statistics.pstdev(values)
+        # The root of the exact variance: pstdev rounds differently across
+        # CPython versions, pvariance does not.
+        std[name] = math.sqrt(statistics.pvariance(values))
     return BaselineEnsemble(
         spec=spec,
         rows=tuple(rows),

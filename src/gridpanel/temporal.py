@@ -117,7 +117,8 @@ def moving_average(values: Sequence[float | None], window: int = 5) -> list[floa
 
     The window shrinks at the series boundaries. None entries are
     skipped and the divisor renormalized; a stretch that is all None
-    stays None.
+    stays None. Each mean is exact and rounded once, so it does not
+    depend on how the interpreter sums floats.
     """
     if not isinstance(window, int) or window < 1:
         raise ParameterError(f"window must be a positive integer, got {window!r}")
@@ -131,7 +132,7 @@ def moving_average(values: Sequence[float | None], window: int = 5) -> list[floa
             for j in range(max(0, i - half), min(len(values), i + half + 1))
             if values[j] is not None
         ]
-        out.append(sum(picked) / len(picked) if picked else None)
+        out.append(float(sum(map(Fraction, picked)) / len(picked)) if picked else None)
     return out
 
 

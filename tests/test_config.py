@@ -148,6 +148,7 @@ OUT_OF_RANGE = [
     ("threshold", 0.0),
     ("threshold", 1.0),
     ("threshold", 5.0),
+    ("variant", "maximal"),
 ]
 
 

@@ -1,14 +1,14 @@
 """Golden output bytes: every CSV the analysis commands write on the
 fixture records, pinned by SHA-256.
 
-The digests were recorded before the one-pass year sweep replaced the
-per-year snapshot scan in the CLI, so a performance change that alters a
-single output byte fails here. A change that means to alter outputs
+One table holds for every supported CPython version (3.10 to 3.13):
+the smoothed change rates are exact means and the ensemble std is the
+root of the exact variance, so no float result depends on how an
+interpreter sums or rounds. A change that means to alter outputs
 updates the digests in the same commit and says why.
 """
 
 import hashlib
-import sys
 
 import pytest
 
@@ -31,12 +31,12 @@ GOLDEN = {
     ("baselines", "default"): {
         "baselines.csv": "0028eac24c9aae03b47c0559dc8c11de39856dac00b2b18934ae32dfce10ff30",
         "baselines_per_year.csv": "5ee9f14214934244b31a76c2b1c08d58f0d371ef79973f8640453898388bb68c",
-        "baselines_summary.csv": "dbcb3db063f0991eea3993caea11d86786863cd74aadf10096a6b7cbd72330b8",
+        "baselines_summary.csv": "0d2b9ae097afb283163ade5a37ee460a4332399a4feebf337249f4bcdef16c9c",
     },
     ("baselines", "floor0_subrange"): {
         "baselines.csv": "eadb9a06192637af9ce05b609e9d99b0cb99d9258610c468df4a029f68b7ee77",
         "baselines_per_year.csv": "d82e73e33eef79df33aa73d95c7bf85a2145524ec0365eaba7321a3a6a737bc0",
-        "baselines_summary.csv": "2f1af2209784290a0f735ffd63b0972aeb71ac0fb39dfb07308f89401ce3f0b8",
+        "baselines_summary.csv": "486fca1ae84bb933fc848a2e5c09e7e618bc478ef11fbac5eaefbaac95397d10",
     },
     ("motifs", "default"): {
         "motifs.csv": "05ac70840467a08a833cb27e7de9f4b2dd14da3505592f28e84a600e8b6edb6f",
@@ -54,47 +54,17 @@ GOLDEN = {
     },
     ("temporal", "default"): {
         "avg_lifetime_by_year.csv": "1d405feb1077ef0f2d8007d50c124d663df9e37408b77fa4f354a536a6dba360",
-        "change_rates.csv": "9c4b2349c93307457f2f9b3fb2613b87d88c64872a31fe044f2fd84591b29edf",
+        "change_rates.csv": "b6907c0ab38687131f0a7cb72662e0dcde5d7aa917e46851e7aa6727b896bd4a",
         "lifetimes.csv": "171caeb980b2bb6ba8a59c192236996c75442eb7272e728dd63587789d03b055",
         "underperformers.csv": "0735d034b54c8c4d1db7f0b7de7bf86d2ac8cb2c29addd4f67a3843a9781fc95",
     },
     ("temporal", "floor0_subrange"): {
         "avg_lifetime_by_year.csv": "3ed625294a5ea24a11fb594dfb0bbd2248a52393556aeba00de5a1d0990ee284",
-        "change_rates.csv": "8d3736f79f23be85fed6a99f6fd2e13a042f1992949f49dea9bf5bac1681b399",
+        "change_rates.csv": "48743db06fc22fa0297c0aefee840f3dce0ae94e1cb557a48e48e5ad58264d2a",
         "lifetimes.csv": "cb36470db5dad35818fcd4b2beb484a81982b4e9fa3c6f1b0d21e7c9382414b9",
         "underperformers.csv": "04c9e6446b88ad5b03f42c4894e35b7c3a34c9877016fee7d71b014920bcff40",
     },
 }
-
-
-# Two float results depend on the interpreter: statistics.pstdev is
-# correctly rounded from CPython 3.11 on, and the built-in sum() of floats
-# is compensated from 3.12 on. GOLDEN holds the 3.11 bytes.
-BEFORE_3_11 = {
-    ("baselines", "default"): {
-        "baselines_summary.csv": "0d2b9ae097afb283163ade5a37ee460a4332399a4feebf337249f4bcdef16c9c",
-    },
-    ("baselines", "floor0_subrange"): {
-        "baselines_summary.csv": "486fca1ae84bb933fc848a2e5c09e7e618bc478ef11fbac5eaefbaac95397d10",
-    },
-}
-FROM_3_12 = {
-    ("temporal", "default"): {
-        "change_rates.csv": "803661258d5dc00f06e9f377f350986472dd06e6efdc01ddcfaf520e6343ec88",
-    },
-    ("temporal", "floor0_subrange"): {
-        "change_rates.csv": "cfb36c8f4c145067809f72a1d809299c734ae0bced6939ecc03cef5024c4cadd",
-    },
-}
-
-
-def golden(command, scope):
-    digests = dict(GOLDEN[command, scope])
-    if sys.version_info < (3, 11):
-        digests.update(BEFORE_3_11.get((command, scope), {}))
-    if sys.version_info >= (3, 12):
-        digests.update(FROM_3_12.get((command, scope), {}))
-    return digests
 
 
 def csv_digests(directory):
@@ -121,4 +91,4 @@ def test_csv_bytes_match_recorded_digests(tmp_path, country_records, capsys, com
         *COMMANDS[command],
     ]
     assert main(argv) == 0
-    assert csv_digests(out) == golden(command, scope)
+    assert csv_digests(out) == GOLDEN[command, scope]
