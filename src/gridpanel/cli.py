@@ -192,29 +192,18 @@ def cmd_panel(config: RunConfig, args: argparse.Namespace) -> int:
     os.makedirs(config.out_dir, exist_ok=True)
 
     tidy = []
+    wide = []
     for row in rows:
         values = row.as_dict()
-        for metric in sorted(METRIC_NAMES):
-            tidy.append(
-                (
-                    config.country_tag,
-                    row.year,
-                    config.voltage_floor_kv,
-                    metric,
-                    values[metric],
-                    row.reasons.get(metric, ""),
-                )
-            )
+        key = (config.country_tag, row.year, config.voltage_floor_kv)
+        tidy.extend(key + (metric, values[metric], row.reasons.get(metric, "")) for metric in sorted(METRIC_NAMES))
+        wide.append(key + tuple(values[m] for m in METRIC_NAMES))
     _write_csv(
         os.path.join(config.out_dir, "panel_tidy.csv"),
         ("country", "year", "voltage_floor_kv", "metric", "value", "defined_reason"),
         tidy,
     )
     wide_header = ("country", "year", "voltage_floor_kv") + METRIC_NAMES
-    wide = [
-        (config.country_tag, row.year, config.voltage_floor_kv) + tuple(row.as_dict()[m] for m in METRIC_NAMES)
-        for row in rows
-    ]
     _write_csv(os.path.join(config.out_dir, "panel_wide.csv"), wide_header, wide)
     _write_manifest(config, "panel")
     print(f"wrote panel_tidy.csv, panel_wide.csv for {len(rows)} years to {config.out_dir}")

@@ -150,13 +150,28 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
     farther than ``d - 1`` from it, the breadth-first layers around it are
     contiguous, so some source sits at exactly ``d``, and distance is
     symmetric. The histogram therefore has no empty level and the sweep
-    ends, at the diameter, when no node is active. That is about
-    sum over i of ecc(i) * deg(i) ORs of n-bit integers, where visiting
-    every node at every level took (diameter + 1) * 2m. Memory is three
-    lists of n such integers (unseen, last level, next level), about
-    3 * n**2 / 8 bytes, where one BFS per source needed O(n). Every
-    statistic is read off the histogram with exact rationals, so the
-    result does not depend on node labels or summation order.
+    ends, at the diameter, when no node is active.
+
+    Leaves are sources but never targets. A leaf is a degree-one node
+    whose neighbor, its hub, has degree two or more; the two ends of an
+    isolated edge are not leaves. A leaf ``x`` on hub ``r`` is at 1 from
+    ``r`` and at ``1 + d(r, y)`` from every other node ``y``. So when a
+    hub with ``l`` leaves finds ``c`` sources at level ``d``, its leaves
+    find them at ``d + 1``: ``l * c`` more pairs there. Each hub is also
+    at 1 from each of its leaves, and a leaf is not at 2 from itself,
+    which its hub counted at level 1; summed over all leaves that is one
+    pair more at distance 1 and one fewer at 2 per leaf. Leaf bits reach
+    their hubs at level 1 from the first frontier; from level 2 on, hubs
+    read their rows without leaves. Hubs are swept in their own loop, so
+    other nodes pay nothing for it.
+
+    The work is about the sum over non-leaf nodes i of ecc(i) * deg(i)
+    ORs of n-bit integers, where visiting every node at every level took
+    (diameter + 1) * 2m. Memory is three lists of n such integers
+    (unseen, last level, next level), about 3 * n**2 / 8 bytes, where one
+    BFS per source needed O(n). Every statistic is read off the histogram
+    with exact rationals, so the result does not depend on node labels or
+    summation order.
 
     Averages run over ordered reachable pairs. With no reachable pair at
     all the path length and diameter are None while efficiency is 0.
@@ -167,14 +182,27 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
         raise MetricUndefinedError("path summary needs at least two nodes")
     rows = graph.neighbor_rows()
     unseen = _component_masks(rows)
+    leaf = [len(row) == 1 and len(rows[row[0]]) > 1 for row in rows]
+    leaves_on = [0] * n
+    for x in range(n):
+        if leaf[x]:
+            leaves_on[rows[x][0]] += 1
+    n_leaves = sum(leaves_on)
+    hubs = [r for r in range(n) if leaves_on[r]]
+    # only a hub has leaf neighbors
+    core_rows = list(rows)
+    for r in hubs:
+        core_rows[r] = tuple(j for j in rows[r] if not leaf[j])
+    hub_rows = rows
     frontier = [1 << i for i in range(n)]
-    active = [i for i in range(n) if unseen[i]]
+    active = [i for i in range(n) if unseen[i] and not leaf[i] and not leaves_on[i]]
     hist: dict[int, int] = {}
+    carried = 0
     d = 0
-    while active:
+    while active or hubs:
         d += 1
         nxt = [0] * n
-        found = 0
+        found = carried
         still = []
         for i in active:
             reached = 0
@@ -187,9 +215,31 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
             unseen[i] = left
             if left:
                 still.append(i)
+        carried = 0
+        still_hubs = []
+        for r in hubs:
+            reached = 0
+            for j in hub_rows[r]:
+                reached |= frontier[j]
+            new = reached & unseen[r]
+            c = new.bit_count()
+            found += c
+            carried += leaves_on[r] * c
+            nxt[r] = new
+            left = unseen[r] ^ new
+            unseen[r] = left
+            if left:
+                still_hubs.append(r)
         hist[d] = found
         frontier = nxt
         active = still
+        hubs = still_hubs
+        hub_rows = core_rows
+    if carried:
+        hist[d + 1] = carried
+    if n_leaves:
+        hist[1] += n_leaves
+        hist[2] -= n_leaves
 
     total = n * (n - 1)
     reachable = sum(hist.values())
@@ -306,22 +356,46 @@ def _local_moving(
     p: int,
     q: int,
 ) -> list[int]:
-    # Weighted one-level pass over nodes 0..len(adj)-1: each node joins the
-    # candidate community with the largest gain; equal gains go to the
-    # lowest label. Scaled by q * 2m, the gain of community c for node u is
-    # the integer q * 2m * w_c - p * k_u * tot_c, so the comparison is exact.
+    """Weighted one-level pass over nodes 0..len(adj)-1.
+
+    Each node joins the candidate community with the largest gain; equal
+    gains go to the lowest label. Scaled by q * 2m, the gain of community
+    c for node u is the integer q * 2m * w_c - p * k_u * tot_c, so the
+    comparison is exact.
+
+    A node is scored again only if something it compares has changed.
+    ``changed[c]`` is the move count at which ``tot[c]`` last changed, and
+    ``scored[u]`` the move count right after u was last scored. A move
+    stamps both the community left and the one joined. So if neither u's
+    community nor any neighbor's has a later stamp than u's, no neighbor
+    has moved and no candidate's ``tot`` has changed: every w_c and tot_c
+    u would compare is the one it compared last time. The candidates are
+    then those of its last scoring, less at most the community it left
+    then, which lost. The largest gain with the lowest label first is a
+    total order, so u would choose its community again, and it is skipped.
+    """
     size = len(adj)
     q_two_m = q * sum(k)
     comm = list(range(size))
     tot = k[:]
     acc = [0] * size  # weight from u to each community; zero between nodes
+    changed = [0] * size
+    scored = [-1] * size
+    moves = 0
     for _ in range(64):  # converges in a handful of passes; cap is defensive
         improved = False
         for u in order:
+            row = adj[u]
+            last = scored[u]
+            if changed[comm[u]] <= last:
+                for v, _w in row:
+                    if changed[comm[v]] > last:
+                        break
+                else:
+                    continue
             a = comm[u]
             ku = k[u]
             tot[a] -= ku
-            row = adj[u]
             for v, w in row:
                 acc[comm[v]] += w
             p_ku = p * ku
@@ -339,7 +413,10 @@ def _local_moving(
                         best_gain, best_c = gain, c
             if best_c != a:
                 comm[u] = best_c
+                moves += 1
+                changed[a] = changed[best_c] = moves
                 improved = True
+            scored[u] = moves
             tot[best_c] += ku
         if not improved:
             break

@@ -44,12 +44,8 @@ class MotifCounts:
         return self.triangles + self.four_cycles + self.three_stars + self.four_stars
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "triangle": self.triangles,
-            "four_cycle": self.four_cycles,
-            "three_star": self.three_stars,
-            "four_star": self.four_stars,
-        }
+        # each count field is its motif name in the plural
+        return {name: getattr(self, f"{name}s") for name in MOTIF_NAMES}
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from math import isfinite
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -155,32 +156,50 @@ def _read_rows(path: str, header: Sequence[str]) -> list[tuple[int, list[str]]]:
 
 
 def _int_field(raw: str, name: str, path: str, line: int) -> int:
-    try:
-        return int(raw.strip())
-    except ValueError:
-        raise ParseError(path, line, f"{name} must be an integer, got {raw!r}") from None
+    # ASCII digits with an optional sign: int() alone would also take
+    # underscores and every Unicode decimal digit.
+    text = raw.strip()
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise ParseError(path, line, f"{name} must be an integer, got {raw!r}")
 
 
 def _year_field(raw: str, name: str, path: str, line: int) -> int:
-    year = _int_field(raw, name, path, line)
-    if not 1000 <= year <= 9999:
-        raise ParseError(path, line, f"{name} must be a 4-digit year, got {raw!r}")
-    return year
+    # Four ASCII digits: four characters that int() reads as 1000 or more
+    # hold neither a sign nor an underscore.
+    text = raw.strip()
+    try:
+        year = int(text)
+    except ValueError:
+        year = 0
+    if 1000 <= year <= 9999 and len(text) == 4 and text.isascii():
+        return year
+    _int_field(raw, name, path, line)  # a non-integer gets the integer message
+    raise ParseError(path, line, f"{name} must be a 4-digit year, got {raw!r}")
 
 
 def _opt_year_field(raw: str, name: str, path: str, line: int) -> int | None:
-    if raw.strip() == "":
+    if not raw or raw.isspace():
         return None
     return _year_field(raw, name, path, line)
 
 
 def _opt_float_field(raw: str, name: str, path: str, line: int) -> float | None:
-    if raw.strip() == "":
+    if not raw or raw.isspace():
         return None
+    # float() alone would also take underscores, non-ASCII digits, nan and inf
+    if not raw.isascii() or "_" in raw:
+        raise ParseError(path, line, f"{name} must be a number, got {raw!r}")
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ParseError(path, line, f"{name} must be a number, got {raw!r}") from None
+    if not isfinite(value):
+        raise ParseError(path, line, f"{name} must be a finite number, got {raw!r}")
+    return value
 
 
 def load_asset_records(

@@ -52,6 +52,18 @@ def random_test_graph(rng: random.Random, n_nodes: int, edge_p: float) -> Graph:
     return Graph(range(n_nodes), edges)
 
 
+def leafy_test_graph(rng: random.Random, n_nodes: int, extra_edges: int) -> Graph:
+    """Sparse random graph on ``n_nodes`` int nodes, rich in degree-one
+    nodes: a random forest, in which a node joins an earlier one with
+    probability 0.9 and otherwise starts a new tree, plus ``extra_edges``
+    random links, which close cycles."""
+    edges = {(rng.randrange(v), v) for v in range(1, n_nodes) if rng.random() < 0.9}
+    for _ in range(extra_edges if n_nodes > 1 else 0):
+        a, b = rng.sample(range(n_nodes), 2)
+        edges.add((min(a, b), max(a, b)))
+    return Graph(range(n_nodes), sorted(edges))
+
+
 def mesh_graph(side: int) -> Graph:
     """Square grid of ``side * side`` int nodes: node ``r * side + c``
     links to its right and lower neighbours."""

@@ -80,6 +80,17 @@ def test_malformed_rows_exit_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("row", ["A,a,1_000,1960,,,", "A,a,220,١٩٦٠,,,", "A,a,220,1960,,nan,", "A,a,220,1960,,,inf"])
+def test_validate_rejects_non_ascii_and_non_finite_fields(tmp_path, capsys, row):
+    (tmp_path / "n.csv").write_text(f"node_id,label,voltage_kv,year_in,year_out,lat,lon\n{row}\n", encoding="utf-8")
+    (tmp_path / "e.csv").write_text("edge_id,node_a,node_b,voltage_kv,circuits,year_in,year_out\n", encoding="utf-8")
+    code = run("validate", "--nodes", str(tmp_path / "n.csv"), "--edges", str(tmp_path / "e.csv"))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    assert "n.csv:2" in captured.err
+
+
 def test_missing_required_inputs_exit_two():
     assert run("panel") == 2
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import random_test_graph, relabeled, string_relabeled
+from helpers import leafy_test_graph, random_test_graph, relabeled, string_relabeled
 from gridpanel import (
     AnnualSnapshot,
     Graph,
@@ -201,7 +201,45 @@ def long_armed_star(arms=5, length=30):
     return Graph(range(1 + arms * length), edges)
 
 
+def star_graph(leaves):
+    return Graph(range(leaves + 1), [(0, i) for i in range(1, leaves + 1)])
+
+
+def caterpillar(spine=40):
+    # A spine path whose node i carries i % 4 leaves.
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    nxt = spine
+    for i in range(spine):
+        for _ in range(i % 4):
+            edges.append((i, nxt))
+            nxt += 1
+    return Graph(range(nxt), edges)
+
+
+def forest_with_pairs():
+    # Five isolated edges (no node of one is a leaf), a 3-star, a 5-path,
+    # three isolated nodes and a star with 74 leaves: 97 nodes.
+    edges = [(2 * i, 2 * i + 1) for i in range(5)]
+    edges += [(10, 11), (10, 12), (10, 13)]
+    edges += [(14 + i, 15 + i) for i in range(4)]
+    edges += [(22, 23 + i) for i in range(74)]
+    return Graph(range(97), edges)
+
+
+def leafy_cycle(size=30):
+    # A cycle whose even nodes each carry two leaves.
+    edges = [(i, (i + 1) % size) for i in range(size)]
+    edges += [(i, size + i + j) for i in range(0, size, 2) for j in (0, 1)]
+    return Graph(range(2 * size), edges)
+
+
 APSP_CASES = {
+    **{f"path{n}": path_graph(n) for n in (2, 3, 4)},
+    **{f"star{k}": star_graph(k) for k in (2, 5, 70)},
+    "caterpillar40": caterpillar(),
+    "forest-pairs": forest_with_pairs(),
+    "leafy-cycle30": leafy_cycle(),
+    "isolated-and-star": Graph(range(9), [(0, 1), (0, 2), (0, 3)]),
     "ring65x2": as_graph(gen_ring_lattice(65, 2)),
     "ring130x4": as_graph(gen_ring_lattice(130, 4)),
     "ring257x2": as_graph(gen_ring_lattice(257, 2)),
@@ -218,7 +256,21 @@ APSP_CASES.update(
     {
         f"{name}-str": string_labelled(APSP_CASES[name], seed)
         for seed, name in enumerate(
-            ("ring130x4", "union", "isolated-first", "mixed-diameters", "star5x30", "er177-s1", "ws177-s1"),
+            (
+                "ring130x4",
+                "union",
+                "isolated-first",
+                "mixed-diameters",
+                "star5x30",
+                "er177-s1",
+                "ws177-s1",
+                "path4",
+                "star70",
+                "caterpillar40",
+                "forest-pairs",
+                "leafy-cycle30",
+                "isolated-and-star",
+            ),
             start=5,
         )
     }
@@ -228,6 +280,13 @@ APSP_CASES.update(
 @pytest.mark.parametrize("graph", APSP_CASES.values(), ids=APSP_CASES.keys())
 def test_path_summary_equals_per_source_bfs_past_word_boundaries(graph):
     assert apsp_summary(graph) == oracles.path_summary_by_bfs(graph)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(min_value=2, max_value=90), st.integers(min_value=0, max_value=6))
+def test_path_summary_equals_per_source_bfs_on_leafy_sparse_graphs(rng, n, extra):
+    g = leafy_test_graph(rng, n, extra)
+    assert apsp_summary(g) == oracles.path_summary_by_bfs(g)
 
 
 # -- clustering --------------------------------------------------------------

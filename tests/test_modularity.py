@@ -3,9 +3,10 @@ import random
 import pytest
 
 import oracles
-from helpers import mesh_graph, random_test_graph, relabeled, string_relabeled
+from helpers import leafy_test_graph, mesh_graph, random_test_graph, relabeled, string_relabeled, synthetic_records
 from gridpanel import (
     Graph,
+    build_panel,
     MetricUndefinedError,
     ParameterError,
     modularity_detect,
@@ -155,8 +156,10 @@ def oracle_graphs():
     rng = random.Random(2008)
     graphs = [random_test_graph(rng, rng.randint(5, 60), rng.uniform(0.04, 0.5)) for _ in range(12)]
     graphs += [ring_lattice(30, 2), ring_lattice(60, 4), ring_lattice(61, 6), mesh_graph(20)]
+    graphs += [leafy_test_graph(rng, rng.randint(5, 90), rng.randint(0, 8)) for _ in range(12)]
     graphs = [g for g in graphs if g.n_edges]
-    return graphs + [string_relabeled(g)[0] for g in graphs]
+    years = [snap.graph for snap in build_panel(synthetic_records()) if snap.graph.n_edges]
+    return graphs + [string_relabeled(g)[0] for g in graphs] + years
 
 
 ORACLE_GRAPHS = oracle_graphs()

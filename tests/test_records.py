@@ -23,6 +23,7 @@ from gridpanel import (
     year_snapshots,
 )
 from gridpanel import records as records_module
+from gridpanel.records import EDGE_HEADER, EVENT_HEADER, NODE_HEADER
 
 
 def small_record_set(**kwargs):
@@ -176,6 +177,49 @@ def test_bad_edge_field_reported_before_bad_event_row(tmp_path):
         load_asset_records(*files)
     assert "e.csv:2" in str(exc.value)
     assert "voltage_kv" in str(exc.value)
+
+
+STRICT_FIELD_CASES = [
+    # (file, field, bad value, message)
+    ("n.csv", "voltage_kv", "1_000", "must be an integer"),
+    ("n.csv", "voltage_kv", "٢٢٠", "must be an integer"),
+    ("n.csv", "year_in", "١٩٦٠", "must be an integer"),
+    ("n.csv", "year_in", "+1960", "must be a 4-digit year"),
+    ("n.csv", "year_out", "01970", "must be a 4-digit year"),
+    ("n.csv", "lat", "nan", "must be a finite number"),
+    ("n.csv", "lon", "inf", "must be a finite number"),
+    ("n.csv", "lon", "-Infinity", "must be a finite number"),
+    ("n.csv", "lat", "4_5.5", "must be a number"),
+    ("n.csv", "lat", "٤٥.٥", "must be a number"),
+    ("e.csv", "voltage_kv", "2_20", "must be an integer"),
+    ("e.csv", "circuits", "١", "must be an integer"),
+    ("e.csv", "year_in", "1_960", "must be an integer"),
+    ("e.csv", "year_out", "１９７０", "must be an integer"),
+    ("ev.csv", "year", "1_970", "must be an integer"),
+]
+
+
+@pytest.mark.parametrize("file,field,value,message", STRICT_FIELD_CASES)
+def test_fields_take_ascii_digits_and_finite_numbers_only(tmp_path, file, field, value, message):
+    rows = {
+        "n.csv": dict(zip(NODE_HEADER, ("A", "a", "220", "1960", "", "45.5", "7.25"))),
+        "e.csv": dict(zip(EDGE_HEADER, ("AB", "A", "B", "220", "1", "1960", ""))),
+        "ev.csv": dict(zip(EVENT_HEADER, ("AB", "1970", "other"))),
+    }
+    rows[file][field] = value
+    nodes = write_lines(tmp_path / "n.csv", [",".join(NODE_HEADER), ",".join(rows["n.csv"].values()), "B,b,220,1960,,,"])
+    edges = write_lines(tmp_path / "e.csv", [",".join(EDGE_HEADER), ",".join(rows["e.csv"].values())])
+    events = write_lines(tmp_path / "ev.csv", [",".join(EVENT_HEADER), ",".join(rows["ev.csv"].values())])
+    with pytest.raises(ParseError) as exc:
+        load_asset_records(nodes, edges, events)
+    assert str(exc.value).startswith(f"{tmp_path / file}:2: {field} {message}, got {value!r}")
+
+
+def test_signed_voltages_still_reach_validation(tmp_path):
+    files = event_fixture(tmp_path, ["AB,A,B,-220,+1,1960,", "BA,B,A, +110 ,1,1961,"], [])
+    records = load_asset_records(*files)
+    assert [(e.voltage_kv, e.circuits) for e in records.edges] == [(-220, 1), (110, 1)]
+    assert "nonpositive_voltage" in validate_records(records).codes()
 
 
 # -- validation ------------------------------------------------------------
