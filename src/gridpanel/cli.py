@@ -2,9 +2,10 @@
 
 Five subcommands: validate, panel, motifs, temporal, baselines. Every
 analysis run writes its documented CSVs plus a manifest into the output
-directory; running the same command with ``--config <manifest>`` again
-reproduces the outputs byte for byte. Exit codes: 0 success, 1 record
-validation failure, 2 I/O or parameter trouble.
+directory, and a failed run writes none; running the same command with
+``--config <manifest>`` again reproduces the outputs byte for byte. Exit
+codes: 0 success, 1 record validation failure, 2 I/O or parameter
+trouble.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import statistics
 import sys
 from dataclasses import fields
+from functools import partial
 from operator import attrgetter
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -28,6 +30,7 @@ from .metrics import METRIC_NAMES, _round_half_up, metric_row
 from .motifs import MOTIF_NAMES, STAR_VARIANTS, motif_counts, motif_shares
 from .records import (
     AssetRecordSet,
+    _ascii_number,
     _year_range_within,
     filter_by_voltage,
     load_asset_records,
@@ -83,6 +86,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     for name, help_text, handler in specs:
         sub = subs.add_parser(name, help=help_text)
+        # Numeric flags read the same ASCII grammar as config values; errors
+        # still name int and float.
+        for kind in (int, float):
+            sub.register("type", kind, partial(_ascii_number, kind))
         _add_common_arguments(sub)
         if name == "baselines":
             sub.add_argument("--replicates", type=int, help="replicates per family (default 50)")
@@ -148,27 +155,29 @@ def _year_snapshots(config: RunConfig) -> Iterator[AnnualSnapshot]:
     return year_snapshots(records, config.year_start, config.year_end, config.voltage_floor_kv)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_format_value(value) for value in row] for row in rows)
-
-
-def _write_manifest(config: RunConfig, command: str) -> str:
-    name = f"{command}_manifest.txt"
+def _write_outputs(config: RunConfig, command: str, tables: dict[str, tuple[Sequence[str], Iterable]]) -> None:
+    """Create the output directory, write each ``name: (header, rows)``
+    table in order as the CSV file ``name``, and write
+    ``<command>_manifest.txt`` last. Commands compute their rows before
+    this call, so a failed run writes no file; lazy rows are formatted as
+    they are written."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        with open(os.path.join(config.out_dir, name), "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_format_value(value) for value in row] for row in rows)
+    path = os.path.join(config.out_dir, f"{command}_manifest.txt")
     text = dump_config(
         config,
         header_lines=(
             f"gridpanel {__version__} run manifest",
             f"command: {command}",
-            f"reproduce with: gridpanel {command} --config {os.path.join(config.out_dir, name)}",
+            f"reproduce with: gridpanel {command} --config {path}",
         ),
     )
-    path = os.path.join(config.out_dir, name)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
-    return path
 
 
 def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
@@ -189,8 +198,6 @@ def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_panel(config: RunConfig, args: argparse.Namespace) -> int:
     rows = [metric_row(snap, gamma=config.gamma, seed=config.seed) for snap in _year_snapshots(config)]
-    os.makedirs(config.out_dir, exist_ok=True)
-
     tidy = []
     wide = []
     for row in rows:
@@ -198,14 +205,15 @@ def cmd_panel(config: RunConfig, args: argparse.Namespace) -> int:
         key = (config.country_tag, row.year, config.voltage_floor_kv)
         tidy.extend(key + (metric, values[metric], row.reasons.get(metric, "")) for metric in sorted(METRIC_NAMES))
         wide.append(key + tuple(values[m] for m in METRIC_NAMES))
-    _write_csv(
-        os.path.join(config.out_dir, "panel_tidy.csv"),
-        ("country", "year", "voltage_floor_kv", "metric", "value", "defined_reason"),
-        tidy,
+    key_header = ("country", "year", "voltage_floor_kv")
+    _write_outputs(
+        config,
+        "panel",
+        {
+            "panel_tidy.csv": (key_header + ("metric", "value", "defined_reason"), tidy),
+            "panel_wide.csv": (key_header + METRIC_NAMES, wide),
+        },
     )
-    wide_header = ("country", "year", "voltage_floor_kv") + METRIC_NAMES
-    _write_csv(os.path.join(config.out_dir, "panel_wide.csv"), wide_header, wide)
-    _write_manifest(config, "panel")
     print(f"wrote panel_tidy.csv, panel_wide.csv for {len(rows)} years to {config.out_dir}")
     return 0
 
@@ -231,13 +239,11 @@ def cmd_motifs(config: RunConfig, args: argparse.Namespace) -> int:
                     config.chordless_only,
                 )
             )
-    os.makedirs(config.out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(config.out_dir, "motifs.csv"),
-        ("country", "year", "motif", "count", "share", "variant", "chordless_only"),
-        out_rows,
+    _write_outputs(
+        config,
+        "motifs",
+        {"motifs.csv": (("country", "year", "motif", "count", "share", "variant", "chordless_only"), out_rows)},
     )
-    _write_manifest(config, "motifs")
     print(f"wrote motifs.csv for {n_years} years to {config.out_dir}")
     return 0
 
@@ -251,7 +257,6 @@ def cmd_temporal(config: RunConfig, args: argparse.Namespace) -> int:
     flagged = underperformers(lifetimes, config.threshold)
     observed = average_lifetime_by_year(lifetimes)
     bounded = average_lifetime_by_year(lifetimes, include_censored=True)
-    os.makedirs(config.out_dir, exist_ok=True)
 
     lifetime_header = (
         "edge_id",
@@ -263,33 +268,37 @@ def cmd_temporal(config: RunConfig, args: argparse.Namespace) -> int:
         "survived_ratio",
     )
     lifetime_row = attrgetter(*(f.name for f in fields(LifetimeRecord)))
-    _write_csv(
-        os.path.join(config.out_dir, "lifetimes.csv"),
-        lifetime_header,
-        map(lifetime_row, lifetimes),
-    )
-    _write_csv(
-        os.path.join(config.out_dir, "underperformers.csv"),
-        lifetime_header,
-        map(lifetime_row, flagged),
-    )
     rate_names = [f.name for f in fields(rates)]
-    _write_csv(
-        os.path.join(config.out_dir, "change_rates.csv"),
-        ["year"] + rate_names[1:],
-        (row for row in zip(*(getattr(rates, name) for name in rate_names)) if start <= row[0] <= end),
+    _write_outputs(
+        config,
+        "temporal",
+        {
+            "lifetimes.csv": (lifetime_header, map(lifetime_row, lifetimes)),
+            "underperformers.csv": (lifetime_header, map(lifetime_row, flagged)),
+            "change_rates.csv": (
+                ["year"] + rate_names[1:],
+                (row for row in zip(*(getattr(rates, name) for name in rate_names)) if start <= row[0] <= end),
+            ),
+            "avg_lifetime_by_year.csv": (
+                ("year", "mean_lifetime", "mean_lifetime_with_censored"),
+                ((year, observed[year], bounded[year]) for year in sorted(observed)),
+            ),
+        },
     )
-    _write_csv(
-        os.path.join(config.out_dir, "avg_lifetime_by_year.csv"),
-        ("year", "mean_lifetime", "mean_lifetime_with_censored"),
-        ((year, observed[year], bounded[year]) for year in sorted(observed)),
-    )
-    _write_manifest(config, "temporal")
     print(
         f"wrote lifetimes.csv ({len(lifetimes)} lines), change_rates.csv, "
         f"avg_lifetime_by_year.csv, underperformers.csv ({len(flagged)} flagged) to {config.out_dir}"
     )
     return 0
+
+
+def _replicate_rows(ensembles: dict) -> Iterator[tuple]:
+    # (family, replicate, metric, value): families in FAMILIES order, then
+    # replicates in order, then metrics by name.
+    for family in FAMILIES:
+        for replicate, row in enumerate(ensembles[family].rows):
+            for metric in sorted(row):
+                yield family, replicate, metric, row[metric]
 
 
 def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
@@ -299,22 +308,17 @@ def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
     ensembles = efficiency_comparison(
         mean_nodes, mean_edges, config.replicates, config.seed, rewiring_p=config.rewiring_p
     )
-    os.makedirs(config.out_dir, exist_ok=True)
-
-    rows = []
-    summary = []
-    for family in FAMILIES:
-        ensemble = ensembles[family]
-        for replicate, row in enumerate(ensemble.rows):
-            for metric in sorted(row):
-                rows.append((family, replicate, metric, row[metric]))
-        for metric in sorted(ensemble.mean):
-            summary.append((family, metric, ensemble.mean[metric], ensemble.std[metric]))
+    summary = [
+        (family, metric, ensembles[family].mean[metric], ensembles[family].std[metric])
+        for family in FAMILIES
+        for metric in sorted(ensembles[family].mean)
+    ]
     by_efficiency = sorted(FAMILIES, key=lambda f: ensembles[f].mean["efficiency"], reverse=True)
     summary.append(("ordering", "efficiency", ">".join(by_efficiency), None))
-
-    _write_csv(os.path.join(config.out_dir, "baselines.csv"), ("family", "replicate", "metric", "value"), rows)
-    _write_csv(os.path.join(config.out_dir, "baselines_summary.csv"), ("family", "metric", "mean", "std"), summary)
+    tables = {
+        "baselines.csv": (("family", "replicate", "metric", "value"), _replicate_rows(ensembles)),
+        "baselines_summary.csv": (("family", "metric", "mean", "std"), summary),
+    }
 
     if config.per_year:
         per_year_rows = []
@@ -325,17 +329,10 @@ def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
                 )
             except ParameterError:
                 continue  # years too small to host a matched lattice
-            for family in FAMILIES:
-                for replicate, row in enumerate(yearly[family].rows):
-                    for metric in sorted(row):
-                        per_year_rows.append((year, family, replicate, metric, row[metric]))
-        _write_csv(
-            os.path.join(config.out_dir, "baselines_per_year.csv"),
-            ("year", "family", "replicate", "metric", "value"),
-            per_year_rows,
-        )
+            per_year_rows.extend((year,) + row for row in _replicate_rows(yearly))
+        tables["baselines_per_year.csv"] = (("year", "family", "replicate", "metric", "value"), per_year_rows)
 
-    _write_manifest(config, "baselines")
+    _write_outputs(config, "baselines", tables)
     lattice_edges = ensembles["ring_lattice"].achieved_edges
     note = "" if lattice_edges == mean_edges else f" (lattice families achieve {lattice_edges})"
     print(

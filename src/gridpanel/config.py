@@ -14,6 +14,7 @@ from typing import Any
 
 from .errors import ParameterError
 from .motifs import STAR_VARIANTS
+from .records import _ascii_number
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,9 @@ def _parse_value(key: str, raw: str, source: str, line: int) -> Any:
         return None
     try:
         if kind.startswith("int"):
-            return int(raw)
+            return _ascii_number(int, raw)
         if kind.startswith("float"):
-            return float(raw)
+            return _ascii_number(float, raw)
         if kind.startswith("bool"):
             if raw not in ("true", "false"):
                 raise ValueError

@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import islice
 from math import isfinite
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     IntervalError,
@@ -155,16 +155,21 @@ def _read_rows(path: str, header: Sequence[str]) -> list[tuple[int, list[str]]]:
     return rows
 
 
-def _int_field(raw: str, name: str, path: str, line: int) -> int:
-    # ASCII digits with an optional sign: int() alone would also take
-    # underscores and every Unicode decimal digit.
-    text = raw.strip()
+def _ascii_number(kind: Callable[[str], Any], text: str) -> Any:
+    # int(text) or float(text) over ASCII text without underscores, which
+    # int() and float() alone would take, or a ValueError: the one number
+    # grammar of record fields, config values and flags. nan and inf parse.
     if text.isascii() and "_" not in text:
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    raise ParseError(path, line, f"{name} must be an integer, got {raw!r}")
+        return kind(text)
+    raise ValueError(f"not an ASCII {kind.__name__}: {text!r}")
+
+
+def _int_field(raw: str, name: str, path: str, line: int) -> int:
+    # An optional sign and ASCII digits.
+    try:
+        return _ascii_number(int, raw.strip())
+    except ValueError:
+        raise ParseError(path, line, f"{name} must be an integer, got {raw!r}") from None
 
 
 def _year_field(raw: str, name: str, path: str, line: int) -> int:
@@ -190,11 +195,8 @@ def _opt_year_field(raw: str, name: str, path: str, line: int) -> int | None:
 def _opt_float_field(raw: str, name: str, path: str, line: int) -> float | None:
     if not raw or raw.isspace():
         return None
-    # float() alone would also take underscores, non-ASCII digits, nan and inf
-    if not raw.isascii() or "_" in raw:
-        raise ParseError(path, line, f"{name} must be a number, got {raw!r}")
     try:
-        value = float(raw)
+        value = _ascii_number(float, raw)
     except ValueError:
         raise ParseError(path, line, f"{name} must be a number, got {raw!r}") from None
     if not isfinite(value):
@@ -504,9 +506,10 @@ def year_snapshots(
     The range defaults to the dataset span and is checked on the call.
     The records are read once: births and deaths are grouped by year and
     the years are walked once, keeping for each station its live record
-    count and the far ends of its live circuit records. Each year's graph
-    is the previous year's with only the rows of stations whose
-    neighbourhood changed rebuilt.
+    count and the far ends of its live circuit records. Every year's
+    graph, the first one too, is the previous year's with only the rows
+    of stations whose neighbourhood changed rebuilt; the first year is
+    built this way from the empty graph.
     """
     start, end = _year_range_within(records, start, end)
     return _sweep(filter_by_voltage(records, voltage_floor_kv), start, end, voltage_floor_kv)
@@ -532,7 +535,7 @@ def _sweep(scoped: AssetRecordSet, start: int, end: int, voltage_floor_kv: int) 
     edge_enter, edge_leave = _lives(scoped.edges, start, end)
     alive: dict = {}  # station -> its live node records
     partners: dict = {}  # station -> the other end of each live edge record on it
-    graph = None
+    nodes, index, rows = (), {}, ()
     for year in range(start, end + 1):
         # Entries go first: what leaves in a year entered earlier, so a
         # count never drops to zero and comes back within the year.
@@ -568,16 +571,10 @@ def _sweep(scoped: AssetRecordSet, start: int, end: int, voltage_floor_kv: int) 
             if b not in partners[a]:
                 touched.add(a)
                 touched.add(b)
-        if graph is None:
-            graph = Graph(alive, [(a, b) for a, near in partners.items() if a in alive for b in near if b in alive])
-            nodes, rows = graph.nodes, graph.neighbor_rows()
-            index = {v: i for i, v in enumerate(nodes)}
-        else:
-            for v in flipped:
-                touched.update(partners.get(v, ()))
-            nodes, index, rows = _next_rows(nodes, index, rows, alive, partners, flipped, touched)
-            graph = _from_rows(nodes, index, rows)
-        yield AnnualSnapshot(year=year, voltage_floor_kv=voltage_floor_kv, graph=graph)
+        for v in flipped:
+            touched.update(partners.get(v, ()))
+        nodes, index, rows = _next_rows(nodes, index, rows, alive, partners, flipped, touched)
+        yield AnnualSnapshot(year=year, voltage_floor_kv=voltage_floor_kv, graph=_from_rows(nodes, index, rows))
 
 
 def _next_rows(

@@ -5,7 +5,7 @@ import shutil
 import pytest
 
 from helpers import tree_bytes, write_fixture_csvs
-from gridpanel import cli, records
+from gridpanel import GridPanelError, cli, records
 from gridpanel.cli import main
 
 
@@ -299,6 +299,27 @@ def test_baselines_manifest_replays_its_flags(workspace):
     assert "per_year = false\n" in (out / "baselines_manifest.txt").read_text(encoding="utf-8")
 
 
+def test_a_failed_baselines_run_writes_no_file(workspace, capsys, monkeypatch):
+    tmp_path, paths = workspace
+    calls = []
+    averaged = cli.efficiency_comparison
+
+    def failing_per_year(*args, **kwargs):
+        # The first call builds the averaged ensemble; the next is per year.
+        calls.append(args)
+        if len(calls) > 1:
+            raise GridPanelError("per-year ensemble failed")
+        return averaged(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "efficiency_comparison", failing_per_year)
+    out = tmp_path / "out"
+    code = run("baselines", *base_args(paths, out), "--voltage-floor", "0", "--replicates", "2", "--per-year")
+    assert code == 2
+    assert len(calls) == 2
+    assert "per-year ensemble failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- common ------------------------------------------------------------------
 
 
@@ -433,6 +454,41 @@ def test_out_of_range_run_parameters_exit_two_for_every_command(workspace, capsy
             assert run(command, *argv) == 2, (command, source)
             assert not out.exists(), (command, source)
             assert key in capsys.readouterr().err, (command, source)
+
+
+@pytest.mark.parametrize(
+    "key,flag,value",
+    [
+        ("seed", "--seed", "1_0"),
+        ("year_start", "--year-start", "\u0661\u0669\u0667\u0660"),  # 1970 in Arabic-Indic digits
+        ("voltage_floor_kv", "--voltage-floor", "2_20"),
+        ("gamma", "--gamma", "1_0.5"),
+        ("gamma", "--gamma", "\u0661.\u0665"),
+        ("window", "--window", "\u0663"),
+        ("replicates", "--replicates", "1_0"),
+        ("rewiring_p", "--rewiring-p", "0.1_0"),
+    ],
+)
+def test_numbers_outside_the_ascii_grammar_exit_two_for_every_command(workspace, capsys, key, flag, value):
+    tmp_path, paths = workspace
+    for command in ("validate", "panel", "motifs", "temporal", "baselines"):
+        out = tmp_path / f"{command}_out"
+        cfg = tmp_path / "grammar.cfg"
+        cfg.write_text(
+            f"node_file = {paths['nodes']}\nedge_file = {paths['edges']}\n"
+            f"event_file = {paths['events']}\n{key} = {value}\nout_dir = {out}\n",
+            encoding="utf-8",
+        )
+        assert run(command, "--config", str(cfg)) == 2, command
+        assert not out.exists(), command
+        assert f"bad value for {key}" in capsys.readouterr().err, command
+        # --replicates and --rewiring-p exist only on baselines.
+        if command == "baselines" or key not in ("replicates", "rewiring_p"):
+            with pytest.raises(SystemExit) as exc:
+                run(command, *base_args(paths, out), flag, value)
+            assert exc.value.code == 2, command
+            assert not out.exists(), command
+            assert f"argument {flag}: invalid" in capsys.readouterr().err, command
 
 
 COMMAND_ARGS = {

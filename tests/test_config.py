@@ -85,6 +85,10 @@ def test_bad_values_rejected():
         "gamma = nan\n",
         "gamma = inf\n",
         "gamma = -inf\n",
+        "seed = 1_000\n",
+        "year_start = \u0661\u0669\u0667\u0660\n",  # 1970 in Arabic-Indic digits
+        "gamma = 1_0.5\n",
+        "gamma = \u0661.\u0665\n",
         "chordless_only = yes\n",
         "variant = maximal\n",
     ):

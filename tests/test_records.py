@@ -562,9 +562,16 @@ def sweep_ranges(records):
     return [(first, last), (first + 3, last - 2), (first + 5, first + 5), (last, last)]
 
 
+def early_start_records():
+    """:func:`out_of_order_records` over a span pinned to start before
+    every record, so that the first swept year is empty."""
+    records = out_of_order_records()
+    return build_record_set(records.nodes, records.edges, dataset_start=1945, dataset_end=records.dataset_end)
+
+
 @pytest.mark.parametrize("floor", [0, 220, 380])
 def test_sweep_equals_snapshot_at_every_year(country_records, planted_records, floor):
-    for records in (country_records, planted_records, out_of_order_records()):
+    for records in (country_records, planted_records, out_of_order_records(), early_start_records()):
         for start, end in sweep_ranges(records):
             assert_sweep_matches_snapshots(records, start, end, floor)
 
@@ -653,6 +660,9 @@ def test_sweep_rejects_a_self_loop_in_the_year_it_appears():
         snapshot_at(records, 1952)
     with pytest.raises(ValueError, match="self-loop"):
         next(swept)
+    # The first swept year is built the same way as every later one.
+    with pytest.raises(ValueError, match="self-loop at node 'A'"):
+        next(year_snapshots(records, 1953, 1955))
 
 
 def test_sweep_reads_the_filter_rule_from_filter_by_voltage(monkeypatch, country_records):
