@@ -42,7 +42,20 @@ class YearRangeError(GridPanelError):
 
 
 class MetricUndefinedError(GridPanelError):
-    """The requested quantity has no value on this input."""
+    """The requested quantity has no value on this input.
+
+    ``reason`` is the short code that ``panel_tidy.csv`` writes in its
+    ``defined_reason`` column for every metric the raising kernel feeds;
+    ``str(exc)`` is the message alone.
+    """
+
+    def __init__(self, message: str, reason: str) -> None:
+        self.reason = reason
+        super().__init__(message)
+
+    def __reduce__(self):
+        # the default rebuilds from args, which hold the message alone
+        return type(self), (str(self), self.reason)
 
 
 class ParameterError(GridPanelError):

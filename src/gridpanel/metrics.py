@@ -18,7 +18,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import MetricUndefinedError, ParameterError
 from .graph import AnnualSnapshot, Graph, as_graph, ring_lattice
@@ -119,7 +119,7 @@ def link_density(g: Graph | AnnualSnapshot) -> float:
     graph = as_graph(g)
     n = graph.n_nodes
     if n < 2:
-        raise MetricUndefinedError("link density needs at least two nodes")
+        raise MetricUndefinedError("link density needs at least two nodes", "too_few_nodes")
     return 2 * graph.n_edges / (n * (n - 1))
 
 
@@ -127,7 +127,7 @@ def average_degree(g: Graph | AnnualSnapshot) -> float:
     """Mean node degree: ``2E / N``."""
     graph = as_graph(g)
     if graph.n_nodes == 0:
-        raise MetricUndefinedError("average degree needs at least one node")
+        raise MetricUndefinedError("average degree needs at least one node", "empty_graph")
     return 2 * graph.n_edges / graph.n_nodes
 
 
@@ -179,7 +179,7 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
     graph = as_graph(g)
     n = graph.n_nodes
     if n < 2:
-        raise MetricUndefinedError("path summary needs at least two nodes")
+        raise MetricUndefinedError("path summary needs at least two nodes", "too_few_nodes")
     rows = graph.neighbor_rows()
     unseen = _component_masks(rows)
     leaf = [len(row) == 1 and len(rows[row[0]]) > 1 for row in rows]
@@ -288,7 +288,7 @@ def clustering_coefficient(g: Graph | AnnualSnapshot, *, skip_low_degree: bool =
     graph = as_graph(g)
     n = graph.n_nodes
     if n == 0:
-        raise MetricUndefinedError("clustering needs at least one node")
+        raise MetricUndefinedError("clustering needs at least one node", "empty_graph")
     sets = graph.neighbor_sets()
     linked_by_degree: dict[int, int] = {}
     eligible = 0
@@ -321,7 +321,7 @@ def modularity_of(
     _check_gamma(gamma)
     graph = as_graph(g)
     if graph.n_edges == 0:
-        raise MetricUndefinedError("modularity needs at least one edge")
+        raise MetricUndefinedError("modularity needs at least one edge", "no_edges")
     missing = [v for v in graph.nodes if v not in assignment]
     if missing:
         raise ParameterError(f"assignment misses {len(missing)} nodes, e.g. {missing[0]!r}")
@@ -440,7 +440,7 @@ def modularity_detect(
     _check_gamma(gamma)
     graph = as_graph(g)
     if graph.n_edges == 0:
-        raise MetricUndefinedError("community detection needs at least one edge")
+        raise MetricUndefinedError("community detection needs at least one edge", "no_edges")
     n = graph.n_nodes
     p, q = Fraction(gamma).as_integer_ratio()
     # Level nodes are 0..size-1: adj[u] holds (v, weight) for v != u, and
@@ -512,9 +512,9 @@ def random_baselines(n_nodes: int, avg_degree: float) -> RandomBaselines:
     Defined for at least two nodes and average degree above one.
     """
     if n_nodes < 2:
-        raise MetricUndefinedError("random-graph baselines need at least two nodes")
+        raise MetricUndefinedError("random-graph baselines need at least two nodes", "too_few_nodes")
     if avg_degree <= 1.0:
-        raise MetricUndefinedError("random-graph baselines need average degree above one")
+        raise MetricUndefinedError("random-graph baselines need average degree above one", "avg_degree_not_above_one")
     c_r = avg_degree / n_nodes
     l_r = (math.log(n_nodes) - RANDOM_PATH_CONSTANT) / math.log(avg_degree) + 0.5
     return RandomBaselines(c_r, l_r)
@@ -533,7 +533,7 @@ def lattice_clustering(n_nodes: int, avg_degree: float) -> float:
     :func:`clustering_coefficient` rather than approximated.
     """
     if n_nodes < 3:
-        raise MetricUndefinedError("lattice reference needs at least three nodes")
+        raise MetricUndefinedError("lattice reference needs at least three nodes", "too_few_nodes")
     m = max(2, 2 * _round_half_up(avg_degree / 2))
     m_max = n_nodes - 1 if n_nodes % 2 else n_nodes - 2
     return clustering_coefficient(ring_lattice(n_nodes, min(m, m_max)))
@@ -551,7 +551,7 @@ def small_world_sigma(g: Graph | AnnualSnapshot) -> float:
 
 def _sigma(paths: PathSummary, c: float, base: RandomBaselines) -> float:
     if paths.avg_path_length is None:
-        raise MetricUndefinedError("sigma needs at least one reachable pair")
+        raise MetricUndefinedError("sigma needs at least one reachable pair", "no_reachable_pairs")
     return (c / base.clustering_random) / (paths.avg_path_length / base.path_length_random)
 
 
@@ -576,10 +576,10 @@ def small_world_omega(g: Graph | AnnualSnapshot) -> Omega:
 
 def _omega(paths: PathSummary, c: float, c_lattice: float, base: RandomBaselines) -> Omega:
     if paths.avg_path_length is None:
-        raise MetricUndefinedError("omega needs at least one reachable pair")
+        raise MetricUndefinedError("omega needs at least one reachable pair", "no_reachable_pairs")
     if c_lattice == 0.0:
         if c > 0.0:
-            raise MetricUndefinedError("matched lattice clustering is zero, cannot normalize")
+            raise MetricUndefinedError("matched lattice clustering is zero, cannot normalize", "lattice_clustering_zero")
         ratio = 0.0
     else:
         ratio = c / c_lattice
@@ -598,75 +598,54 @@ def omega_class(omega_value: float, band: float = OMEGA_BAND) -> str:
 
 
 def metric_row(snapshot: AnnualSnapshot, gamma: float = 1.0, seed: int = 42) -> MetricRow:
-    """Evaluate every metric on one snapshot, recording why any is None."""
+    """Evaluate every metric on one snapshot, recording why any is None.
+
+    Each kernel owns its undefined rule: when it raises
+    ``MetricUndefinedError``, every metric it feeds is None with the
+    error's ``reason``. Sigma and omega take the reason of their first
+    undefined input, the random baselines before the paths before the
+    lattice, and are computed only when all their inputs are defined.
+    """
     graph = snapshot.graph
-    n, e = graph.n_nodes, graph.n_edges
-    reasons: dict[str, str] = {}
-    values: dict[str, float | int | None] = {name: None for name in METRIC_NAMES}
+    n = graph.n_nodes
+    values: dict[str, float | int | None] = dict.fromkeys(METRIC_NAMES)
     values["n_nodes"] = n
-    values["n_edges"] = e
-
-    def undefined(reason: str, *names: str) -> None:
-        for name in names:
-            reasons[name] = reason
-
+    values["n_edges"] = graph.n_edges
+    reasons: dict[str, str] = {}
     if n == 0:
-        undefined("empty_graph", *[m for m in METRIC_NAMES if m not in ("n_nodes", "n_edges")])
+        # Every metric but the counts is empty_graph here, although density
+        # would say too_few_nodes and Louvain no_edges.
+        reasons.update((m, "empty_graph") for m in METRIC_NAMES if m not in ("n_nodes", "n_edges"))
         return MetricRow(year=snapshot.year, reasons=reasons, **values)
 
-    values["avg_degree"] = k = average_degree(graph)
-    values["clustering"] = c = clustering_coefficient(graph)
+    def fill(names: tuple[str, ...], kernel: Callable[..., Any], *args: Any, needs: tuple[str, ...] = ()) -> Any:
+        # Store kernel(*args) under names and return it. If a metric in
+        # needs is undefined, or the kernel raises, store that reason.
+        for need in needs:
+            if need in reasons:
+                reasons.update(dict.fromkeys(names, reasons[need]))
+                return None
+        try:
+            result = kernel(*args)
+        except MetricUndefinedError as exc:
+            reasons.update(dict.fromkeys(names, exc.reason))
+            return None
+        values.update(zip(names, result if len(names) > 1 else (result,)))
+        return result
 
-    if e == 0:
-        undefined("no_edges", "modularity")
-    else:
-        values["modularity"] = modularity_detect(graph, gamma, seed).modularity
-
-    if n < 2:
-        undefined(
-            "too_few_nodes",
-            "density",
-            "avg_path_length",
-            "diameter",
-            "efficiency",
-            "reachable_pair_fraction",
-        )
-    else:
-        values["density"] = link_density(graph)
-        paths = apsp_summary(graph)
-        values["efficiency"] = paths.efficiency
-        values["reachable_pair_fraction"] = paths.reachable_pair_fraction
-        if paths.avg_path_length is None:
-            undefined("no_reachable_pairs", "avg_path_length", "diameter")
-        else:
-            values["avg_path_length"] = paths.avg_path_length
-            values["diameter"] = paths.diameter
-
-    if n < 3:
-        undefined("too_few_nodes", "clustering_lattice")
-    else:
-        values["clustering_lattice"] = lattice_clustering(n, k)
-
-    if n < 2:
-        undefined("too_few_nodes", "clustering_random", "path_length_random", "sigma", "omega", "omega_raw")
-        return MetricRow(year=snapshot.year, reasons=reasons, **values)
-    if k <= 1.0:
-        undefined("avg_degree_not_above_one", "clustering_random", "path_length_random", "sigma", "omega", "omega_raw")
-        return MetricRow(year=snapshot.year, reasons=reasons, **values)
-
-    base = random_baselines(n, k)
-    values["clustering_random"] = base.clustering_random
-    values["path_length_random"] = base.path_length_random
-
-    # Average degree above one needs an edge and, with at most one edge
-    # between two nodes, at least three nodes: paths and the lattice
-    # reference are both set here, and a pair is reachable.
-    values["sigma"] = _sigma(paths, c, base)
-    try:
-        values["omega"], values["omega_raw"] = _omega(paths, c, values["clustering_lattice"], base)
-    except MetricUndefinedError:
-        undefined("lattice_clustering_zero", "omega", "omega_raw")
-
+    k = values["avg_degree"] = average_degree(graph)
+    c = values["clustering"] = clustering_coefficient(graph)
+    fill(("modularity",), lambda: modularity_detect(graph, gamma, seed).modularity)
+    fill(("density",), link_density, graph)
+    paths = fill(PathSummary._fields, apsp_summary, graph)
+    if paths is not None and paths.avg_path_length is None:
+        reasons.update(dict.fromkeys(("avg_path_length", "diameter"), "no_reachable_pairs"))
+    lattice = fill(("clustering_lattice",), lattice_clustering, n, k)
+    base = fill(RandomBaselines._fields, random_baselines, n, k)
+    # efficiency is undefined exactly when apsp_summary raised
+    needs = ("clustering_random", "efficiency")
+    fill(("sigma",), _sigma, paths, c, base, needs=needs)
+    fill(("omega", "omega_raw"), _omega, paths, c, lattice, base, needs=needs + ("clustering_lattice",))
     return MetricRow(year=snapshot.year, reasons=reasons, **values)
 
 
