@@ -40,6 +40,14 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
+        # A config file holds one value per line and strips it, so only
+        # such text reads back from a manifest as it was given.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
+                raise ParameterError(
+                    f"{field.name} must not start or end with whitespace or hold a line break, got {value!r}"
+                )
         # Checked for every command, not only where Louvain runs, so a
         # manifest never records a gamma no run could use.
         if not isfinite(self.gamma):

@@ -318,7 +318,7 @@ def modularity_of(
     independent of community iteration order; the all-in-one partition
     yields exactly 0.0 at gamma 1.
     """
-    _check_gamma(gamma)
+    _check_finite("gamma", gamma)
     graph = as_graph(g)
     if graph.n_edges == 0:
         raise MetricUndefinedError("modularity needs at least one edge", "no_edges")
@@ -344,9 +344,9 @@ def _modularity(internal: Iterable[int], degree_sums: Iterable[int], two_m: int,
     return float(Fraction(q * two_m * sum(internal) - p * sum(t * t for t in degree_sums), q * two_m * two_m))
 
 
-def _check_gamma(gamma: float) -> None:
-    if not math.isfinite(gamma):
-        raise ParameterError(f"gamma must be a finite number, got {gamma!r}")
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be a finite number, got {value!r}")
 
 
 def _local_moving(
@@ -437,7 +437,7 @@ def modularity_detect(
     community label, so a given (graph, gamma, seed) always yields the
     same partition. Each level makes at most 64 passes.
     """
-    _check_gamma(gamma)
+    _check_finite("gamma", gamma)
     graph = as_graph(g)
     if graph.n_edges == 0:
         raise MetricUndefinedError("community detection needs at least one edge", "no_edges")
@@ -511,6 +511,7 @@ def random_baselines(n_nodes: int, avg_degree: float) -> RandomBaselines:
     Clustering: ``k / N``. Path length: ``(ln N - 0.5772) / ln k + 0.5``.
     Defined for at least two nodes and average degree above one.
     """
+    _check_finite("avg_degree", avg_degree)
     if n_nodes < 2:
         raise MetricUndefinedError("random-graph baselines need at least two nodes", "too_few_nodes")
     if avg_degree <= 1.0:
@@ -532,6 +533,7 @@ def lattice_clustering(n_nodes: int, avg_degree: float) -> float:
     can host. The lattice is built explicitly and measured with
     :func:`clustering_coefficient` rather than approximated.
     """
+    _check_finite("avg_degree", avg_degree)
     if n_nodes < 3:
         raise MetricUndefinedError("lattice reference needs at least three nodes", "too_few_nodes")
     m = max(2, 2 * _round_half_up(avg_degree / 2))

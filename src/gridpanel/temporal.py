@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParameterError, YearRangeError
-from .records import MAJOR_CHANGE_KINDS, AssetRecordSet
+from .records import EVENT_KINDS, MAJOR_CHANGE_KINDS, AssetRecordSet
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,15 @@ def line_lifetimes(
     """Lifetime records for every edge, sorted by commissioning year.
 
     ``change_kinds`` widens or narrows which event kinds end a lifetime;
-    decommissioning (via ``year_out``) always does.
+    decommissioning (via ``year_out``) always does. Each must be one of
+    ``EVENT_KINDS``, so a typo or a bare string raises ``ParameterError``.
     """
     kinds = frozenset(change_kinds)
+    unknown = kinds.difference(EVENT_KINDS)
+    if unknown:
+        raise ParameterError(
+            f"change kinds must be among {', '.join(EVENT_KINDS)}; got {', '.join(sorted(map(repr, unknown)))}"
+        )
     out = []
     for rec in records.edges:
         candidates = [ev.year for ev in rec.events if ev.kind in kinds]

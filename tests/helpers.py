@@ -6,11 +6,14 @@ import csv
 import os
 import random
 
+import pytest
+
 from gridpanel import (
     AssetRecordSet,
     ChangeEvent,
     EdgeRecord,
     Graph,
+    MetricUndefinedError,
     NodeRecord,
     build_record_set,
 )
@@ -88,6 +91,13 @@ def string_relabeled(graph: Graph) -> tuple[Graph, dict]:
     modulus, width = (97, 2) if max(graph.nodes, default=0) < 97 else (997, 3)
     mapping = {v: f"n{(37 * v + 3) % modulus:0{width}d}" for v in graph.nodes}
     return Graph(mapping.values(), [(mapping[u], mapping[v]) for u, v in graph.edges()]), mapping
+
+
+def undefined_reason(kernel, *args):
+    """The reason code of the MetricUndefinedError that kernel(*args) raises."""
+    with pytest.raises(MetricUndefinedError) as info:
+        kernel(*args)
+    return info.value.reason
 
 
 def synthetic_records(seed=7, start=1950, n_years=55, country="testland") -> AssetRecordSet:

@@ -11,11 +11,12 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb, inf
+from math import comb, floor, inf
 
 import numpy as np
 
 from gridpanel import Graph
+from gridpanel.metrics import METRIC_NAMES
 
 
 def index_of(graph) -> dict:
@@ -142,6 +143,45 @@ def clustering_by_node_fractions(graph, skip_low_degree=False) -> float:
     if skip_low_degree:
         return float(total / eligible) if eligible else 0.0
     return float(total / graph.n_nodes)
+
+
+def reasons_by_rule(graph) -> dict[str, str]:
+    """The reason code of every undefined metric in a ``metric_row``, from
+    one chain of tests on node and edge counts, average degree and
+    clustering, where the package reads each code from the kernel that
+    raised it.
+
+    Without an edge no pair is reachable. With average degree above one
+    there is an edge and there are at least three nodes, so only the
+    lattice clustering can still leave omega undefined.
+    """
+    n, e = graph.n_nodes, graph.n_edges
+    if n == 0:
+        return {name: "empty_graph" for name in METRIC_NAMES if name not in ("n_nodes", "n_edges")}
+    reasons = {}
+    if e == 0:
+        reasons["modularity"] = "no_edges"
+    if n < 2:
+        for name in ("density", "avg_path_length", "diameter", "efficiency", "reachable_pair_fraction"):
+            reasons[name] = "too_few_nodes"
+    elif e == 0:
+        reasons["avg_path_length"] = reasons["diameter"] = "no_reachable_pairs"
+    if n < 3:
+        reasons["clustering_lattice"] = "too_few_nodes"
+    small_world = ("clustering_random", "path_length_random", "sigma", "omega", "omega_raw")
+    avg_degree = Fraction(2 * e, n)
+    if n < 2:
+        reasons.update(dict.fromkeys(small_world, "too_few_nodes"))
+    elif avg_degree <= 1:
+        reasons.update(dict.fromkeys(small_world, "avg_degree_not_above_one"))
+    else:
+        # ring lattice with the even coordination nearest the average
+        # degree (halves round up), at least 2, at most what n can host
+        m = min(max(2, 2 * floor(avg_degree / 2 + Fraction(1, 2))), n - 1 if n % 2 else n - 2)
+        ring = Graph(range(n), [(i, (i + j) % n) for i in range(n) for j in range(1, m // 2 + 1)])
+        if clustering(ring) == 0 and clustering(graph) > 0:
+            reasons["omega"] = reasons["omega_raw"] = "lattice_clustering_zero"
+    return reasons
 
 
 def modularity_pairwise(graph, assignment, gamma=1.0) -> float:

@@ -423,6 +423,16 @@ def test_negative_voltage_floor_exits_two_for_every_command(workspace, capsys, s
         assert "voltage_floor_kv" in capsys.readouterr().err, command
 
 
+@pytest.mark.parametrize("value", [" hu", "hu ", "h\nu"])
+def test_country_tag_a_manifest_cannot_carry_exits_two(workspace, capsys, value):
+    # A rerun from the manifest would read the tag stripped, or not at all.
+    tmp_path, paths = workspace
+    out = tmp_path / "motifs_out"
+    assert run("motifs", *base_args(paths, out), "--country-tag", value) == 2
+    assert not out.exists()
+    assert "country_tag" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "key,flag,value",
     [

@@ -166,6 +166,33 @@ def test_out_of_range_run_parameters_rejected(key, value):
         apply_overrides(RunConfig(), **{key: value})
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("country_tag", " hu"),
+        ("country_tag", "hu\t"),
+        ("country_tag", "a\nb"),
+        ("country_tag", "a\rb"),
+        ("country_tag", "a\u2028b"),
+        ("out_dir", "out\n"),
+        ("node_file", " nodes.csv"),
+        ("variant", "subgraph "),
+    ],
+)
+def test_string_values_a_manifest_cannot_carry_rejected(key, value):
+    # parse_config_text strips each value and splits the text into lines,
+    # so a rerun from the manifest would read a different value or fail.
+    with pytest.raises(ParameterError, match=key):
+        RunConfig(**{key: value})
+    with pytest.raises(ParameterError, match=key):
+        apply_overrides(RunConfig(), **{key: value})
+
+
+def test_inner_spaces_survive_a_manifest():
+    cfg = RunConfig(country_tag="north hu", out_dir="runs/a b")
+    assert parse_config_text(dump_config(cfg, header_lines=("x",)), source="inline") == cfg
+
+
 def test_run_parameter_range_edges_accepted():
     cfg = RunConfig(replicates=1, rewiring_p=0.0, window=1, threshold=0.001)
     assert parse_config_text(dump_config(cfg), source="edges") == cfg

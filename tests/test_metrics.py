@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import leafy_test_graph, random_test_graph, relabeled, string_relabeled
+from helpers import leafy_test_graph, random_test_graph, relabeled, string_relabeled, undefined_reason
 from gridpanel import (
     AnnualSnapshot,
     Graph,
@@ -32,7 +34,7 @@ from gridpanel import (
     small_world_omega,
     small_world_sigma,
 )
-from gridpanel.metrics import METRIC_NAMES
+from gridpanel.metrics import METRIC_NAMES, PathSummary, RandomBaselines, _omega, _sigma
 
 
 def path_graph(n):
@@ -74,8 +76,8 @@ def test_density_sparse_panel_value():
 
 
 def test_density_needs_two_nodes():
-    with pytest.raises(MetricUndefinedError):
-        link_density(Graph([0], []))
+    assert undefined_reason(link_density, Graph([0], [])) == "too_few_nodes"
+    assert undefined_reason(link_density, Graph([], [])) == "too_few_nodes"
 
 
 def test_average_degree_star():
@@ -88,8 +90,18 @@ def test_average_degree_single_node():
 
 
 def test_average_degree_empty_graph_undefined():
-    with pytest.raises(MetricUndefinedError):
-        average_degree(Graph([], []))
+    assert undefined_reason(average_degree, Graph([], [])) == "empty_graph"
+
+
+def test_clustering_empty_graph_undefined():
+    assert undefined_reason(clustering_coefficient, Graph([], [])) == "empty_graph"
+
+
+def test_undefined_error_message_is_the_text_alone():
+    with pytest.raises(MetricUndefinedError) as info:
+        link_density(Graph([0], []))
+    assert str(info.value) == "link density needs at least two nodes"
+    assert info.value.args == ("link density needs at least two nodes",)
 
 
 # -- shortest paths ----------------------------------------------------------
@@ -128,8 +140,7 @@ def test_path_stats_no_edges():
 
 
 def test_path_stats_need_two_nodes():
-    with pytest.raises(MetricUndefinedError):
-        apsp_summary(Graph([0], []))
+    assert undefined_reason(apsp_summary, Graph([0], [])) == "too_few_nodes"
 
 
 def test_path_stats_match_dense_oracle():
@@ -355,12 +366,22 @@ def test_random_reference_values():
 
 
 def test_random_reference_guards():
-    with pytest.raises(MetricUndefinedError):
-        random_baselines(1, 4.0)
-    with pytest.raises(MetricUndefinedError):
-        random_baselines(100, 1.0)
-    with pytest.raises(MetricUndefinedError):
-        random_baselines(100, 0.5)
+    assert undefined_reason(random_baselines, 1, 4.0) == "too_few_nodes"
+    # too few nodes wins over a low average degree
+    assert undefined_reason(random_baselines, 1, 0.0) == "too_few_nodes"
+    assert undefined_reason(random_baselines, 100, 1.0) == "avg_degree_not_above_one"
+    assert undefined_reason(random_baselines, 100, 0.5) == "avg_degree_not_above_one"
+
+
+@pytest.mark.parametrize("avg_degree", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n_nodes", [1, 10])
+def test_non_finite_average_degree_rejected(n_nodes, avg_degree):
+    # random_baselines(10, nan) returned (nan, nan) and (10, inf) returned
+    # (inf, 0.5); the lattice raised a bare ValueError or OverflowError.
+    with pytest.raises(ParameterError, match="avg_degree"):
+        random_baselines(n_nodes, avg_degree)
+    with pytest.raises(ParameterError, match="avg_degree"):
+        lattice_clustering(n_nodes, avg_degree)
 
 
 def test_lattice_clustering_reference_points():
@@ -368,8 +389,7 @@ def test_lattice_clustering_reference_points():
     assert lattice_clustering(200, 6.0) == 0.6
     # coordination is capped at the largest feasible even value
     assert lattice_clustering(4, 3.0) == 0.0
-    with pytest.raises(MetricUndefinedError):
-        lattice_clustering(2, 2.0)
+    assert undefined_reason(lattice_clustering, 2, 2.0) == "too_few_nodes"
 
 
 def test_lattice_clustering_matches_constructed_ring():
@@ -399,8 +419,26 @@ def test_sigma_above_one_for_rewired_lattice():
 
 
 def test_sigma_needs_mean_degree_above_one():
-    with pytest.raises(MetricUndefinedError):
-        small_world_sigma(Graph(range(4), [(0, 1)]))
+    assert undefined_reason(small_world_sigma, Graph(range(4), [(0, 1)])) == "avg_degree_not_above_one"
+    assert undefined_reason(small_world_omega, Graph(range(4), [(0, 1)])) == "avg_degree_not_above_one"
+
+
+def test_sigma_and_omega_need_a_reachable_pair():
+    # unreachable through the public scores, whose baselines need an edge
+    unreachable = PathSummary(None, None, 0.0, 0.0)
+    base = RandomBaselines(0.5, 2.0)
+    assert undefined_reason(_sigma, unreachable, 0.0, base) == "no_reachable_pairs"
+    assert undefined_reason(_omega, unreachable, 0.0, 0.5, base) == "no_reachable_pairs"
+
+
+def test_omega_needs_lattice_clustering_unless_both_are_zero():
+    # a triangle with a pendant: the matched 4-node ring has no triangle
+    g = Graph(range(4), [(0, 1), (1, 2), (0, 2), (2, 3)])
+    assert undefined_reason(small_world_omega, g) == "lattice_clustering_zero"
+    # a 4-cycle: both clusterings are zero, so the ratio is taken as zero
+    ring = cycle_graph(4)
+    want = random_baselines(4, 2.0).path_length_random / apsp_summary(ring).avg_path_length
+    assert small_world_omega(ring).raw == want
 
 
 def test_omega_ring_is_lattice_like():
@@ -506,6 +544,40 @@ def test_metric_row_reports_reasons_for_undefined():
     assert edgeless.reasons["modularity"] == "no_edges"
     assert edgeless.avg_path_length is None
     assert edgeless.reasons["avg_path_length"] == "no_reachable_pairs"
+    # the lattice needs three nodes, the baselines an average degree above
+    # one: sigma and omega take the baselines' code
+    pair = metric_row(snap(1953, Graph(range(2), [(0, 1)])))
+    assert pair.reasons["clustering_lattice"] == "too_few_nodes"
+    for name in ("clustering_random", "path_length_random", "sigma", "omega", "omega_raw"):
+        assert pair.reasons[name] == "avg_degree_not_above_one", name
+
+
+def every_labelled_graph(max_nodes):
+    for n in range(max_nodes + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(range(n), [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+
+
+def test_metric_row_reasons_equal_the_rule_chain_on_every_small_graph():
+    seen = Counter()
+    graphs = 0
+    for graph in every_labelled_graph(5):
+        row = metric_row(snap(2000, graph))
+        assert row.reasons == oracles.reasons_by_rule(graph), graph.edges()
+        for name in METRIC_NAMES:
+            assert (getattr(row, name) is None) == (name in row.reasons), (graph.edges(), name)
+        seen.update(row.reasons.values())
+        graphs += 1
+    assert graphs == 1 + 1 + 2 + 8 + 64 + 1024
+    assert set(seen) == {
+        "empty_graph",
+        "too_few_nodes",
+        "no_edges",
+        "no_reachable_pairs",
+        "avg_degree_not_above_one",
+        "lattice_clustering_zero",
+    }
 
 
 def test_metric_row_sparse_graph_skips_small_world_scores():

@@ -3,11 +3,18 @@ import random
 import pytest
 
 import oracles
-from helpers import leafy_test_graph, mesh_graph, random_test_graph, relabeled, string_relabeled, synthetic_records
+from helpers import (
+    leafy_test_graph,
+    mesh_graph,
+    random_test_graph,
+    relabeled,
+    string_relabeled,
+    synthetic_records,
+    undefined_reason,
+)
 from gridpanel import (
     Graph,
     build_panel,
-    MetricUndefinedError,
     ParameterError,
     modularity_detect,
     modularity_of,
@@ -76,8 +83,7 @@ def test_missing_nodes_rejected():
 
 
 def test_no_edges_undefined():
-    with pytest.raises(MetricUndefinedError):
-        modularity_of(Graph(range(3), []), {v: 0 for v in range(3)})
+    assert undefined_reason(modularity_of, Graph(range(3), []), {v: 0 for v in range(3)}) == "no_edges"
 
 
 def test_detection_recovers_planted_cliques():
@@ -148,8 +154,8 @@ def test_non_finite_gamma_rejected(gamma):
 
 
 def test_detection_rejects_empty_graph():
-    with pytest.raises(MetricUndefinedError):
-        modularity_detect(Graph(range(4), []))
+    assert undefined_reason(modularity_detect, Graph(range(4), [])) == "no_edges"
+    assert undefined_reason(modularity_detect, Graph([], [])) == "no_edges"
 
 
 def oracle_graphs():

@@ -68,6 +68,15 @@ def test_change_kinds_are_configurable():
     assert rec.lifetime_years == 10
 
 
+@pytest.mark.parametrize("change_kinds", [("splitt",), "split", ("split", "Reroute")])
+def test_unknown_change_kinds_rejected(change_kinds):
+    # A typo, or a bare string read as its letters, would match no event
+    # and leave every line censored.
+    records = records_with([make_edge("E", "A", "B", 1970, events=[(1980, "split")])])
+    with pytest.raises(ParameterError, match="split, reroute, voltage_upgrade, decommission, other"):
+        line_lifetimes(records, change_kinds=change_kinds)
+
+
 def test_survived_ratio():
     records = records_with(
         [make_edge("E", "A", "B", 1960, events=[(1970, "voltage_upgrade")])], end=2020
