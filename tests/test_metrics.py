@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -102,6 +103,8 @@ def test_undefined_error_message_is_the_text_alone():
         link_density(Graph([0], []))
     assert str(info.value) == "link density needs at least two nodes"
     assert info.value.args == ("link density needs at least two nodes",)
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert (str(copy), copy.reason) == ("link density needs at least two nodes", "too_few_nodes")
 
 
 # -- shortest paths ----------------------------------------------------------
