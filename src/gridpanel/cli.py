@@ -14,7 +14,6 @@ import argparse
 import csv
 import gc
 import os
-import statistics
 import sys
 from dataclasses import fields
 from functools import partial
@@ -24,10 +23,8 @@ from typing import Any, Iterable, Iterator, Sequence
 from . import __version__
 from .config import CONFIG_KEYS, RunConfig, _format_value, apply_overrides, dump_config, load_config
 from .errors import GridPanelError, ParameterError, ValidationFailedError
-from .generators import FAMILIES, efficiency_comparison
 from .graph import AnnualSnapshot
-from .metrics import METRIC_NAMES, _round_half_up, metric_row
-from .motifs import MOTIF_NAMES, STAR_VARIANTS, motif_counts, motif_shares
+from .motifs import STAR_VARIANTS
 from .records import (
     AssetRecordSet,
     _ascii_number,
@@ -38,13 +35,9 @@ from .records import (
     validate_records,
     year_snapshots,
 )
-from .temporal import (
-    LifetimeRecord,
-    annual_change_rates,
-    average_lifetime_by_year,
-    line_lifetimes,
-    underperformers,
-)
+
+# Every command needs the modules above. Each cmd_* function imports the
+# ones only it uses, so a run loads no analysis module it does not call.
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -197,6 +190,8 @@ def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_panel(config: RunConfig, args: argparse.Namespace) -> int:
+    from .metrics import METRIC_NAMES, metric_row
+
     rows = [metric_row(snap, gamma=config.gamma, seed=config.seed) for snap in _year_snapshots(config)]
     tidy = []
     wide = []
@@ -219,6 +214,8 @@ def cmd_panel(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_motifs(config: RunConfig, args: argparse.Namespace) -> int:
+    from .motifs import MOTIF_NAMES, motif_counts, motif_shares
+
     n_years = 0
     out_rows = []
     for snap in _year_snapshots(config):
@@ -249,6 +246,8 @@ def cmd_motifs(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_temporal(config: RunConfig, args: argparse.Namespace) -> int:
+    from .temporal import LifetimeRecord, annual_change_rates, average_lifetime_by_year, line_lifetimes, underperformers
+
     records = _load_validated(config)
     start, end = _year_range_within(records, config.year_start, config.year_end)
     scoped = filter_by_voltage(records, config.voltage_floor_kv)
@@ -295,6 +294,8 @@ def cmd_temporal(config: RunConfig, args: argparse.Namespace) -> int:
 def _replicate_rows(ensembles: dict) -> Iterator[tuple]:
     # (family, replicate, metric, value): families in FAMILIES order, then
     # replicates in order, then metrics by name.
+    from .generators import FAMILIES
+
     for family in FAMILIES:
         for replicate, row in enumerate(ensembles[family].rows):
             for metric in sorted(row):
@@ -302,6 +303,11 @@ def _replicate_rows(ensembles: dict) -> Iterator[tuple]:
 
 
 def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
+    import statistics
+
+    from .generators import FAMILIES, efficiency_comparison
+    from .metrics import _round_half_up
+
     sizes = [(snap.year, snap.n_nodes, snap.n_edges) for snap in _year_snapshots(config)]
     mean_nodes = _round_half_up(statistics.fmean(n_nodes for _, n_nodes, _ in sizes))
     mean_edges = _round_half_up(statistics.fmean(n_edges for _, _, n_edges in sizes))

@@ -8,13 +8,22 @@ class GridPanelError(Exception):
 
 
 class ParseError(GridPanelError):
-    """A file could not be read into records (bad header, malformed row)."""
+    """A file could not be read into records (bad header, malformed row).
+
+    ``str(exc)`` is ``source:line: message``, or ``source: message`` when
+    ``line`` is None; all three are kept as attributes.
+    """
 
     def __init__(self, source: str, line: int | None, message: str) -> None:
         self.source = source
         self.line = line
+        self.message = message
         where = source if line is None else f"{source}:{line}"
         super().__init__(f"{where}: {message}")
+
+    def __reduce__(self):
+        # the default rebuilds from args, which hold the formatted text alone
+        return type(self), (self.source, self.line, self.message)
 
 
 class ValidationFailedError(GridPanelError):
@@ -27,6 +36,10 @@ class ValidationFailedError(GridPanelError):
         if extra > 0:
             lines.append(f"... and {extra} more")
         super().__init__("record validation failed:\n" + "\n".join(lines))
+
+    def __reduce__(self):
+        # the default rebuilds from args, which hold the formatted text alone
+        return type(self), (self.report,)
 
 
 class ReferentialError(ValidationFailedError):

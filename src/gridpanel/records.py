@@ -42,6 +42,7 @@ EDGE_HEADER = ("edge_id", "node_a", "node_b", "voltage_kv", "circuits", "year_in
 EVENT_HEADER = ("edge_id", "year", "kind")
 
 _year_in = attrgetter("year_in")
+_event_order = attrgetter("year", "kind")
 
 
 @dataclass(frozen=True)
@@ -132,27 +133,41 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _read_rows(path: str, header: Sequence[str]) -> list[tuple[int, list[str]]]:
+def _open(path: str):
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        return open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(path, None, f"cannot read file: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise ParseError(path, 1, "empty file, expected a header row") from None
-        if [c.strip() for c in first] != list(header):
-            raise ParseError(path, 1, f"bad header, expected {','.join(header)}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(path, lineno, f"expected {len(header)} fields, got {len(row)}")
-            rows.append((lineno, row))
-    return rows
+
+
+def _reader(handle, path: str, header: Sequence[str]):
+    # A csv reader past the header row, which must name ``header``.
+    reader = csv.reader(handle)
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise ParseError(path, 1, "empty file, expected a header row") from None
+    if [c.strip() for c in first] != list(header):
+        raise ParseError(path, 1, f"bad header, expected {','.join(header)}")
+    return reader
+
+
+def _width_error(path: str, line: int, width: int, row: list[str]) -> ParseError:
+    return ParseError(path, line, f"expected {width} fields, got {len(row)}")
+
+
+def _check_later_widths(reader, path: str, width: int, row: list[str], start: int) -> None:
+    # Called on a ParseError raised while reading ``row``. If ``row`` has
+    # ``width`` fields, one of its fields failed; a row with another field
+    # count further down the file is reported first, so a file's field
+    # counts are checked before its fields. ``start`` is the line after
+    # ``row``; blank rows are skipped.
+    if len(row) != width:
+        return
+    for row in reader:
+        if row and len(row) != width:
+            raise _width_error(path, start, width, row) from None
+        start = reader.line_num + 1
 
 
 def _ascii_number(kind: Callable[[str], Any], text: str) -> Any:
@@ -222,60 +237,107 @@ def load_asset_records(
     reported on. The dataset span defaults to the years observed in the
     data; pass ``dataset_start`` / ``dataset_end`` to pin it explicitly.
     """
+    # Each file is read in one pass. A record's line is the line it starts
+    # on, which a quoted field with line breaks moves past the record count.
+    # Each distinct number text is parsed once by its field's grammar and
+    # its value kept in ``ints`` or ``years``; a kept 0 or None reads as a
+    # miss and is parsed again, and a text that fails is never kept, so
+    # every error is raised, and worded, by the field's own helper.
+    ints: dict[str, int] = {}
+    years: dict[str, int | None] = {}
     nodes = []
-    for lineno, row in _read_rows(node_file, NODE_HEADER):
-        node_id, label, voltage, y_in, y_out, lat, lon = row
-        if node_id.strip() == "":
-            raise ParseError(node_file, lineno, "node_id must not be empty")
-        nodes.append(
-            NodeRecord(
-                node_id=node_id.strip(),
-                label=label.strip(),
-                voltage_kv=_int_field(voltage, "voltage_kv", node_file, lineno),
-                year_in=_year_field(y_in, "year_in", node_file, lineno),
-                year_out=_opt_year_field(y_out, "year_out", node_file, lineno),
-                lat=_opt_float_field(lat, "lat", node_file, lineno),
-                lon=_opt_float_field(lon, "lon", node_file, lineno),
-            )
-        )
+    with _open(node_file) as handle:
+        reader = _reader(handle, node_file, NODE_HEADER)
+        start = reader.line_num + 1
+        try:
+            for row in reader:
+                line, start = start, reader.line_num + 1
+                if len(row) != 7:
+                    if row:
+                        raise _width_error(node_file, line, 7, row)
+                    continue
+                node_id, label, voltage, y_in, y_out, lat, lon = row
+                node_id = node_id.strip()
+                if not node_id:
+                    raise ParseError(node_file, line, "node_id must not be empty")
+                voltage_kv = ints.get(voltage) or ints.setdefault(voltage, _int_field(voltage, "voltage_kv", node_file, line))
+                year_in = years.get(y_in) or years.setdefault(y_in, _year_field(y_in, "year_in", node_file, line))
+                year_out = (
+                    (years.get(y_out) or years.setdefault(y_out, _opt_year_field(y_out, "year_out", node_file, line)))
+                    if y_out
+                    else None
+                )
+                lat = _opt_float_field(lat, "lat", node_file, line) if lat else None
+                lon = _opt_float_field(lon, "lon", node_file, line) if lon else None
+                nodes.append(NodeRecord(node_id, label.strip(), voltage_kv, year_in, year_out, lat, lon))
+        except ParseError:
+            _check_later_widths(reader, node_file, 7, row, start)
+            raise
     if not nodes:
         raise ParseError(node_file, None, "no node records")
 
     # Edge fields first, as EdgeRecord's positional arguments; each record
     # is built once, after its events are known.
     edge_fields = []
-    for lineno, row in _read_rows(edge_file, EDGE_HEADER):
-        edge_id, node_a, node_b, voltage, circuits, y_in, y_out = row
-        if edge_id.strip() == "":
-            raise ParseError(edge_file, lineno, "edge_id must not be empty")
-        voltage_kv = _int_field(voltage, "voltage_kv", edge_file, lineno)
-        n_circuits = _int_field(circuits, "circuits", edge_file, lineno)
-        year_in = _year_field(y_in, "year_in", edge_file, lineno)
-        year_out = _opt_year_field(y_out, "year_out", edge_file, lineno)
-        edge_fields.append((edge_id.strip(), node_a.strip(), node_b.strip(), voltage_kv, year_in, year_out, n_circuits))
+    with _open(edge_file) as handle:
+        reader = _reader(handle, edge_file, EDGE_HEADER)
+        start = reader.line_num + 1
+        try:
+            for row in reader:
+                line, start = start, reader.line_num + 1
+                if len(row) != 7:
+                    if row:
+                        raise _width_error(edge_file, line, 7, row)
+                    continue
+                edge_id, node_a, node_b, voltage, circuits, y_in, y_out = row
+                edge_id = edge_id.strip()
+                if not edge_id:
+                    raise ParseError(edge_file, line, "edge_id must not be empty")
+                voltage_kv = ints.get(voltage) or ints.setdefault(voltage, _int_field(voltage, "voltage_kv", edge_file, line))
+                n_circuits = ints.get(circuits) or ints.setdefault(circuits, _int_field(circuits, "circuits", edge_file, line))
+                year_in = years.get(y_in) or years.setdefault(y_in, _year_field(y_in, "year_in", edge_file, line))
+                year_out = (
+                    (years.get(y_out) or years.setdefault(y_out, _opt_year_field(y_out, "year_out", edge_file, line)))
+                    if y_out
+                    else None
+                )
+                edge_fields.append((edge_id, node_a.strip(), node_b.strip(), voltage_kv, year_in, year_out, n_circuits))
+        except ParseError:
+            _check_later_widths(reader, edge_file, 7, row, start)
+            raise
 
-    by_edge: dict[str, list[ChangeEvent]] = {}
+    # One ChangeEvent per distinct (year, kind): events are frozen values.
+    by_edge: dict[str, Sequence[ChangeEvent]] = {}
     if event_file is not None:
         known = {fields[0] for fields in edge_fields}
-        for lineno, row in _read_rows(event_file, EVENT_HEADER):
-            edge_id, year, kind = (c.strip() for c in row)
-            if kind not in EVENT_KINDS:
-                raise ParseError(
-                    event_file, lineno, f"kind must be one of {', '.join(EVENT_KINDS)}, got {kind!r}"
-                )
-            if edge_id not in known:
-                raise ParseError(event_file, lineno, f"event for unknown edge_id {edge_id!r}")
-            by_edge.setdefault(edge_id, []).append(
-                ChangeEvent(year=_year_field(year, "year", event_file, lineno), kind=kind)
-            )
-
-    edges = []
-    for fields in edge_fields:
-        events = by_edge.get(fields[0])
-        if events:
-            edges.append(EdgeRecord(*fields, events=tuple(sorted(events, key=lambda ev: (ev.year, ev.kind)))))
-        else:
-            edges.append(EdgeRecord(*fields))
+        shared: dict[tuple[str, str], ChangeEvent] = {}
+        with _open(event_file) as handle:
+            reader = _reader(handle, event_file, EVENT_HEADER)
+            start = reader.line_num + 1
+            try:
+                for row in reader:
+                    line, start = start, reader.line_num + 1
+                    if len(row) != 3:
+                        if row:
+                            raise _width_error(event_file, line, 3, row)
+                        continue
+                    edge_id, year, kind = row[0].strip(), row[1].strip(), row[2].strip()
+                    if kind not in EVENT_KINDS:
+                        raise ParseError(
+                            event_file, line, f"kind must be one of {', '.join(EVENT_KINDS)}, got {kind!r}"
+                        )
+                    if edge_id not in known:
+                        raise ParseError(event_file, line, f"event for unknown edge_id {edge_id!r}")
+                    event = shared.get((year, kind)) or shared.setdefault(
+                        (year, kind), ChangeEvent(_year_field(year, "year", event_file, line), kind)
+                    )
+                    by_edge.setdefault(edge_id, []).append(event)
+            except ParseError:
+                _check_later_widths(reader, event_file, 3, row, start)
+                raise
+    for edge_id, events in by_edge.items():
+        by_edge[edge_id] = tuple(sorted(events, key=_event_order) if len(events) > 1 else events)
+    edges = [EdgeRecord(*fields, events=by_edge.get(fields[0], ())) for fields in edge_fields]
 
     return build_record_set(
         nodes,
@@ -299,18 +361,12 @@ def build_record_set(
     Records are sorted by identifier so that downstream results never
     depend on input row order.
     """
-    nodes = tuple(sorted(nodes, key=lambda r: (r.node_id, r.year_in)))
-    edges = tuple(sorted(edges, key=lambda r: (r.edge_id, r.year_in)))
-    years = []
-    for rec in nodes:
-        years.append(rec.year_in)
-        if rec.year_out is not None:
-            years.append(rec.year_out)
-    for rec in edges:
-        years.append(rec.year_in)
-        if rec.year_out is not None:
-            years.append(rec.year_out)
-        years.extend(ev.year for ev in rec.events)
+    nodes = tuple(sorted(nodes, key=attrgetter("node_id", "year_in")))
+    edges = tuple(sorted(edges, key=attrgetter("edge_id", "year_in")))
+    years = [rec.year_in for rec in nodes]
+    years += [rec.year_in for rec in edges]
+    years += [rec.year_out for recs in (nodes, edges) for rec in recs if rec.year_out is not None]
+    years += [ev.year for rec in edges for ev in rec.events]
     if not years:
         raise ParseError("<records>", None, "cannot infer a dataset span from zero records")
     return AssetRecordSet(

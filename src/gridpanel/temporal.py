@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import ParameterError, YearRangeError
@@ -28,6 +29,9 @@ class LifetimeRecord:
     censored: bool
     max_expected_lifetime: int
     survived_ratio: float | None
+
+
+_by_commissioning = attrgetter("year_commissioned", "edge_id")
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,8 @@ def line_lifetimes(
         lifetime = None if first_change is None else first_change - rec.year_in
         ratio = None
         if lifetime is not None and max_expected > 0:
-            ratio = float(Fraction(lifetime, max_expected))
+            # True division of two ints is correctly rounded, as float(Fraction) is.
+            ratio = lifetime / max_expected
         out.append(
             LifetimeRecord(
                 edge_id=rec.edge_id,
@@ -89,7 +94,7 @@ def line_lifetimes(
                 survived_ratio=ratio,
             )
         )
-    out.sort(key=lambda r: (r.year_commissioned, r.edge_id))
+    out.sort(key=_by_commissioning)
     return out
 
 
@@ -230,5 +235,5 @@ def underperformers(
         for rec in lifetimes
         if not rec.censored and rec.survived_ratio is not None and rec.survived_ratio < threshold
     ]
-    flagged.sort(key=lambda r: (r.year_commissioned, r.edge_id))
+    flagged.sort(key=_by_commissioning)
     return flagged

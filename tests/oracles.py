@@ -7,6 +7,7 @@ code against these on small inputs.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import random
 from collections import Counter
@@ -15,8 +16,18 @@ from math import comb, floor, inf
 
 import numpy as np
 
-from gridpanel import Graph
+from gridpanel import ChangeEvent, EdgeRecord, Graph, NodeRecord, ParseError, build_record_set
 from gridpanel.metrics import METRIC_NAMES
+from gridpanel.records import (
+    EDGE_HEADER,
+    EVENT_HEADER,
+    EVENT_KINDS,
+    NODE_HEADER,
+    _int_field,
+    _opt_float_field,
+    _opt_year_field,
+    _year_field,
+)
 
 
 def index_of(graph) -> dict:
@@ -396,3 +407,85 @@ def snapshot_by_full_scan(records, year: int, voltage_floor_kv: int = 0) -> Grap
         if in_service(rec) and rec.node_a in alive_nodes and rec.node_b in alive_nodes
     }
     return Graph(alive_nodes, pairs)
+
+
+def _rows_of(path: str, header) -> list[tuple[int, list[str]]]:
+    # Every non-blank row of a CSV file with the line it starts on, read
+    # whole before any field is parsed.
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(path, None, f"cannot read file: {exc}") from exc
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise ParseError(path, 1, "empty file, expected a header row") from None
+        if [c.strip() for c in first] != list(header):
+            raise ParseError(path, 1, f"bad header, expected {','.join(header)}")
+        rows = []
+        start = reader.line_num + 1
+        for row in reader:
+            line, start = start, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(path, line, f"expected {len(header)} fields, got {len(row)}")
+            rows.append((line, row))
+    return rows
+
+
+def records_by_rows(node_file: str, edge_file: str, event_file: str | None = None, **kwargs):
+    """``load_asset_records`` as a file-by-file reader: each file's rows
+    are read and their field counts checked before any field is parsed,
+    and every field goes through its grammar helper, row by row. The
+    helpers are the package's own, the one home of the field grammar;
+    what this checks is the loader's single pass, its kept values and
+    shared events, and the order of its errors."""
+    nodes = []
+    for line, row in _rows_of(node_file, NODE_HEADER):
+        node_id, label, voltage, y_in, y_out, lat, lon = row
+        if node_id.strip() == "":
+            raise ParseError(node_file, line, "node_id must not be empty")
+        nodes.append(
+            NodeRecord(
+                node_id=node_id.strip(),
+                label=label.strip(),
+                voltage_kv=_int_field(voltage, "voltage_kv", node_file, line),
+                year_in=_year_field(y_in, "year_in", node_file, line),
+                year_out=_opt_year_field(y_out, "year_out", node_file, line),
+                lat=_opt_float_field(lat, "lat", node_file, line),
+                lon=_opt_float_field(lon, "lon", node_file, line),
+            )
+        )
+    if not nodes:
+        raise ParseError(node_file, None, "no node records")
+
+    edge_fields = []
+    for line, row in _rows_of(edge_file, EDGE_HEADER):
+        edge_id, node_a, node_b, voltage, circuits, y_in, y_out = row
+        if edge_id.strip() == "":
+            raise ParseError(edge_file, line, "edge_id must not be empty")
+        voltage_kv = _int_field(voltage, "voltage_kv", edge_file, line)
+        n_circuits = _int_field(circuits, "circuits", edge_file, line)
+        year_in = _year_field(y_in, "year_in", edge_file, line)
+        year_out = _opt_year_field(y_out, "year_out", edge_file, line)
+        edge_fields.append((edge_id.strip(), node_a.strip(), node_b.strip(), voltage_kv, year_in, year_out, n_circuits))
+
+    by_edge: dict[str, list] = {}
+    if event_file is not None:
+        known = {fields[0] for fields in edge_fields}
+        for line, row in _rows_of(event_file, EVENT_HEADER):
+            edge_id, year, kind = (c.strip() for c in row)
+            if kind not in EVENT_KINDS:
+                raise ParseError(event_file, line, f"kind must be one of {', '.join(EVENT_KINDS)}, got {kind!r}")
+            if edge_id not in known:
+                raise ParseError(event_file, line, f"event for unknown edge_id {edge_id!r}")
+            by_edge.setdefault(edge_id, []).append(ChangeEvent(year=_year_field(year, "year", event_file, line), kind=kind))
+
+    edges = [
+        EdgeRecord(*fields, events=tuple(sorted(by_edge.get(fields[0], ()), key=lambda ev: (ev.year, ev.kind))))
+        for fields in edge_fields
+    ]
+    return build_record_set(nodes, edges, **kwargs)

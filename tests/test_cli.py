@@ -5,7 +5,7 @@ import shutil
 import pytest
 
 from helpers import tree_bytes, write_fixture_csvs
-from gridpanel import GridPanelError, cli, records
+from gridpanel import GridPanelError, cli, generators, records
 from gridpanel.cli import main
 
 
@@ -302,7 +302,7 @@ def test_baselines_manifest_replays_its_flags(workspace):
 def test_a_failed_baselines_run_writes_no_file(workspace, capsys, monkeypatch):
     tmp_path, paths = workspace
     calls = []
-    averaged = cli.efficiency_comparison
+    averaged = generators.efficiency_comparison
 
     def failing_per_year(*args, **kwargs):
         # The first call builds the averaged ensemble; the next is per year.
@@ -311,7 +311,7 @@ def test_a_failed_baselines_run_writes_no_file(workspace, capsys, monkeypatch):
             raise GridPanelError("per-year ensemble failed")
         return averaged(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "efficiency_comparison", failing_per_year)
+    monkeypatch.setattr(generators, "efficiency_comparison", failing_per_year)
     out = tmp_path / "out"
     code = run("baselines", *base_args(paths, out), "--voltage-floor", "0", "--replicates", "2", "--per-year")
     assert code == 2

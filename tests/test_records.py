@@ -1,11 +1,15 @@
+import csv
+import pickle
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_edge, make_node, synthetic_records, write_fixture_csvs
-from oracles import snapshot_by_full_scan
+from oracles import records_by_rows, snapshot_by_full_scan
 from gridpanel import (
     ChangeEvent,
     IntervalError,
@@ -23,7 +27,7 @@ from gridpanel import (
     year_snapshots,
 )
 from gridpanel import records as records_module
-from gridpanel.records import EDGE_HEADER, EVENT_HEADER, NODE_HEADER
+from gridpanel.records import EDGE_HEADER, EVENT_HEADER, EVENT_KINDS, NODE_HEADER
 
 
 def small_record_set(**kwargs):
@@ -220,6 +224,181 @@ def test_signed_voltages_still_reach_validation(tmp_path):
     records = load_asset_records(*files)
     assert [(e.voltage_kv, e.circuits) for e in records.edges] == [(-220, 1), (110, 1)]
     assert "nonpositive_voltage" in validate_records(records).codes()
+
+
+def test_errors_name_the_line_a_record_starts_on(tmp_path):
+    # The first record's quoted label spans lines 2-3; the second record
+    # starts on line 4.
+    nodes = write_lines(tmp_path / "nodes.csv", [",".join(NODE_HEADER), 'A,"two', 'lines",220,1960,,,', "B,b,220,soon,,,"])
+    edges = write_lines(tmp_path / "edges.csv", [",".join(EDGE_HEADER)])
+    with pytest.raises(ParseError) as exc:
+        load_asset_records(nodes, edges)
+    assert str(exc.value) == f"{nodes}:4: year_in must be an integer, got 'soon'"
+    assert exc.value.line == 4
+
+
+def test_loaded_events_share_one_value_per_year_and_kind(tmp_path):
+    files = event_fixture(
+        tmp_path, ["AB,A,B,220,1,1960,", "BA,B,A,220,1,1961,"], ["AB,1970,split", "BA, 1970 ,split", "BA,1970,other"]
+    )
+    ab, ba = load_asset_records(*files).edges
+    assert ab.events == (ChangeEvent(1970, "split"),)
+    assert ba.events == (ChangeEvent(1970, "other"), ChangeEvent(1970, "split"))
+    assert ab.events[0] is ba.events[1]
+
+
+# -- the loader against the file-by-file oracle ------------------------------
+
+
+def load_outcome(load, files, **kwargs):
+    """The record set a loader returns, or the type and text of its ParseError."""
+    try:
+        return load(*files, **kwargs)
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+def write_rows(directory, rows_by_file):
+    """Write ``{name: rows}`` with their headers as CSV; return the three paths."""
+    headers = {"nodes.csv": NODE_HEADER, "edges.csv": EDGE_HEADER, "events.csv": EVENT_HEADER}
+    for name, header in headers.items():
+        with open(directory / name, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows_by_file[name])
+    return tuple(str(directory / name) for name in headers)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"country_tag": "xx", "dataset_start": 1940, "dataset_end": 2030}])
+def test_loader_equals_the_oracle_on_the_fixtures(tmp_path, country_records, planted_records, kwargs):
+    for name, records in (("country", country_records), ("planted", planted_records)):
+        (tmp_path / name).mkdir()
+        paths = write_fixture_csvs(records, tmp_path / name)
+        files = (paths["nodes"], paths["edges"], paths["events"])
+        loaded = load_asset_records(*files, **kwargs)
+        assert loaded == records_by_rows(*files, **kwargs)
+        assert loaded.edges == tuple(sorted(records.edges, key=lambda r: (r.edge_id, r.year_in)))
+
+
+ODD_NUMBER_TEXTS = [" 1960 ", "+400", "007", "0999", "10000", "1_000", "١٩٦٠", "nan", "inf", "", " ", "\t"]
+NUMERIC_COLUMNS = [
+    ("nodes.csv", "voltage_kv"),
+    ("nodes.csv", "year_in"),
+    ("nodes.csv", "year_out"),
+    ("nodes.csv", "lat"),
+    ("nodes.csv", "lon"),
+    ("edges.csv", "voltage_kv"),
+    ("edges.csv", "circuits"),
+    ("edges.csv", "year_in"),
+    ("edges.csv", "year_out"),
+    ("events.csv", "year"),
+]
+CLEAN_ROWS = {
+    "nodes.csv": [
+        ["A", "a", "220", "1960", "", "45.5", "7.25"],
+        ["B", "b", "380", "1961", "1990", "", ""],
+        ["C", "c", "220", "1960", "", "", ""],
+    ],
+    "edges.csv": [
+        ["AB", "A", "B", "220", "1", "1962", "1980"],
+        ["BC", "B", "C", "380", "2", "1963", ""],
+        ["AC", "A", "C", "220", "1", "1964", ""],
+    ],
+    "events.csv": [["AB", "1970", "split"], ["BC", "1975", "reroute"], ["AB", "1965", "other"]],
+}
+HEADERS = {"nodes.csv": NODE_HEADER, "edges.csv": EDGE_HEADER, "events.csv": EVENT_HEADER}
+
+
+@pytest.mark.parametrize("file,column", NUMERIC_COLUMNS)
+def test_loader_equals_the_oracle_on_odd_number_texts(tmp_path, file, column):
+    # Each text in the first row, in the last row and in both, where the
+    # second use of a text reads the value kept from the first; and again
+    # with the first station's voltage_kv holding the text too, which
+    # another grammar may take.
+    field = HEADERS[file].index(column)
+    for text in ODD_NUMBER_TEXTS + ["9" * 5000]:
+        for rows_changed in ((0,), (-1,), (0, -1)):
+            for in_voltage_too in (False, True):
+                rows = {name: [list(row) for row in file_rows] for name, file_rows in CLEAN_ROWS.items()}
+                rows["nodes.csv"][0][2] = text if in_voltage_too else "220"
+                for i in rows_changed:
+                    rows[file][i][field] = text
+                files = write_rows(tmp_path, rows)
+                got = load_outcome(load_asset_records, files)
+                assert got == load_outcome(records_by_rows, files), (text, rows_changed, in_voltage_too)
+
+
+@pytest.mark.parametrize("file", sorted(HEADERS))
+def test_a_malformed_row_is_reported_before_an_earlier_bad_field(tmp_path, file):
+    # Field counts are checked over the whole file before any field is.
+    rows = {name: [list(row) for row in file_rows] for name, file_rows in CLEAN_ROWS.items()}
+    rows[file][0][-2] = "soon"
+    rows[file].insert(2, [])
+    rows[file][-1] = rows[file][-1][:2]
+    files = write_rows(tmp_path, rows)
+    expected = (ParseError, f"{tmp_path / file}:5: expected {len(HEADERS[file])} fields, got 2")
+    assert load_outcome(load_asset_records, files) == load_outcome(records_by_rows, files) == expected
+
+
+odd_texts = st.text(alphabet="0123456789 +-_.\teEnaif١\n", max_size=6)
+years = st.sampled_from(["1960", "1961", "1975", " 1960"])
+end_years = st.sampled_from(["", "1990", "1975", " "])
+voltages = st.sampled_from(["220", "380", "-110", "0"])
+coordinates = st.sampled_from(["", "45.5", "7", "-1e2"])
+stations = st.sampled_from(["A", "B", "C"])
+lines = st.sampled_from(["AB", "BA", " AB"])
+
+
+@st.composite
+def record_rows(draw, columns, min_rows=0):
+    # Up to four rows, one strategy per field; now and then one field of a
+    # row is odd text, or the row has another width or is empty.
+    out = []
+    for _ in range(draw(st.integers(min_rows, 4))):
+        fields = [draw(column) for column in columns]
+        if draw(st.integers(0, 9)) == 0:
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(odd_texts)
+        shape = draw(st.sampled_from(["row"] * 18 + ["short", "empty"]))
+        out.append(fields if shape == "row" else fields[:3] if shape == "short" else [])
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    record_rows(
+        [st.sampled_from(["A", "B", "C", " B ", "two\nlines"]), st.sampled_from(["a", "", "x\ny"])]
+        + [voltages, years, end_years, coordinates, coordinates],
+        min_rows=1,
+    ),
+    record_rows([lines, stations, stations, voltages, st.sampled_from(["1", "2", "+1"]), years, end_years]),
+    record_rows([st.sampled_from(["AB", "BA", " BA", "nope"]), years, st.sampled_from([*EVENT_KINDS, "split ", "bad"])]),
+)
+def test_property_loader_equals_the_oracle(nodes, edges, events):
+    with tempfile.TemporaryDirectory() as directory:
+        files = write_rows(Path(directory), {"nodes.csv": nodes, "edges.csv": edges, "events.csv": events})
+        assert load_outcome(load_asset_records, files) == load_outcome(records_by_rows, files)
+
+
+# -- errors cross process boundaries -----------------------------------------
+
+
+@pytest.mark.parametrize("error", [ParseError("f.csv", 3, "bad"), ParseError("f.csv", None, "cannot read file")])
+def test_parse_errors_pickle(error):
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is ParseError
+    assert (copy.source, copy.line, copy.message, str(copy)) == (error.source, error.line, error.message, str(error))
+
+
+@pytest.mark.parametrize("error_type", [ValidationFailedError, ReferentialError, IntervalError])
+def test_validation_errors_pickle(error_type):
+    report = validate_records(
+        build_record_set([make_node("A", 1960)] * 2, [make_edge("AX", "A", "X", 1950, year_out=1940)])
+    )
+    error = error_type(report)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is error_type
+    assert copy.report == report
+    assert str(copy) == str(error)
 
 
 # -- validation ------------------------------------------------------------
