@@ -118,6 +118,9 @@ def load_config(path: str) -> RunConfig:
             text = handle.read()
     except OSError as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # one read decodes the whole file, so exc.start is a file offset
+        raise ParameterError(f"cannot read config {path}: not UTF-8 text at byte offset {exc.start}") from None
     return parse_config_text(text, source=path)
 
 

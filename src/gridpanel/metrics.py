@@ -150,28 +150,47 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
     farther than ``d - 1`` from it, the breadth-first layers around it are
     contiguous, so some source sits at exactly ``d``, and distance is
     symmetric. The histogram therefore has no empty level and the sweep
-    ends, at the diameter, when no node is active.
+    ends when no node is active.
 
-    Leaves are sources but never targets. A leaf is a degree-one node
-    whose neighbor, its hub, has degree two or more; the two ends of an
-    isolated edge are not leaves. A leaf ``x`` on hub ``r`` is at 1 from
-    ``r`` and at ``1 + d(r, y)`` from every other node ``y``. So when a
-    hub with ``l`` leaves finds ``c`` sources at level ``d``, its leaves
-    find them at ``d + 1``: ``l * c`` more pairs there. Each hub is also
-    at 1 from each of its leaves, and a leaf is not at 2 from itself,
-    which its hub counted at level 1; summed over all leaves that is one
-    pair more at distance 1 and one fewer at 2 per leaf. Leaf bits reach
-    their hubs at level 1 from the first frontier; from level 2 on, hubs
-    read their rows without leaves. Hubs are swept in their own loop, so
-    other nodes pay nothing for it.
+    Only 2-core nodes are targets. The 2-core is what is left after
+    repeatedly removing nodes of degree one or zero; each removed node is
+    in a tree, and its parent is its one neighbor left when it goes. A
+    tree whose top node is left in the 2-core hangs on that node, its
+    root, and a tree node at depth ``t`` under root ``r`` is at
+    ``t + d(r, y)`` from every node ``y`` outside ``r``'s tree, because
+    every path out of the tree passes ``r``. So:
 
-    The work is about the sum over non-leaf nodes i of ecc(i) * deg(i)
-    ORs of n-bit integers, where visiting every node at every level took
-    (diameter + 1) * 2m. Memory is three lists of n such integers
-    (unseen, last level, next level), about 3 * n**2 / 8 bytes, where one
-    BFS per source needed O(n). Every statistic is read off the histogram
-    with exact rationals, so the result does not depend on node labels or
-    summation order.
+    * The sweep walks 2-core nodes over their 2-core neighbors. A tree
+      node is a source that enters the sweep at its root at level ``t``.
+      A root's own tree is not in its ``unseen``; a shortest path from a
+      root to a node outside its tree never enters the tree, so every
+      2-core node still gains a source at every level.
+    * When root ``r`` finds ``c`` sources at level ``d``, its tree nodes
+      at depth ``t`` find them at ``d + t``. ``r``'s depth profile (how
+      many of its tree nodes sit at each depth) times ``c`` is added at
+      level ``d``, summed over the roots.
+    * Pairs inside one tree, its root included, and in trees with no
+      2-core at all, come from subtree profiles. With ``S_i`` the profile
+      of child ``i``'s subtree one level down and ``s = sum(S_i)``, a
+      node's ``2 * s + s**2 - sum(S_i**2)`` counts, by distance, the
+      ordered pairs whose path turns at it: the node with each of its
+      descendants, and descendants under different children.
+
+    A profile is packed into one Python int, slot ``t`` counting distance
+    ``t`` in ``width = 2 * n.bit_length() + 2`` bits, so a product of two
+    profiles is their convolution, done exactly in C. Every slot of every
+    packed value counts distinct nodes or distinct ordered pairs, so it
+    stays below ``n**2 < 2**(width - 2)`` and never carries into the next.
+
+    The work is about the sum over 2-core nodes i of ecc(i) * core
+    degree(i) ORs of n-bit integers, plus O(tree nodes) operations on
+    packed ints of at most (tree height + diameter + 1) slots and one per
+    root and level. Memory is three lists of n n-bit integers (unseen,
+    last level, next level), about 3 * n**2 / 8 bytes, where one BFS per
+    source needed O(n), plus at most one n-bit integer per tree node for
+    the injected sources and profiles of O(n * width) bits. Every
+    statistic is read off the histogram with exact rationals, so the
+    result does not depend on node labels or summation order.
 
     Averages run over ordered reachable pairs. With no reachable pair at
     all the path length and diameter are None while efficiency is 0.
@@ -181,28 +200,77 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
     if n < 2:
         raise MetricUndefinedError("path summary needs at least two nodes", "too_few_nodes")
     rows = graph.neighbor_rows()
-    unseen = _component_masks(rows)
-    leaf = [len(row) == 1 and len(rows[row[0]]) > 1 for row in rows]
-    leaves_on = [0] * n
-    for x in range(n):
-        if leaf[x]:
-            leaves_on[rows[x][0]] += 1
-    n_leaves = sum(leaves_on)
-    hubs = [r for r in range(n) if leaves_on[r]]
-    # only a hub has leaf neighbors
+    width = 2 * n.bit_length() + 2
+    one = 1 << width
+
+    # Peel degree-<=1 nodes. A node leaves after all its children, so
+    # ``order`` lists children first, and its one neighbor still present,
+    # if any, is its parent. below[v] is v's packed profile of
+    # descendants, by depth under v; cross[v] counts, the same way, the
+    # ordered pairs of them that sit under different children of v.
+    degree = [len(row) for row in rows]
+    parent = [-1] * n
+    peeled = [False] * n
+    order = [v for v in range(n) if degree[v] < 2]
+    below: dict[int, int] = {}
+    cross: dict[int, int] = {}
+    pairs = 0
+    for v in order:
+        peeled[v] = True
+        s = below.pop(v, 0)
+        if s:
+            pairs += 2 * s + cross.pop(v, 0)
+            up = (s + 1) << width
+        else:
+            up = one
+        for p in rows[v]:
+            if not peeled[p]:
+                parent[v] = p
+                degree[p] -= 1
+                if degree[p] == 1:
+                    order.append(p)
+                s = below.get(p, 0)
+                if s:
+                    cross[p] = cross.get(p, 0) + ((s * up) << 1)
+                below[p] = s + up
+                break
+
+    # What is left in ``below`` are the roots: 2-core nodes that trees
+    # hang on.
+    prof = {}
+    for r, s in below.items():
+        pairs += 2 * s + cross.get(r, 0)
+        prof[r] = s >> width
+    # inject[t] maps each root to the bits of its tree nodes at depth t.
+    depth = [0] * n
+    root = list(range(n))
+    inject: list[dict[int, int]] = [{}]
+    for x in reversed(order):
+        p = parent[x]
+        r = root[x] = root[p] if p >= 0 else -1
+        if r >= 0:
+            t = depth[x] = depth[p] + 1
+            if t == len(inject):
+                inject.append({})
+            inject[t][r] = inject[t].get(r, 0) | (1 << x)
+
+    core = [i for i in range(n) if not peeled[i]]
+    unseen = _component_masks(rows, core)
     core_rows = list(rows)
-    for r in hubs:
-        core_rows[r] = tuple(j for j in rows[r] if not leaf[j])
-    hub_rows = rows
+    for level in inject:
+        for r, bits in level.items():
+            unseen[r] ^= bits
+    for r in prof:
+        core_rows[r] = tuple(j for j in rows[r] if not peeled[j])
     frontier = [1 << i for i in range(n)]
-    active = [i for i in range(n) if unseen[i] and not leaf[i] and not leaves_on[i]]
+    active = [i for i in core if i not in prof]
+    roots = list(prof)
     hist: dict[int, int] = {}
-    carried = 0
     d = 0
-    while active or hubs:
+    while active or roots:
         d += 1
         nxt = [0] * n
-        found = carried
+        found = 0
         still = []
         for i in active:
             reached = 0
@@ -215,31 +283,39 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
             unseen[i] = left
             if left:
                 still.append(i)
-        carried = 0
-        still_hubs = []
-        for r in hubs:
+        fold = 0
+        still_roots = []
+        for r in roots:
             reached = 0
-            for j in hub_rows[r]:
+            for j in core_rows[r]:
                 reached |= frontier[j]
             new = reached & unseen[r]
             c = new.bit_count()
             found += c
-            carried += leaves_on[r] * c
+            fold += c * prof[r]
             nxt[r] = new
             left = unseen[r] ^ new
             unseen[r] = left
             if left:
-                still_hubs.append(r)
+                still_roots.append(r)
+        if d < len(inject):
+            for r, bits in inject[d].items():
+                nxt[r] |= bits
         hist[d] = found
+        if fold:
+            pairs += fold << (width * (d + 1))
         frontier = nxt
         active = still
-        hubs = still_hubs
-        hub_rows = core_rows
-    if carried:
-        hist[d + 1] = carried
-    if n_leaves:
-        hist[1] += n_leaves
-        hist[2] -= n_leaves
+        roots = still_roots
+
+    mask = one - 1
+    d = 0
+    while pairs:
+        pairs >>= width
+        d += 1
+        c = pairs & mask
+        if c:
+            hist[d] = hist.get(d, 0) + c
 
     total = n * (n - 1)
     reachable = sum(hist.values())
@@ -250,13 +326,14 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
     return PathSummary(avg, max(hist), eff, float(Fraction(reachable, total)))
 
 
-def _component_masks(rows: tuple[tuple[int, ...], ...]) -> list[int]:
+def _component_masks(rows: tuple[tuple[int, ...], ...], starts: Iterable[int]) -> list[int]:
     """Entry ``i`` is the bitset of the positions in the connected
-    component of ``i``, without ``i`` itself: 0 for an isolated node."""
+    component of ``i``, without ``i`` itself, for every ``i`` in the
+    component of some node in ``starts``; 0 for all other nodes."""
     n = len(rows)
     masks = [0] * n
     placed = [False] * n
-    for start in range(n):
+    for start in starts:
         if placed[start]:
             continue
         placed[start] = True

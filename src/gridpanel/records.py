@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -133,23 +134,41 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _open(path: str):
+@contextmanager
+def _csv_rows(path: str, header: Sequence[str]) -> Iterator[Any]:
+    # A csv reader past the header row, which must name ``header``. What
+    # the csv module or the UTF-8 decoder cannot read, in the header or in
+    # the block, raises ParseError too.
     try:
-        return open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(path, None, f"cannot read file: {exc}") from exc
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise ParseError(path, 1, "empty file, expected a header row")
+            if [c.strip() for c in first] != list(header):
+                raise ParseError(path, 1, f"bad header, expected {','.join(header)}")
+            yield reader
+        except csv.Error as exc:
+            raise ParseError(path, reader.line_num, f"cannot read the row: {exc}") from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
 
 
-def _reader(handle, path: str, header: Sequence[str]):
-    # A csv reader past the header row, which must name ``header``.
-    reader = csv.reader(handle)
+def _not_utf8(path: str) -> ParseError:
+    # The decoder reads ahead of the csv reader, so the line is found again
+    # from the bytes: the one that holds the first byte UTF-8 cannot decode.
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        first = next(reader)
-    except StopIteration:
-        raise ParseError(path, 1, "empty file, expected a header row") from None
-    if [c.strip() for c in first] != list(header):
-        raise ParseError(path, 1, f"bad header, expected {','.join(header)}")
-    return reader
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return ParseError(path, line, f"not UTF-8 text: cannot decode byte {data[exc.start]:#04x}")
+    return ParseError(path, None, "not UTF-8 text")
 
 
 def _width_error(path: str, line: int, width: int, row: list[str]) -> ParseError:
@@ -230,9 +249,9 @@ def load_asset_records(
 ) -> AssetRecordSet:
     """Read records from CSV without enforcing cross-record integrity.
 
-    Raises :class:`ParseError` on structural problems (bad header, short
-    row, non-integer field, unknown event kind, event for an unknown
-    edge). Referential and interval integrity are left to
+    Raises :class:`ParseError` on structural problems (text that is not
+    UTF-8, a row the csv module cannot read, bad header, short row,
+    non-integer field, unknown event kind, event for an unknown edge). Referential and interval integrity are left to
     :func:`validate_records`, so broken datasets can still be loaded and
     reported on. The dataset span defaults to the years observed in the
     data; pass ``dataset_start`` / ``dataset_end`` to pin it explicitly.
@@ -246,8 +265,7 @@ def load_asset_records(
     ints: dict[str, int] = {}
     years: dict[str, int | None] = {}
     nodes = []
-    with _open(node_file) as handle:
-        reader = _reader(handle, node_file, NODE_HEADER)
+    with _csv_rows(node_file, NODE_HEADER) as reader:
         start = reader.line_num + 1
         try:
             for row in reader:
@@ -279,8 +297,7 @@ def load_asset_records(
     # Edge fields first, as EdgeRecord's positional arguments; each record
     # is built once, after its events are known.
     edge_fields = []
-    with _open(edge_file) as handle:
-        reader = _reader(handle, edge_file, EDGE_HEADER)
+    with _csv_rows(edge_file, EDGE_HEADER) as reader:
         start = reader.line_num + 1
         try:
             for row in reader:
@@ -311,8 +328,7 @@ def load_asset_records(
     if event_file is not None:
         known = {fields[0] for fields in edge_fields}
         shared: dict[tuple[str, str], ChangeEvent] = {}
-        with _open(event_file) as handle:
-            reader = _reader(handle, event_file, EVENT_HEADER)
+        with _csv_rows(event_file, EVENT_HEADER) as reader:
             start = reader.line_num + 1
             try:
                 for row in reader:

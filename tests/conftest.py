@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from helpers import planted_lifetime_records, synthetic_records, write_fixture_csvs
+
+# A deep run for the exactness properties that read it, chosen with
+# --hypothesis-profile=thorough; the default profile is left as it is.
+settings.register_profile("thorough", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -67,6 +67,32 @@ def leafy_test_graph(rng: random.Random, n_nodes: int, extra_edges: int) -> Grap
     return Graph(range(n_nodes), sorted(edges))
 
 
+def hanging_tree_graph(rng: random.Random, core_size: int, chords: int, hung: int, forest: int) -> Graph:
+    """A 2-core with random trees hung on it, beside random tree
+    components, under shuffled int labels. The core is a ``core_size``
+    cycle (``core_size`` >= 3) plus ``chords`` random links. Each of the
+    ``hung`` tree nodes joins either the last node added or a random
+    earlier one, so trees grow both deep and bushy. The ``forest`` nodes
+    form separate trees: each starts a new one with probability 0.2 and
+    otherwise joins a random earlier forest node."""
+    edges = {(i, i + 1) for i in range(core_size - 1)} | {(0, core_size - 1)}
+    for _ in range(chords):
+        a, b = sorted(rng.sample(range(core_size), 2))
+        edges.add((a, b))
+    n = core_size
+    for _ in range(hung):
+        edges.add((rng.choice((n - 1, rng.randrange(n))), n))
+        n += 1
+    first = n
+    for _ in range(forest):
+        if n > first and rng.random() >= 0.2:
+            edges.add((rng.randrange(first, n), n))
+        n += 1
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(range(n), [(label[a], label[b]) for a, b in edges])
+
+
 def mesh_graph(side: int) -> Graph:
     """Square grid of ``side * side`` int nodes: node ``r * side + c``
     links to its right and lower neighbours."""

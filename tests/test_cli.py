@@ -91,6 +91,19 @@ def test_validate_rejects_non_ascii_and_non_finite_fields(tmp_path, capsys, row)
     assert "n.csv:2" in captured.err
 
 
+@pytest.mark.parametrize(
+    "row",
+    [("A," + "x" * 200_000 + ",220,1960,,,").encode(), b"A,caf\xe9,220,1960,,,"],
+    ids=["oversized-label", "latin-1-label"],
+)
+def test_validate_exits_two_on_an_unreadable_nodes_row(tmp_path, capsys, row):
+    (tmp_path / "n.csv").write_bytes(b"node_id,label,voltage_kv,year_in,year_out,lat,lon\n" + row + b"\n")
+    (tmp_path / "e.csv").write_text("edge_id,node_a,node_b,voltage_kv,circuits,year_in,year_out\n", encoding="utf-8")
+    code = run("validate", "--nodes", str(tmp_path / "n.csv"), "--edges", str(tmp_path / "e.csv"))
+    assert code == 2
+    assert "n.csv:2: " in capsys.readouterr().err
+
+
 def test_missing_required_inputs_exit_two():
     assert run("panel") == 2
 
@@ -328,6 +341,13 @@ def test_unknown_config_key_exits_two(workspace, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("frobnicate = 1\n", encoding="utf-8")
     assert run("panel", "--config", str(cfg)) == 2
+
+
+def test_config_that_is_not_utf8_exits_two(workspace, tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"country_tag = caf\xe9\n")
+    assert run("panel", "--config", str(cfg)) == 2
+    assert "not UTF-8 text at byte offset 17" in capsys.readouterr().err
 
 
 def test_bad_year_range_exits_two(workspace):

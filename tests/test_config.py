@@ -107,6 +107,13 @@ def test_load_config_missing_file(tmp_path):
         load_config(str(tmp_path / "absent.cfg"))
 
 
+def test_load_config_not_utf8(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"seed = 4\n# caf\xe9\n")
+    with pytest.raises(ParameterError, match="not UTF-8 text at byte offset 14"):
+        load_config(str(path))
+
+
 def test_header_lines_render_as_comments():
     text = dump_config(RunConfig(), header_lines=("first", "second"))
     lines = text.splitlines()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import leafy_test_graph, random_test_graph, relabeled, string_relabeled, undefined_reason
+from helpers import hanging_tree_graph, leafy_test_graph, random_test_graph, relabeled, string_relabeled, undefined_reason
 from gridpanel import (
     AnnualSnapshot,
     Graph,
@@ -247,6 +247,66 @@ def leafy_cycle(size=30):
     return Graph(range(2 * size), edges)
 
 
+def pendant_path_on_cycle(cycle=12, length=100):
+    # A cycle with a path of ``length`` nodes hanging on node 0.
+    edges = [(i, (i + 1) % cycle) for i in range(cycle)]
+    edges += [(0 if i == cycle else i - 1, i) for i in range(cycle, cycle + length)]
+    return Graph(range(cycle + length), edges)
+
+
+def spider(legs=(1, 2, 3, 5, 8, 13)):
+    # Centre 0 with one path per entry of ``legs``, that many nodes long.
+    edges, nxt = [], 1
+    for length in legs:
+        edges += [(0 if i == 0 else nxt + i - 1, nxt + i) for i in range(length)]
+        nxt += length
+    return Graph(range(nxt), edges)
+
+
+def deep_branching_on_cycle():
+    # An 8-cycle. Node 0 carries a complete binary tree of depth 4, which
+    # branches at depths 1, 2 and 3; node 4 carries a 2-node stem that
+    # forks into three 3-node paths, a first branching at depth 2.
+    edges = [(i, (i + 1) % 8) for i in range(8)]
+    edges += [(0 if v == 8 else 8 + (v - 9) // 2, v) for v in range(8, 8 + 30)]
+    edges += [(4, 38), (38, 39)]
+    nxt = 40
+    for _ in range(3):
+        edges += [(39, nxt), (nxt, nxt + 1), (nxt + 1, nxt + 2)]
+        nxt += 3
+    return Graph(range(nxt), edges)
+
+
+def adjacent_roots(size=10):
+    # A cycle whose every node carries a 2-node path with a leaf on its
+    # first node, so each root's neighbors on the cycle are roots too.
+    edges = [(i, (i + 1) % size) for i in range(size)]
+    for i in range(size):
+        a, b, c = size + 3 * i, size + 3 * i + 1, size + 3 * i + 2
+        edges += [(i, a), (a, b), (a, c)]
+    return Graph(range(4 * size), edges)
+
+
+def tree_larger_than_core():
+    # A triangle; node 0 carries a 60-node tree in which node v joins
+    # v // 3, node 1 a 20-node path.
+    edges = [(0, 1), (1, 2), (0, 2)]
+    edges += [(0 if v == 3 else 3 + (v - 4) // 3, v) for v in range(3, 63)]
+    edges += [(1 if v == 63 else v - 1, v) for v in range(63, 83)]
+    return Graph(range(83), edges)
+
+
+def trees_beside_a_core():
+    # A leafy 12-cycle, then tree components: a 7-node path, the spider,
+    # a 5-leaf star, an isolated edge and an isolated node.
+    parts = [leafy_cycle(12), path_graph(7), spider(), star_graph(5), path_graph(2), Graph([0], [])]
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(offset + u, offset + v) for u, v in part.edges()]
+        offset += part.n_nodes
+    return Graph(range(offset), edges)
+
+
 APSP_CASES = {
     **{f"path{n}": path_graph(n) for n in (2, 3, 4)},
     **{f"star{k}": star_graph(k) for k in (2, 5, 70)},
@@ -264,7 +324,17 @@ APSP_CASES = {
     "mixed-diameters": mixed_diameter_union(),
     "star5x30": long_armed_star(),
     **{f"er177-s{s}": as_graph(gen_erdos_renyi(177, 177, s)) for s in (1, 2, 3)},
+    # Watts-Strogatz at k = 2 is a ring whose rewired links leave most
+    # nodes in trees hung on a small 2-core.
     **{f"ws177-s{s}": as_graph(gen_watts_strogatz(177, 2, 0.1, s)) for s in (1, 2, 3)},
+    "pendant-path100": pendant_path_on_cycle(),
+    "spider": spider(),
+    "deep-branching": deep_branching_on_cycle(),
+    "adjacent-roots": adjacent_roots(),
+    "tree-over-core": tree_larger_than_core(),
+    "trees-beside-core": trees_beside_a_core(),
+    # 512 * 511 pairs at distance 2: a slot count near n**2
+    "star512": star_graph(512),
 }
 APSP_CASES.update(
     {
@@ -284,6 +354,13 @@ APSP_CASES.update(
                 "forest-pairs",
                 "leafy-cycle30",
                 "isolated-and-star",
+                "pendant-path100",
+                "spider",
+                "deep-branching",
+                "adjacent-roots",
+                "tree-over-core",
+                "trees-beside-core",
+                "star512",
             ),
             start=5,
         )
@@ -296,10 +373,27 @@ def test_path_summary_equals_per_source_bfs_past_word_boundaries(graph):
     assert apsp_summary(graph) == oracles.path_summary_by_bfs(graph)
 
 
-@settings(max_examples=150, deadline=None)
+# The thorough profile (tests/conftest.py) raises this for a deep run.
+PATH_EXAMPLES = max(150, settings.default.max_examples)
+
+
+@settings(max_examples=PATH_EXAMPLES, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(min_value=2, max_value=90), st.integers(min_value=0, max_value=6))
 def test_path_summary_equals_per_source_bfs_on_leafy_sparse_graphs(rng, n, extra):
     g = leafy_test_graph(rng, n, extra)
+    assert apsp_summary(g) == oracles.path_summary_by_bfs(g)
+
+
+@settings(max_examples=PATH_EXAMPLES, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.integers(min_value=3, max_value=30),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=20),
+)
+def test_path_summary_equals_per_source_bfs_on_trees_hung_on_a_2_core(rng, core_size, chords, hung, forest):
+    g = hanging_tree_graph(rng, core_size, chords, hung, forest)
     assert apsp_summary(g) == oracles.path_summary_by_bfs(g)
 
 

@@ -108,6 +108,54 @@ def test_bad_header_reports_file_and_line(tmp_path):
     assert "n.csv:1" in str(exc.value)
 
 
+UNREADABLE_ROWS = {
+    # A field longer than the csv module's 131,072-character limit.
+    "oversized-field": (lambda width: ("x" * 200_000 + "," * (width - 1)).encode(), "field limit"),
+    # A byte that does not start any UTF-8 sequence.
+    "invalid-utf8": (lambda width: b"A\xff" + b"," * (width - 1), "not UTF-8 text"),
+}
+
+
+def write_role_files(tmp_path, broken_role=None, broken_row=b""):
+    # Valid nodes, edges and events files; the broken role gets
+    # ``broken_row`` as its third line.
+    lines = {
+        "nodes": [",".join(NODE_HEADER), "A,a,220,1960,,,", "B,b,220,1962,,,"],
+        "edges": [",".join(EDGE_HEADER), "AB,A,B,220,1,1962,"],
+        "events": [",".join(EVENT_HEADER), "AB,1970,split"],
+    }
+    paths = {}
+    for role, rows in lines.items():
+        data = "\n".join(rows[:2]).encode() + b"\n"
+        if role == broken_role:
+            data += broken_row + b"\n"
+        data += "".join(row + "\n" for row in rows[2:]).encode()
+        path = tmp_path / f"{role}.csv"
+        path.write_bytes(data)
+        paths[role] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("fault", UNREADABLE_ROWS)
+@pytest.mark.parametrize("role,width", [("nodes", 7), ("edges", 7), ("events", 3)])
+def test_unreadable_row_is_a_parse_error_naming_file_and_line(tmp_path, role, width, fault):
+    row, words = UNREADABLE_ROWS[fault]
+    paths = write_role_files(tmp_path, role, row(width))
+    with pytest.raises(ParseError) as exc:
+        load_asset_records(paths["nodes"], paths["edges"], paths["events"])
+    assert (exc.value.source, exc.value.line) == (paths[role], 3)
+    assert words in exc.value.message
+
+
+def test_invalid_utf8_header_is_a_parse_error_on_line_one(tmp_path):
+    paths = write_role_files(tmp_path)
+    Path(paths["edges"]).write_bytes(b"edge_id\xc3,node_a\n")
+    with pytest.raises(ParseError) as exc:
+        load_asset_records(paths["nodes"], paths["edges"], paths["events"])
+    assert (exc.value.source, exc.value.line) == (paths["edges"], 1)
+    assert "not UTF-8" in exc.value.message
+
+
 def test_short_row_rejected(tmp_path):
     nodes = write_lines(
         tmp_path / "n.csv",
