@@ -21,10 +21,9 @@ from operator import attrgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from . import __version__
-from .config import CONFIG_KEYS, RunConfig, _format_value, apply_overrides, dump_config, load_config
+from .config import CONFIG_KEYS, STAR_VARIANTS, RunConfig, _format_value, apply_overrides, dump_config, load_config
 from .errors import GridPanelError, ParameterError, ValidationFailedError
 from .graph import AnnualSnapshot
-from .motifs import STAR_VARIANTS
 from .records import (
     AssetRecordSet,
     _ascii_number,
@@ -33,6 +32,7 @@ from .records import (
     load_asset_records,
     parse_asset_records,
     validate_records,
+    year_changes,
     year_snapshots,
 )
 
@@ -148,6 +148,13 @@ def _year_snapshots(config: RunConfig) -> Iterator[AnnualSnapshot]:
     return year_snapshots(records, config.year_start, config.year_end, config.voltage_floor_kv)
 
 
+def _year_changes(config: RunConfig) -> Iterator[tuple[AnnualSnapshot, set]]:
+    """As :func:`_year_snapshots`, each snapshot paired with the stations
+    whose rows the sweep rebuilt that year."""
+    records = _load_validated(config)
+    return year_changes(records, config.year_start, config.year_end, config.voltage_floor_kv)
+
+
 def _write_outputs(config: RunConfig, command: str, tables: dict[str, tuple[Sequence[str], Iterable]]) -> None:
     """Create the output directory, write each ``name: (header, rows)``
     table in order as the CSV file ``name``, and write
@@ -214,13 +221,13 @@ def cmd_panel(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_motifs(config: RunConfig, args: argparse.Namespace) -> int:
-    from .motifs import MOTIF_NAMES, motif_counts, motif_shares
+    from .motifs import MOTIF_NAMES, carried_motif_counts, motif_shares
 
     n_years = 0
     out_rows = []
-    for snap in _year_snapshots(config):
+    census = carried_motif_counts(_year_changes(config), chordless_only=config.chordless_only, variant=config.variant)
+    for counts in census:
         n_years += 1
-        counts = motif_counts(snap, chordless_only=config.chordless_only, variant=config.variant)
         shares = motif_shares(counts)
         count_map = counts.as_dict()
         share_map = shares.as_dict()
@@ -228,7 +235,7 @@ def cmd_motifs(config: RunConfig, args: argparse.Namespace) -> int:
             out_rows.append(
                 (
                     config.country_tag,
-                    snap.year,
+                    counts.year,
                     motif,
                     count_map[motif],
                     share_map[motif],

@@ -13,8 +13,10 @@ from math import isfinite
 from typing import Any
 
 from .errors import ParameterError
-from .motifs import STAR_VARIANTS
 from .records import _ascii_number
+
+# The choices of the ``variant`` key; gridpanel.motifs counts stars by them.
+STAR_VARIANTS = ("subgraph", "induced")
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,12 @@ class Graph:
         only as long as the caller holds them."""
         return [frozenset(row) for row in self._rows]
 
+    def positions(self, labels: Iterable[NodeId]) -> list[int]:
+        """Positions in :attr:`nodes` of those ``labels`` that are nodes,
+        in the order given; labels that are not nodes are skipped."""
+        index = self._index
+        return [index[v] for v in labels if v in index]
+
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         index = self._index
         return u in index and v in index and index[v] in self._rows[index[u]]

@@ -189,8 +189,8 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
     last level, next level), about 3 * n**2 / 8 bytes, where one BFS per
     source needed O(n), plus at most one n-bit integer per tree node for
     the injected sources and profiles of O(n * width) bits. Every
-    statistic is read off the histogram with exact rationals, so the
-    result does not depend on node labels or summation order.
+    statistic is read off the histogram as one exact integer ratio, so
+    the result does not depend on node labels or summation order.
 
     Averages run over ordered reachable pairs. With no reachable pair at
     all the path length and diameter are None while efficiency is 0.
@@ -321,9 +321,11 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
     reachable = sum(hist.values())
     if reachable == 0:
         return PathSummary(None, None, 0.0, 0.0)
-    avg = float(Fraction(sum(d * c for d, c in hist.items()), reachable))
-    eff = float(sum(Fraction(c, d) for d, c in hist.items()) / total)
-    return PathSummary(avg, max(hist), eff, float(Fraction(reachable, total)))
+    # Each statistic is one int / int, which rounds correctly to a float;
+    # efficiency's sum of c / d is taken over the lcm of the distances.
+    common = math.lcm(*hist)
+    eff = sum(c * (common // d) for d, c in hist.items()) / (common * total)
+    return PathSummary(sum(d * c for d, c in hist.items()) / reachable, max(hist), eff, reachable / total)
 
 
 def _component_masks(rows: tuple[tuple[int, ...], ...], starts: Iterable[int]) -> list[int]:

@@ -10,6 +10,11 @@ nothing more; with ``chordless_only=False`` every distinct 4-cycle
 subgraph is counted, chords or not. Star counting has two variants:
 ``subgraph`` takes any choice of center plus k neighbors, ``induced``
 additionally requires the leaves to be pairwise unlinked.
+
+Along a year sweep, :func:`carried_motif_counts` carries the four totals
+from one year to the next. Each total is a sum of per-station terms, and
+a station's terms read only its own row and its neighbours' rows, so a
+year recounts only the stations whose neighbourhood changed.
 """
 
 from __future__ import annotations
@@ -19,12 +24,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 from math import comb
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
+from .config import STAR_VARIANTS
 from .errors import ParameterError
-from .graph import AnnualSnapshot, Graph, as_graph
+from .graph import AnnualSnapshot, Graph, NodeId, as_graph
 
 MOTIF_NAMES = ("triangle", "four_cycle", "three_star", "four_star")
-STAR_VARIANTS = ("subgraph", "induced")
+
+# carried_motif_counts recounts a year from scratch once its changed
+# stations number one in this many of the graph's. Each changed station
+# brings its neighbours, and each of those is counted in two graphs, so
+# near this share a carried year reads about as many 2-walks as a
+# recount reads wedges. Timed year by year on grown and churned grids at
+# 0 and 220 kV, a carried year is mostly the faster below it and the
+# slower above, and the rule's choices cost within 1% of always taking
+# the faster way over each grid's years.
+RECOUNT_SHARE = 12
 
 
 @dataclass(frozen=True)
@@ -123,8 +139,7 @@ def count_stars(g: Graph | AnnualSnapshot, leaves: int, *, variant: str = "subgr
     """
     if leaves < 1:
         raise ParameterError(f"a star needs at least one leaf, got {leaves}")
-    if variant not in STAR_VARIANTS:
-        raise ParameterError(f"variant must be one of {', '.join(STAR_VARIANTS)}, got {variant!r}")
+    _check_variant(variant)
     graph = as_graph(g)
     if variant == "subgraph":
         return sum(map(comb, map(len, graph.neighbor_rows()), repeat(leaves)))
@@ -138,7 +153,14 @@ def count_stars(g: Graph | AnnualSnapshot, leaves: int, *, variant: str = "subgr
     return acc
 
 
-def _independent_subsets(candidates: tuple[int, ...], sets: list[frozenset[int]], size: int) -> int:
+def _check_variant(variant: str) -> None:
+    if variant not in STAR_VARIANTS:
+        raise ParameterError(f"variant must be one of {', '.join(STAR_VARIANTS)}, got {variant!r}")
+
+
+def _independent_subsets(
+    candidates: tuple[int, ...], sets: Sequence[Collection[int]] | Mapping[int, Collection[int]], size: int
+) -> int:
     # Depth-first choice of pairwise-unlinked members from a sorted pool.
     def extend(start: int, chosen: list) -> int:
         if len(chosen) == size:
@@ -184,3 +206,99 @@ def motif_shares(counts: MotifCounts) -> MotifShares:
     shares = {name: float(Fraction(raw[name], total)) if total else 0.0 for name in MOTIF_NAMES}
     return MotifShares(counts.year, total=total, **shares)
 
+
+def carried_motif_counts(
+    years: Iterable[tuple[AnnualSnapshot, Collection[NodeId]]],
+    *,
+    chordless_only: bool = True,
+    variant: str = "subgraph",
+) -> Iterator[MotifCounts]:
+    """:func:`motif_counts` of each snapshot in ``years``, each year's
+    totals carried from the year before.
+
+    ``years`` pairs consecutive snapshots of one sweep with the stations,
+    by label, whose neighbour set changed since the previous snapshot or
+    that entered or left the graph, as :func:`gridpanel.records.year_changes`
+    yields them; the first set must name every station of the first
+    snapshot. Each year, the stations in the set and their neighbours in
+    the new graph leave the totals with their terms in the old graph and
+    enter them with their terms in the new one. No other station's terms
+    can change: a station outside the set keeps its row, so a changed
+    neighbour of it is in the set and has it as a neighbour this year.
+
+    A year whose set's size times ``RECOUNT_SHARE`` is at least its
+    graph's station count is recounted from scratch by
+    :func:`motif_counts` instead, and so is the first year. Both ways give the same counts; the
+    rule only picks the cheaper one. The variant is checked on the call.
+    """
+    _check_variant(variant)
+    return _carry(years, chordless_only, variant)
+
+
+def _carry(
+    years: Iterable[tuple[AnnualSnapshot, Collection[NodeId]]], chordless_only: bool, variant: str
+) -> Iterator[MotifCounts]:
+    # ``sums`` holds the station terms summed over the last graph: six
+    # times its triangles, four times its 4-cycles and its 3- and 4-stars.
+    induced = variant == "induced"
+    last = Graph(())
+    sums = (0, 0, 0, 0)
+    for snap, touched in years:
+        graph = snap.graph
+        if len(touched) * RECOUNT_SHARE < graph.n_nodes:
+            nodes, rows = graph.nodes, graph.neighbor_rows()
+            changed = graph.positions(touched)
+            new = set(changed).union(chain.from_iterable(map(rows.__getitem__, changed)))
+            old = last.positions({*touched, *map(nodes.__getitem__, new)})
+            before = _station_terms(last.neighbor_rows(), old, chordless_only, induced)
+            after = _station_terms(rows, new, chordless_only, induced)
+            sums = tuple(total - was + now for total, was, now in zip(sums, before, after))
+            counts = MotifCounts(
+                year=snap.year,
+                triangles=sums[0] // 6,
+                four_cycles=sums[1] // 4,
+                three_stars=sums[2],
+                four_stars=sums[3],
+                variant=variant,
+                chordless_only=chordless_only,
+            )
+        else:
+            counts = motif_counts(snap, chordless_only=chordless_only, variant=variant)
+            sums = (6 * counts.triangles, 4 * counts.four_cycles, counts.three_stars, counts.four_stars)
+        yield counts
+        last = graph
+
+
+def _station_terms(
+    rows: Sequence[tuple[int, ...]], positions: Iterable[int], chordless_only: bool, induced: bool
+) -> tuple[int, int, int, int]:
+    # Summed over the stations at ``positions``: twice the triangles on
+    # each, the 4-cycles on each, and the 3- and 4-stars centred on each.
+    # ``walks[c]`` counts the 2-walks from station a to c, which is the
+    # number of neighbours a and c share. A neighbour c closes that many
+    # triangles with a, so each triangle on a is seen from both of its
+    # other corners. Any other station c with w shared neighbours is the
+    # far corner of C(w, 2) 4-cycles through a; a chordless one also
+    # needs c unlinked to a and its two middle corners unlinked.
+    closed = cycles = three_stars = four_stars = 0
+    for a in positions:
+        row = rows[a]
+        walks = Counter(chain.from_iterable(map(rows.__getitem__, row)))
+        walks.pop(a, None)
+        closed += sum(map(walks.__getitem__, row))
+        if chordless_only:
+            near = set(row)
+            for c, w in walks.items():
+                if w > 1 and c not in near:
+                    common = near.intersection(rows[c])
+                    cycles += comb(w, 2) - sum(len(common.intersection(rows[x])) for x in common) // 2
+        else:
+            cycles += sum(map(comb, walks.values(), repeat(2)))
+        if induced:
+            sets = {x: frozenset(rows[x]) for x in row}
+            three_stars += _independent_subsets(row, sets, 3) if len(row) >= 3 else 0
+            four_stars += _independent_subsets(row, sets, 4) if len(row) >= 4 else 0
+        else:
+            three_stars += comb(len(row), 3)
+            four_stars += comb(len(row), 4)
+    return closed, cycles, three_stars, four_stars

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from math import isfinite
-from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     IntervalError,
@@ -46,16 +46,14 @@ _year_in = attrgetter("year_in")
 _event_order = attrgetter("year", "kind")
 
 
-@dataclass(frozen=True)
-class ChangeEvent:
+class ChangeEvent(NamedTuple):
     """A dated change on an edge record."""
 
     year: int
     kind: str
 
 
-@dataclass(frozen=True)
-class NodeRecord:
+class NodeRecord(NamedTuple):
     """A station or substation with its service interval."""
 
     node_id: str
@@ -67,8 +65,7 @@ class NodeRecord:
     lon: float | None = None
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     """A circuit between two stations with its service interval and events."""
 
     edge_id: str
@@ -406,61 +403,61 @@ def validate_records(records: AssetRecordSet) -> ValidationReport:
         err("span_reversed", "dataset", f"dataset_start {start} is after dataset_end {end}")
 
     seen_nodes: set[str] = set()
-    for rec in records.nodes:
-        if rec.node_id in seen_nodes:
-            err("duplicate_node_id", rec.node_id, "node_id appears more than once")
-        seen_nodes.add(rec.node_id)
-        if rec.voltage_kv <= 0:
-            err("nonpositive_voltage", rec.node_id, f"voltage_kv must be positive, got {rec.voltage_kv}")
-        if rec.year_out is not None and rec.year_out < rec.year_in:
-            err("interval_reversed", rec.node_id, f"year_out {rec.year_out} is before year_in {rec.year_in}")
-        if not start <= rec.year_in <= end or (rec.year_out is not None and not start <= rec.year_out <= end):
-            err("year_outside_span", rec.node_id, f"service interval leaves the dataset span {start}-{end}")
+    for node_id, _, voltage_kv, year_in, year_out, _, _ in records.nodes:
+        if node_id in seen_nodes:
+            err("duplicate_node_id", node_id, "node_id appears more than once")
+        seen_nodes.add(node_id)
+        if voltage_kv <= 0:
+            err("nonpositive_voltage", node_id, f"voltage_kv must be positive, got {voltage_kv}")
+        if year_out is not None and year_out < year_in:
+            err("interval_reversed", node_id, f"year_out {year_out} is before year_in {year_in}")
+        if not start <= year_in <= end or (year_out is not None and not start <= year_out <= end):
+            err("year_outside_span", node_id, f"service interval leaves the dataset span {start}-{end}")
 
     node_map = records.node_by_id
     seen_edges: set[str] = set()
-    for rec in records.edges:
-        if rec.edge_id in seen_edges:
-            err("duplicate_edge_id", rec.edge_id, "edge_id appears more than once")
-        seen_edges.add(rec.edge_id)
-        if rec.node_a == rec.node_b:
-            err("self_loop", rec.edge_id, f"both endpoints are {rec.node_a!r}")
-        if rec.voltage_kv <= 0:
-            err("nonpositive_voltage", rec.edge_id, f"voltage_kv must be positive, got {rec.voltage_kv}")
-        if rec.circuits <= 0:
-            err("nonpositive_circuits", rec.edge_id, f"circuits must be positive, got {rec.circuits}")
-        if rec.year_out is not None and rec.year_out < rec.year_in:
-            err("interval_reversed", rec.edge_id, f"year_out {rec.year_out} is before year_in {rec.year_in}")
-        if not start <= rec.year_in <= end or (rec.year_out is not None and not start <= rec.year_out <= end):
-            err("year_outside_span", rec.edge_id, f"service interval leaves the dataset span {start}-{end}")
+    for edge_id, node_a, node_b, voltage_kv, year_in, year_out, circuits, events in records.edges:
+        if edge_id in seen_edges:
+            err("duplicate_edge_id", edge_id, "edge_id appears more than once")
+        seen_edges.add(edge_id)
+        if node_a == node_b:
+            err("self_loop", edge_id, f"both endpoints are {node_a!r}")
+        if voltage_kv <= 0:
+            err("nonpositive_voltage", edge_id, f"voltage_kv must be positive, got {voltage_kv}")
+        if circuits <= 0:
+            err("nonpositive_circuits", edge_id, f"circuits must be positive, got {circuits}")
+        if year_out is not None and year_out < year_in:
+            err("interval_reversed", edge_id, f"year_out {year_out} is before year_in {year_in}")
+        if not start <= year_in <= end or (year_out is not None and not start <= year_out <= end):
+            err("year_outside_span", edge_id, f"service interval leaves the dataset span {start}-{end}")
 
-        edge_end = rec.year_out if rec.year_out is not None else end + 1
-        for endpoint in (rec.node_a, rec.node_b):
+        edge_end = year_out if year_out is not None else end + 1
+        for endpoint in (node_a, node_b):
             node = node_map.get(endpoint)
             if node is None:
-                err("unknown_endpoint", rec.edge_id, f"endpoint {endpoint!r} is not a known node_id")
+                err("unknown_endpoint", edge_id, f"endpoint {endpoint!r} is not a known node_id")
                 continue
             node_end = node.year_out if node.year_out is not None else end + 1
-            if node.year_in > rec.year_in or edge_end > node_end:
+            if node.year_in > year_in or edge_end > node_end:
                 err(
                     "endpoint_dead",
-                    rec.edge_id,
+                    edge_id,
                     f"endpoint {endpoint!r} is not in service for the whole edge interval",
                 )
 
-        last_event_year = rec.year_out if rec.year_out is not None else end
-        for ev in rec.events:
-            if not rec.year_in <= ev.year <= last_event_year:
+        last_event_year = year_out if year_out is not None else end
+        for ev in events:
+            if not year_in <= ev.year <= last_event_year:
                 err(
                     "event_out_of_range",
-                    rec.edge_id,
-                    f"{ev.kind} event in {ev.year} falls outside {rec.year_in}-{last_event_year}",
+                    edge_id,
+                    f"{ev.kind} event in {ev.year} falls outside {year_in}-{last_event_year}",
                 )
-            if ev.kind == "decommission" and ev.year != rec.year_out:
+            if ev.kind == "decommission" and ev.year != year_out:
                 err(
                     "decommission_mismatch",
-                    rec.edge_id,
-                    f"decommission event in {ev.year} disagrees with year_out {rec.year_out}",
+                    edge_id,
+                    f"decommission event in {ev.year} disagrees with year_out {year_out}",
                 )
 
     return ValidationReport(tuple(out))
@@ -583,6 +580,24 @@ def year_snapshots(
     of stations whose neighbourhood changed rebuilt; the first year is
     built this way from the empty graph.
     """
+    return map(itemgetter(0), year_changes(records, start, end, voltage_floor_kv))
+
+
+def year_changes(
+    records: AssetRecordSet,
+    start: int | None = None,
+    end: int | None = None,
+    voltage_floor_kv: int = 0,
+) -> Iterator[tuple[AnnualSnapshot, set]]:
+    """The sweep of :func:`year_snapshots`, each snapshot paired with the
+    stations whose rows it rebuilt that year, by label.
+
+    Every station whose neighbour set differs from the previous year's
+    graph, or that entered or left the graph, is in the set; the first
+    year's set holds every station of its graph. The set may also name
+    stations whose row came out the same, or that are in neither graph.
+    Each year's set is a new one, which the caller may keep or change.
+    """
     start, end = _year_range_within(records, start, end)
     return _sweep(filter_by_voltage(records, voltage_floor_kv), start, end, voltage_floor_kv)
 
@@ -602,7 +617,9 @@ def _lives(recs: Sequence[NodeRecord] | Sequence[EdgeRecord], start: int, end: i
     return enter, leave
 
 
-def _sweep(scoped: AssetRecordSet, start: int, end: int, voltage_floor_kv: int) -> Iterator[AnnualSnapshot]:
+def _sweep(
+    scoped: AssetRecordSet, start: int, end: int, voltage_floor_kv: int
+) -> Iterator[tuple[AnnualSnapshot, set]]:
     node_enter, node_leave = _lives(scoped.nodes, start, end)
     edge_enter, edge_leave = _lives(scoped.edges, start, end)
     alive: dict = {}  # station -> its live node records
@@ -646,7 +663,8 @@ def _sweep(scoped: AssetRecordSet, start: int, end: int, voltage_floor_kv: int) 
         for v in flipped:
             touched.update(partners.get(v, ()))
         nodes, index, rows = _next_rows(nodes, index, rows, alive, partners, flipped, touched)
-        yield AnnualSnapshot(year=year, voltage_floor_kv=voltage_floor_kv, graph=_from_rows(nodes, index, rows))
+        snapshot = AnnualSnapshot(year=year, voltage_floor_kv=voltage_floor_kv, graph=_from_rows(nodes, index, rows))
+        yield snapshot, touched
 
 
 def _next_rows(

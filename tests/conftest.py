@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+from helpers import churned_records as build_churned_records
 from helpers import planted_lifetime_records, synthetic_records, write_fixture_csvs
 
 # A deep run for the exactness properties that read it, chosen with
@@ -16,6 +17,11 @@ def country_records():
 @pytest.fixture(scope="session")
 def planted_records():
     return planted_lifetime_records()
+
+
+@pytest.fixture(scope="session")
+def churned_records():
+    return build_churned_records()
 
 
 @pytest.fixture()

@@ -7,6 +7,7 @@ import os
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from gridpanel import (
     AssetRecordSet,
@@ -240,6 +241,107 @@ def planted_lifetime_records(start=1950, end=2010) -> AssetRecordSet:
     return build_record_set(
         nodes, edges, country_tag="planted", dataset_start=start, dataset_end=end
     )
+
+
+def churned_records(seed=11, start=2000, n_years=30) -> AssetRecordSet:
+    """A valid grid whose stations come and go: each year a few stations
+    are built and linked to two or three live ones, a few retire with
+    their circuits, some circuits are rebuilt on their corridor and some
+    corridors get a parallel circuit. Station ids are drawn at random,
+    so a new station can sort between old ones and move their positions.
+    Voltages are mixed, so each floor sees a different grid."""
+    rng = random.Random(seed)
+    end = start + n_years - 1
+    ids = rng.sample(range(1000), 200)
+    nodes: dict[str, dict] = {}
+    edges: list[dict] = []
+
+    def build_station(year):
+        node_id = f"K{ids[len(nodes)]:03d}"
+        nodes[node_id] = {"year_in": year, "year_out": None, "voltage": rng.choice((110, 220, 220, 400))}
+        return node_id
+
+    def build_circuit(a, b, year):
+        voltage = min(nodes[a]["voltage"], nodes[b]["voltage"])
+        edges.append({"a": a, "b": b, "year_in": year, "year_out": None, "voltage": voltage})
+
+    live = [build_station(start) for _ in range(8)]
+    for a, b in zip(live, live[1:] + live[:1]):
+        build_circuit(a, b, start)
+    for a, b in zip(live[::2], live[2::2]):
+        build_circuit(a, b, start)
+    for year in range(start + 1, end + 1):
+        for _ in range(rng.choice((1, 2, 3))):
+            new = build_station(year)
+            for other in rng.sample(live, min(len(live), rng.choice((2, 2, 3)))):
+                build_circuit(new, other, year)
+            live.append(new)
+        circuits = [e for e in edges if e["year_out"] is None and e["year_in"] < year]
+        for e in rng.sample(circuits, min(len(circuits), rng.choice((0, 1, 2)))):
+            e["year_out"] = year
+            if rng.random() < 0.6:
+                build_circuit(e["a"], e["b"], year)
+        if circuits and rng.random() < 0.4:
+            e = rng.choice(circuits)
+            build_circuit(e["b"], e["a"], year)
+        if len(live) > 12 and rng.random() < 0.5:
+            gone = live.pop(rng.randrange(len(live)))
+            nodes[gone]["year_out"] = year
+            for e in edges:
+                if e["year_out"] is None and gone in (e["a"], e["b"]):
+                    e["year_out"] = year
+    return build_record_set(
+        [make_node(n, v["year_in"], year_out=v["year_out"], voltage=v["voltage"]) for n, v in nodes.items()],
+        [
+            make_edge(f"C{i:03d}", e["a"], e["b"], e["year_in"], year_out=e["year_out"], voltage=e["voltage"])
+            for i, e in enumerate(edges)
+        ],
+        country_tag="churned",
+        dataset_start=start,
+        dataset_end=end,
+    )
+
+
+@st.composite
+def small_record_sets(draw) -> AssetRecordSet:
+    """Unvalidated record sets spanning 2000-2010 over eight stations, P
+    to W, each with one record or more. Lives may start or end outside
+    the span, be empty, run backwards or outlive an endpoint, and a
+    voltage may lie below a floor of 220 or 400 kV. A circuit may get a
+    parallel record on its corridor, written from the other end, and a
+    rebuild that starts on the corridor in the year it ends."""
+    ids = "PQRSTUVW"
+    years = st.integers(1998, 2012)
+
+    def lives(last_start):
+        # (year_in, year_out): a missing year_out, or one up to 14 years on
+        # or a year back.
+        lengths = st.one_of(st.none(), st.integers(-1, 14))
+        return st.tuples(st.integers(1998, last_start), lengths).map(
+            lambda life: (life[0], None if life[1] is None else sum(life))
+        )
+
+    voltages = st.sampled_from((110, 220, 400, 400))
+    stations = draw(st.lists(st.tuples(lives(2006), voltages), min_size=len(ids), max_size=len(ids)))
+    stations = list(zip(ids, stations))
+    stations += draw(st.lists(st.tuples(st.sampled_from(ids), st.tuples(lives(2012), voltages)), max_size=6))
+    nodes = [
+        make_node(node_id, year_in, year_out=year_out, voltage=voltage)
+        for node_id, ((year_in, year_out), voltage) in stations
+    ]
+    ends = st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True)
+    extras = st.one_of(st.none(), st.tuples(lives(2010), voltages))
+    edges = []
+    for (a, b), (year_in, year_out), voltage, parallel, rebuild in draw(
+        st.lists(st.tuples(ends, lives(2010), voltages, extras, st.one_of(st.none(), years)), min_size=8, max_size=28)
+    ):
+        edges.append(make_edge(f"e{len(edges)}", a, b, year_in, year_out=year_out, voltage=voltage))
+        if parallel is not None:
+            (p_in, p_out), p_voltage = parallel
+            edges.append(make_edge(f"e{len(edges)}", b, a, p_in, year_out=p_out, voltage=p_voltage))
+        if rebuild is not None and year_out is not None:
+            edges.append(make_edge(f"e{len(edges)}", a, b, year_out, year_out=rebuild, voltage=voltage))
+    return build_record_set(nodes, edges, dataset_start=2000, dataset_end=2010)
 
 
 def write_fixture_csvs(records: AssetRecordSet, directory) -> dict[str, str]:

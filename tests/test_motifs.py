@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import mesh_graph, random_test_graph, string_relabeled
+from helpers import make_edge, make_node, mesh_graph, random_test_graph, small_record_sets, string_relabeled
 from gridpanel import (
     Graph,
     ParameterError,
+    build_record_set,
     count_four_cycles,
     count_stars,
     count_triangles,
@@ -17,8 +18,10 @@ from gridpanel import (
     year_snapshots,
 )
 from gridpanel import motifs as motifs_module
+from gridpanel.config import STAR_VARIANTS
 from gridpanel.graph import ring_lattice
-from gridpanel.motifs import MOTIF_NAMES
+from gridpanel.motifs import MOTIF_NAMES, carried_motif_counts
+from gridpanel.records import year_changes
 
 
 def complete_graph(n):
@@ -299,3 +302,78 @@ def test_motif_counts_builds_one_wedge_count_per_snapshot(monkeypatch, country_r
     for snap in snapshots:
         motif_counts(snap, chordless_only=True, variant="induced")
     assert calls == [snap.graph.neighbor_rows() for snap in snapshots]
+
+
+# -- the census carried along the year sweep -----------------------------------
+
+
+def assert_census_matches(records, start, end, floor, chordless, variant):
+    # Under the module's recount rule, and with RECOUNT_SHARE 0, which
+    # carries every year with a station, the first one too.
+    expected = [
+        motif_counts(snap, chordless_only=chordless, variant=variant)
+        for snap in year_snapshots(records, start, end, floor)
+    ]
+    for share in (motifs_module.RECOUNT_SHARE, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(motifs_module, "RECOUNT_SHARE", share)
+            census = carried_motif_counts(
+                year_changes(records, start, end, floor), chordless_only=chordless, variant=variant
+            )
+            assert list(census) == expected, share
+
+
+@pytest.mark.parametrize("variant", STAR_VARIANTS)
+@pytest.mark.parametrize("chordless", [True, False])
+@pytest.mark.parametrize("floor", [0, 220, 400])
+def test_census_equals_motif_counts_on_the_fixtures(
+    country_records, planted_records, churned_records, floor, chordless, variant
+):
+    for records in (country_records, planted_records, churned_records):
+        assert_census_matches(records, records.dataset_start, records.dataset_end, floor, chordless, variant)
+
+
+# The thorough profile (tests/conftest.py) raises this for a deep run.
+CENSUS_EXAMPLES = max(60, settings.default.max_examples)
+
+
+@settings(max_examples=CENSUS_EXAMPLES, deadline=None)
+@given(
+    small_record_sets(),
+    st.sampled_from((0, 220, 400)),
+    st.integers(2000, 2010),
+    st.integers(0, 10),
+    st.booleans(),
+    st.sampled_from(STAR_VARIANTS),
+)
+def test_property_census_equals_motif_counts(records, floor, start, length, chordless, variant):
+    assert_census_matches(records, start, min(start + length, 2010), floor, chordless, variant)
+
+
+def test_census_recounts_a_year_once_its_changes_reach_the_share(monkeypatch):
+    # A ring of 24 stations with chords. In 2001 one chord is added: two
+    # changed stations, 2 * 12 = 24 of 24, so the year is recounted. In
+    # 2002 station 24 joins and links to station 0: two changed stations
+    # of 25, so the year is carried, as is 2003, which changes nothing.
+    assert motifs_module.RECOUNT_SHARE == 12
+    nodes = [make_node(f"S{i:02d}", 2000) for i in range(24)] + [make_node("S24", 2002)]
+    edges = [make_edge(f"r{i}", f"S{i:02d}", f"S{(i + 1) % 24:02d}", 2000) for i in range(24)]
+    edges += [make_edge(f"c{i}", f"S{i:02d}", f"S{i + 2:02d}", 2000) for i in range(0, 20, 4)]
+    edges += [make_edge("x", "S05", "S07", 2001), make_edge("y", "S24", "S00", 2002)]
+    records = build_record_set(nodes, edges, dataset_end=2003)
+    recounted = []
+    recount = motifs_module.motif_counts
+    monkeypatch.setattr(motifs_module, "motif_counts", lambda g, **kw: recounted.append(g.year) or recount(g, **kw))
+    for chordless in (True, False):
+        for variant in STAR_VARIANTS:
+            recounted.clear()
+            census = list(carried_motif_counts(year_changes(records), chordless_only=chordless, variant=variant))
+            assert recounted == [2000, 2001]
+            expected = [recount(snap, chordless_only=chordless, variant=variant) for snap in year_snapshots(records)]
+            assert census == expected
+    assert [len(touched) for _, touched in year_changes(records)] == [24, 2, 2, 0]
+
+
+def test_census_checks_the_variant_on_the_call():
+    with pytest.raises(ParameterError, match="variant must be one of"):
+        carried_motif_counts(iter(()), variant="nope")

@@ -105,11 +105,21 @@ def test_every_public_name_is_its_home_module_object():
         gridpanel.nope
 
 
+def test_star_variants_have_one_home():
+    # config checks the variant key without loading motifs, which counts
+    # stars by the same tuple.
+    from gridpanel import config, motifs
+
+    assert motifs.STAR_VARIANTS is config.STAR_VARIANTS == ("subgraph", "induced")
+
+
 # The modules a command must not load: each loads only the layers it uses.
 NOT_LOADED = {
-    "validate": ("gridpanel.metrics", "gridpanel.generators", "gridpanel.temporal"),
+    "validate": ("gridpanel.metrics", "gridpanel.generators", "gridpanel.motifs", "gridpanel.temporal"),
+    "panel": ("gridpanel.generators", "gridpanel.motifs", "gridpanel.temporal"),
     "motifs": ("gridpanel.metrics", "gridpanel.generators", "gridpanel.temporal"),
-    "temporal": ("gridpanel.metrics", "gridpanel.generators"),
+    "temporal": ("gridpanel.metrics", "gridpanel.generators", "gridpanel.motifs"),
+    "baselines": ("gridpanel.motifs", "gridpanel.temporal"),
 }
 REPORT_MODULES = """
 import sys

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_edge, make_node, synthetic_records, write_fixture_csvs
+from helpers import make_edge, make_node, small_record_sets, synthetic_records, write_fixture_csvs
 from oracles import records_by_rows, snapshot_by_full_scan
 from gridpanel import (
     ChangeEvent,
+    EdgeRecord,
+    Graph,
     IntervalError,
+    NodeRecord,
     ParseError,
     ReferentialError,
     ValidationFailedError,
@@ -27,7 +30,7 @@ from gridpanel import (
     year_snapshots,
 )
 from gridpanel import records as records_module
-from gridpanel.records import EDGE_HEADER, EVENT_HEADER, EVENT_KINDS, NODE_HEADER
+from gridpanel.records import EDGE_HEADER, EVENT_HEADER, EVENT_KINDS, NODE_HEADER, year_changes
 
 
 def small_record_set(**kwargs):
@@ -56,6 +59,28 @@ def test_load_from_csv(tmp_path, country_records):
     got = {e.edge_id: e.events for e in loaded.edges}
     want = {e.edge_id: e.events for e in country_records.edges}
     assert got == want
+
+
+def test_records_are_frozen_hashable_tuples_through_csv_and_pickle(tmp_path, country_records):
+    paths = write_fixture_csvs(country_records, tmp_path)
+    loaded = load_asset_records(paths["nodes"], paths["edges"], paths["events"])
+    assert loaded.nodes == country_records.nodes
+    assert loaded.edges == country_records.edges
+    assert set(loaded.edges) == set(country_records.edges)
+    edge = next(rec for rec in loaded.edges if rec.events)
+    for rec in (loaded.nodes[0], edge, edge.events[0]):
+        plain = tuple(rec)
+        assert rec == plain and hash(rec) == hash(plain)
+        assert plain == tuple(getattr(rec, name) for name in rec._fields)
+        copy = pickle.loads(pickle.dumps(rec))
+        assert copy == rec and type(copy) is type(rec)
+        with pytest.raises(AttributeError):
+            setattr(rec, rec._fields[0], "changed")
+        assert tuple(rec) == plain
+    node_id, label, voltage_kv, year_in, year_out, lat, lon = loaded.nodes[0]
+    assert loaded.nodes[0] == NodeRecord(node_id, label, voltage_kv, year_in, year_out, lat, lon)
+    assert EdgeRecord("e", "A", "B", 220, 1990) == ("e", "A", "B", 220, 1990, None, 1, ())
+    assert ChangeEvent(1990, "split") == (1990, "split")
 
 
 def test_row_order_is_irrelevant(tmp_path, country_records):
@@ -904,30 +929,38 @@ def test_sweep_reads_the_filter_rule_from_filter_by_voltage(monkeypatch, country
     assert floors == [220]
 
 
-@st.composite
-def small_record_sets(draw):
-    ids = st.sampled_from("PQRSTU")
-    years = st.integers(1998, 2012)
-    lives = st.tuples(years, st.one_of(st.none(), years))
-    voltages = st.sampled_from((110, 220, 400))
-    nodes = [
-        make_node(node_id, year_in, year_out=year_out, voltage=voltage)
-        for node_id, (year_in, year_out), voltage in draw(st.lists(st.tuples(ids, lives, voltages), min_size=1, max_size=10))
-    ]
-    ends = st.lists(ids, min_size=2, max_size=2, unique=True)
-    edges = [
-        make_edge(f"e{i}", a, b, year_in, year_out=year_out, voltage=voltage)
-        for i, ((a, b), (year_in, year_out), voltage) in enumerate(
-            draw(st.lists(st.tuples(ends, lives, voltages), max_size=14))
-        )
-    ]
-    return build_record_set(nodes, edges, dataset_start=2000, dataset_end=2010)
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_record_sets(), st.sampled_from((0, 220, 400)), st.integers(2000, 2010), st.integers(0, 10))
 def test_property_sweep_equals_snapshot_at(records, floor, start, length):
     assert_sweep_matches_snapshots(records, start, min(start + length, 2010), floor)
+    assert_changes_name_every_changed_station(records, start, min(start + length, 2010), floor)
+
+
+def assert_changes_name_every_changed_station(records, start, end, floor):
+    # year_changes pairs year_snapshots' graphs with sets that name every
+    # station entering, leaving or changing neighbours since the year
+    # before; the first year's names every station it has.
+    changes = list(year_changes(records, start, end, floor))
+    swept = list(year_snapshots(records, start, end, floor))
+    for (snap, _), expected in zip(changes, swept, strict=True):
+        assert snap.year == expected.year
+        assert snap.graph.neighbor_rows() == expected.graph.neighbor_rows()
+        assert snap.graph.nodes == expected.graph.nodes
+    last = Graph(())
+    for snap, touched in changes:
+        graph = snap.graph
+        for v in set(graph.nodes) | set(last.nodes):
+            same = v in graph and v in last and set(graph.neighbors(v)) == set(last.neighbors(v))
+            assert same or v in touched, (snap.year, v)
+        last = graph
+
+
+@pytest.mark.parametrize("floor", [0, 220, 400])
+def test_year_changes_name_every_changed_station_on_the_fixtures(
+    country_records, planted_records, churned_records, floor
+):
+    for records in (country_records, planted_records, churned_records):
+        assert_changes_name_every_changed_station(records, records.dataset_start, records.dataset_end, floor)
 
 
 def test_filter_by_voltage_keeps_span(country_records):
