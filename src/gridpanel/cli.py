@@ -15,9 +15,7 @@ import csv
 import gc
 import os
 import sys
-from dataclasses import fields
 from functools import partial
-from operator import attrgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from . import __version__
@@ -160,13 +158,17 @@ def _write_outputs(config: RunConfig, command: str, tables: dict[str, tuple[Sequ
     table in order as the CSV file ``name``, and write
     ``<command>_manifest.txt`` last. Commands compute their rows before
     this call, so a failed run writes no file; lazy rows are formatted as
-    they are written."""
+    they are written.
+
+    Cells are None, bool, int, float or str. The csv writer writes None
+    as an empty field, an int by ``str`` and a float by ``repr``, as
+    :func:`_format_value` does, so only booleans are converted here."""
     os.makedirs(config.out_dir, exist_ok=True)
     for name, (header, rows) in tables.items():
         with open(os.path.join(config.out_dir, name), "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows([_format_value(value) for value in row] for row in rows)
+            writer.writerows([_format_value(v) if v is True or v is False else v for v in row] for row in rows)
     path = os.path.join(config.out_dir, f"{command}_manifest.txt")
     text = dump_config(
         config,
@@ -253,7 +255,7 @@ def cmd_motifs(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_temporal(config: RunConfig, args: argparse.Namespace) -> int:
-    from .temporal import LifetimeRecord, annual_change_rates, average_lifetime_by_year, line_lifetimes, underperformers
+    from .temporal import annual_change_rates, average_lifetime_by_year, line_lifetimes, underperformers
 
     records = _load_validated(config)
     start, end = _year_range_within(records, config.year_start, config.year_end)
@@ -273,17 +275,16 @@ def cmd_temporal(config: RunConfig, args: argparse.Namespace) -> int:
         "max_expected",
         "survived_ratio",
     )
-    lifetime_row = attrgetter(*(f.name for f in fields(LifetimeRecord)))
-    rate_names = [f.name for f in fields(rates)]
     _write_outputs(
         config,
         "temporal",
         {
-            "lifetimes.csv": (lifetime_header, map(lifetime_row, lifetimes)),
-            "underperformers.csv": (lifetime_header, map(lifetime_row, flagged)),
+            # a LifetimeRecord's fields are in the order of the header
+            "lifetimes.csv": (lifetime_header, lifetimes),
+            "underperformers.csv": (lifetime_header, flagged),
             "change_rates.csv": (
-                ["year"] + rate_names[1:],
-                (row for row in zip(*(getattr(rates, name) for name in rate_names)) if start <= row[0] <= end),
+                ("year",) + rates._fields[1:],
+                (row for row in zip(*rates) if start <= row[0] <= end),
             ),
             "avg_lifetime_by_year.csv": (
                 ("year", "mean_lifetime", "mean_lifetime_with_censored"),
@@ -310,14 +311,12 @@ def _replicate_rows(ensembles: dict) -> Iterator[tuple]:
 
 
 def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
-    import statistics
-
     from .generators import FAMILIES, efficiency_comparison
     from .metrics import _round_half_up
 
     sizes = [(snap.year, snap.n_nodes, snap.n_edges) for snap in _year_snapshots(config)]
-    mean_nodes = _round_half_up(statistics.fmean(n_nodes for _, n_nodes, _ in sizes))
-    mean_edges = _round_half_up(statistics.fmean(n_edges for _, _, n_edges in sizes))
+    mean_nodes = _round_half_up(sum(n_nodes for _, n_nodes, _ in sizes) / len(sizes))
+    mean_edges = _round_half_up(sum(n_edges for _, _, n_edges in sizes) / len(sizes))
     ensembles = efficiency_comparison(
         mean_nodes, mean_edges, config.replicates, config.seed, rewiring_p=config.rewiring_p
     )

@@ -8,9 +8,8 @@ with comment headers) parses back to an identical RunConfig.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
 from math import isfinite
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import ParameterError
 from .records import _ascii_number
@@ -19,10 +18,7 @@ from .records import _ascii_number
 STAR_VARIANTS = ("subgraph", "induced")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command needs to run reproducibly."""
-
+class _RunConfigFields(NamedTuple):
     node_file: str | None = None
     edge_file: str | None = None
     event_file: str | None = None
@@ -41,14 +37,25 @@ class RunConfig:
     per_year: bool = False
     out_dir: str = "out"
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_RunConfigFields):
+    """Everything a command needs to run reproducibly.
+
+    An immutable named tuple. Every way to build one checks its values:
+    the constructor, ``_make`` and ``_replace``, and so
+    :func:`apply_overrides` too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> RunConfig:
+        self = super().__new__(cls, *args, **kwargs)
         # A config file holds one value per line and strips it, so only
         # such text reads back from a manifest as it was given.
-        for field in fields(self):
-            value = getattr(self, field.name)
+        for name, value in zip(self._fields, self):
             if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
                 raise ParameterError(
-                    f"{field.name} must not start or end with whitespace or hold a line break, got {value!r}"
+                    f"{name} must not start or end with whitespace or hold a line break, got {value!r}"
                 )
         # Checked for every command, not only where Louvain runs, so a
         # manifest never records a gamma no run could use.
@@ -68,13 +75,21 @@ class RunConfig:
             raise ParameterError(f"threshold must lie strictly between 0 and 1, got {self.threshold!r}")
         if self.variant not in STAR_VARIANTS:
             raise ParameterError(f"variant must be one of {', '.join(STAR_VARIANTS)}, got {self.variant!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Any) -> RunConfig:
+        # The inherited _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
 
-CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+CONFIG_KEYS = RunConfig._fields
 
 
 def _parse_value(key: str, raw: str, source: str, line: int) -> Any:
-    kind = RunConfig.__dataclass_fields__[key].type
+    # The annotation's text; typing may wrap it in a ForwardRef.
+    kind = _RunConfigFields.__annotations__[key]
+    kind = getattr(kind, "__forward_arg__", kind)
     if raw == "" and "None" in kind:
         return None
     try:
@@ -150,4 +165,4 @@ def apply_overrides(config: RunConfig, **overrides: Any) -> RunConfig:
     for key in changes:
         if key not in CONFIG_KEYS:
             raise ParameterError(f"unknown config field {key!r}")
-    return replace(config, **changes)
+    return config._replace(**changes)

@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .errors import MetricUndefinedError, ParameterError
-from .graph import AnnualSnapshot, Graph, ring_lattice
+from .graph import AnnualSnapshot, Graph, _from_rows, ring_lattice
 from .metrics import _round_half_up, _sigma, apsp_summary, average_degree, clustering_coefficient, random_baselines
 
 FAMILIES = ("erdos_renyi", "watts_strogatz", "ring_lattice")
 
 
-@dataclass(frozen=True)
-class BaselineSpec:
+class BaselineSpec(NamedTuple):
     """Generation parameters for one family ensemble."""
 
     family: str
@@ -34,8 +32,7 @@ class BaselineSpec:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class BaselineEnsemble:
+class BaselineEnsemble(NamedTuple):
     """Replicate metric rows plus per-metric mean and spread.
 
     ``achieved_edges`` documents the edge count the family actually
@@ -61,8 +58,9 @@ def gen_ring_lattice(n_nodes: int, coordination: int) -> AnnualSnapshot:
 def gen_erdos_renyi(n_nodes: int, n_edges: int, seed: int) -> AnnualSnapshot:
     """Uniform random simple graph with exactly ``n_edges`` edges.
 
-    Edge slots are drawn without replacement from all node pairs, so the
-    same seed always returns the same graph.
+    Edge slots are drawn without replacement from the lexicographic list
+    of node pairs ``(i, j)``, ``i < j``, so the same seed always returns
+    the same graph.
     """
     if n_nodes < 1:
         raise ParameterError(f"need at least one node, got {n_nodes}")
@@ -73,7 +71,20 @@ def gen_erdos_renyi(n_nodes: int, n_edges: int, seed: int) -> AnnualSnapshot:
         )
     rng = random.Random(seed)
     picks = rng.sample(range(max_edges), n_edges)
-    return _wrap(Graph(range(n_nodes), [_pair_at(idx, n_nodes) for idx in picks]))
+    picks.sort()
+    # One ascending walk unranks the slots: the pairs with first node i
+    # end just below ``stop``. Pairs arrive in lexicographic order, so
+    # each row is filled in ascending order, lower neighbours first.
+    rows: list[list[int]] = [[] for _ in range(n_nodes)]
+    i, stop = 0, n_nodes - 1
+    for idx in picks:
+        while idx >= stop:
+            i += 1
+            stop += n_nodes - 1 - i
+        j = idx - stop + n_nodes
+        rows[i].append(j)
+        rows[j].append(i)
+    return _wrap_rows(n_nodes, map(tuple, rows))
 
 
 def gen_watts_strogatz(n_nodes: int, coordination: int, rewiring_p: float, seed: int) -> AnnualSnapshot:
@@ -88,7 +99,7 @@ def gen_watts_strogatz(n_nodes: int, coordination: int, rewiring_p: float, seed:
     if not 0.0 <= rewiring_p <= 1.0:
         raise ParameterError(f"rewiring probability must lie in [0, 1], got {rewiring_p!r}")
     rng = random.Random(seed)
-    adj: dict[int, set[int]] = {v: set() for v in range(n_nodes)}
+    adj: list[set[int]] = [set() for _ in range(n_nodes)]
     for distance in range(1, coordination // 2 + 1):
         for near in range(n_nodes):
             far = (near + distance) % n_nodes
@@ -109,8 +120,7 @@ def gen_watts_strogatz(n_nodes: int, coordination: int, rewiring_p: float, seed:
             adj[far].discard(near)
             adj[near].add(target)
             adj[target].add(near)
-    edges = [(u, v) for u in range(n_nodes) for v in adj[u] if u < v]
-    return _wrap(Graph(range(n_nodes), edges))
+    return _wrap_rows(n_nodes, (tuple(sorted(row)) for row in adj))
 
 
 def efficiency_comparison(
@@ -186,6 +196,13 @@ def _wrap(graph: Graph) -> AnnualSnapshot:
     return AnnualSnapshot(year=0, voltage_floor_kv=0, graph=graph)
 
 
+def _wrap_rows(n_nodes: int, rows: Iterable[tuple[int, ...]]) -> AnnualSnapshot:
+    # A graph on nodes 0..n_nodes-1 from its sorted, symmetric position
+    # rows, which are then also its neighbour lists.
+    nodes = tuple(range(n_nodes))
+    return _wrap(_from_rows(nodes, dict(zip(nodes, nodes)), tuple(rows)))
+
+
 def _check_coordination(n_nodes: int, coordination: int) -> None:
     if coordination % 2 or coordination < 2:
         raise ParameterError(f"coordination must be even and at least 2, got {coordination}")
@@ -193,20 +210,6 @@ def _check_coordination(n_nodes: int, coordination: int) -> None:
         raise ParameterError(
             f"coordination {coordination} does not fit a ring of {n_nodes} nodes"
         )
-
-
-def _pair_at(index: int, n_nodes: int) -> tuple[int, int]:
-    # Unrank into the lexicographic list of pairs (i, j), i < j.
-    def pairs_before(i: int) -> int:
-        return i * (2 * n_nodes - 1 - i) // 2
-
-    i = int((2 * n_nodes - 1 - math.sqrt((2 * n_nodes - 1) ** 2 - 8 * index)) // 2)
-    while pairs_before(i + 1) <= index:
-        i += 1
-    while pairs_before(i) > index:
-        i -= 1
-    j = index - pairs_before(i) + i + 1
-    return (i, j)
 
 
 def _child_seeds(seed: int, family: str, count: int) -> list[int]:
@@ -232,10 +235,16 @@ def _summarize(spec: BaselineSpec, rows: list[dict[str, float]], achieved_edges:
     std: dict[str, float] = {}
     for name in metrics:
         values = [row[name] for row in rows if name in row]
-        mean[name] = statistics.fmean(values)
-        # The root of the exact variance: pstdev rounds differently across
-        # CPython versions, pvariance does not.
-        std[name] = math.sqrt(statistics.pvariance(values))
+        n = len(values)
+        mean[name] = math.fsum(values) / n
+        # The root of the exact population variance, rounded once: with
+        # the values scaled to integers X over one denominator D, it is
+        # (n * sum(X**2) - sum(X)**2) / (n**2 * D**2).
+        ratios = [value.as_integer_ratio() for value in values]
+        common = math.lcm(*(q for _, q in ratios))
+        scaled = [p * (common // q) for p, q in ratios]
+        spread = n * sum(x * x for x in scaled) - sum(scaled) ** 2
+        std[name] = math.sqrt(spread / (n * n * common * common))
     return BaselineEnsemble(
         spec=spec,
         rows=tuple(rows),

@@ -11,8 +11,7 @@ the API boundary (``nodes``, ``neighbors``, ``degree``, ``has_edge``, ``edges``)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NamedTuple
 
 NodeId = Hashable
 
@@ -116,8 +115,7 @@ def _from_rows(
     return graph
 
 
-@dataclass(frozen=True)
-class AnnualSnapshot:
+class AnnualSnapshot(NamedTuple):
     """One year's network state after filtering and circuit collapsing."""
 
     year: int

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import MetricUndefinedError, ParameterError
@@ -55,8 +53,7 @@ class Omega(NamedTuple):
     raw: float
 
 
-@dataclass(frozen=True)
-class CommunityPartition:
+class CommunityPartition(NamedTuple):
     """A node-to-community assignment with its achieved modularity.
 
     The detection is greedy, so ``modularity`` is a lower bound on the
@@ -80,8 +77,7 @@ class CommunityPartition:
         return tuple(frozenset(groups[label]) for label in sorted(groups))
 
 
-@dataclass(frozen=True)
-class MetricRow:
+class MetricRow(NamedTuple):
     """All per-year metrics, with reason codes for the undefined ones.
 
     ``reasons`` maps a metric name to a short code explaining why its
@@ -111,7 +107,7 @@ class MetricRow:
         return {name: getattr(self, name) for name in METRIC_NAMES}
 
 
-METRIC_NAMES = tuple(f.name for f in fields(MetricRow) if f.name not in ("year", "reasons"))
+METRIC_NAMES = tuple(name for name in MetricRow._fields if name not in ("year", "reasons"))
 
 
 def link_density(g: Graph | AnnualSnapshot) -> float:
@@ -360,9 +356,10 @@ def clustering_coefficient(g: Graph | AnnualSnapshot, *, skip_low_degree: bool =
     instead (0.0 if nothing is left).
 
     Nodes of one degree ``k`` share the denominator ``k (k - 1)``, so
-    their linked-neighbor counts are summed as integers per degree and
-    the mean is one exact rational sum over the distinct degrees: the
-    same rational, and so the same float, as a sum over nodes.
+    their linked-neighbor counts are summed as integers per degree, and
+    the mean is one integer ratio over the lcm of the distinct degrees'
+    denominators: the same rational, and so the same float, as a sum
+    over nodes.
     """
     graph = as_graph(g)
     n = graph.n_nodes
@@ -378,10 +375,11 @@ def clustering_coefficient(g: Graph | AnnualSnapshot, *, skip_low_degree: bool =
         eligible += 1
         linked_twice = sum(len(sets[u] & sv) for u in sv)
         linked_by_degree[kv] = linked_by_degree.get(kv, 0) + linked_twice
-    total = sum((Fraction(t, k * (k - 1)) for k, t in linked_by_degree.items()), Fraction(0))
+    common = math.lcm(*(k * (k - 1) for k in linked_by_degree))
+    total = sum(t * (common // (k * (k - 1))) for k, t in linked_by_degree.items())
     if skip_low_degree:
-        return float(total / eligible) if eligible else 0.0
-    return float(total / n)
+        return total / (common * eligible) if eligible else 0.0
+    return total / (common * n)
 
 
 def modularity_of(
@@ -419,8 +417,8 @@ def _modularity(internal: Iterable[int], degree_sums: Iterable[int], two_m: int,
     # sum over communities of in_c / 2m - gamma * (tot_c / 2m)**2, where
     # in_c counts each internal edge from both ends; with gamma = p / q
     # exactly, that is one integer ratio, rounded to float once.
-    p, q = Fraction(gamma).as_integer_ratio()
-    return float(Fraction(q * two_m * sum(internal) - p * sum(t * t for t in degree_sums), q * two_m * two_m))
+    p, q = gamma.as_integer_ratio()
+    return (q * two_m * sum(internal) - p * sum(t * t for t in degree_sums)) / (q * two_m * two_m)
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -521,7 +519,7 @@ def modularity_detect(
     if graph.n_edges == 0:
         raise MetricUndefinedError("community detection needs at least one edge", "no_edges")
     n = graph.n_nodes
-    p, q = Fraction(gamma).as_integer_ratio()
+    p, q = gamma.as_integer_ratio()
     # Level nodes are 0..size-1: adj[u] holds (v, weight) for v != u, and
     # loop[u] is u's self-weight, every internal edge counted from both ends.
     adj = [tuple((j, 1) for j in row) for row in graph.neighbor_rows()]
@@ -609,15 +607,21 @@ def lattice_clustering(n_nodes: int, avg_degree: float) -> float:
 
     The coordination number is the average degree rounded to the nearest
     even integer, floored at 2 and capped at what a ring of ``n_nodes``
-    can host. The lattice is built explicitly and measured with
+    can host. A lattice is built explicitly and measured with
     :func:`clustering_coefficient` rather than approximated.
+
+    It is the smallest ring with the same clustering. A ring lattice
+    looks the same from every node, and with ``k = m / 2`` neighbours on
+    each side and at least ``3k + 1`` nodes, no two neighbours of a node
+    are linked around the far side of the ring. Every such ring has one
+    clustering, so a ring of ``min(n_nodes, 3k + 1)`` nodes stands in.
     """
     _check_finite("avg_degree", avg_degree)
     if n_nodes < 3:
         raise MetricUndefinedError("lattice reference needs at least three nodes", "too_few_nodes")
     m = max(2, 2 * _round_half_up(avg_degree / 2))
-    m_max = n_nodes - 1 if n_nodes % 2 else n_nodes - 2
-    return clustering_coefficient(ring_lattice(n_nodes, min(m, m_max)))
+    m = min(m, n_nodes - 1 if n_nodes % 2 else n_nodes - 2)
+    return clustering_coefficient(ring_lattice(min(n_nodes, 3 * (m // 2) + 1), m))
 
 
 def small_world_sigma(g: Graph | AnnualSnapshot) -> float:

@@ -20,11 +20,9 @@ year recounts only the stations whose neighbourhood changed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, combinations, repeat
 from math import comb
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .config import STAR_VARIANTS
 from .errors import ParameterError
@@ -43,8 +41,7 @@ MOTIF_NAMES = ("triangle", "four_cycle", "three_star", "four_star")
 RECOUNT_SHARE = 12
 
 
-@dataclass(frozen=True)
-class MotifCounts:
+class MotifCounts(NamedTuple):
     """Raw motif counts for one snapshot year."""
 
     year: int
@@ -64,8 +61,7 @@ class MotifCounts:
         return {name: getattr(self, f"{name}s") for name in MOTIF_NAMES}
 
 
-@dataclass(frozen=True)
-class MotifShares:
+class MotifShares(NamedTuple):
     """Counts normalized by the total over the four tracked motifs.
 
     ``total`` is kept so that an all-zero year (flagged by total 0) can
@@ -203,7 +199,7 @@ def motif_shares(counts: MotifCounts) -> MotifShares:
     """Normalize one year's counts; an all-zero year keeps zero shares."""
     total = counts.total
     raw = counts.as_dict()
-    shares = {name: float(Fraction(raw[name], total)) if total else 0.0 for name in MOTIF_NAMES}
+    shares = {name: raw[name] / total if total else 0.0 for name in MOTIF_NAMES}
     return MotifShares(counts.year, total=total, **shares)
 
 

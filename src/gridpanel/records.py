@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from math import isfinite
@@ -78,15 +77,20 @@ class EdgeRecord(NamedTuple):
     events: tuple[ChangeEvent, ...] = ()
 
 
-@dataclass(frozen=True)
-class AssetRecordSet:
-    """All records for one network plus the observed dataset span."""
-
+class _AssetRecordSetFields(NamedTuple):
     nodes: tuple[NodeRecord, ...]
     edges: tuple[EdgeRecord, ...]
     dataset_start: int
     dataset_end: int
     country_tag: str = ""
+
+
+class AssetRecordSet(_AssetRecordSetFields):
+    """All records for one network plus the observed dataset span.
+
+    A named tuple; the subclass keeps an instance ``__dict__``, which
+    holds the cached lookups below.
+    """
 
     @cached_property
     def node_by_id(self) -> dict[str, NodeRecord]:
@@ -103,8 +107,7 @@ class AssetRecordSet:
         return tuple(sorted(self.nodes, key=_year_in)), tuple(sorted(self.edges, key=_year_in))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     severity: str
     code: str
     subject: str
@@ -114,8 +117,7 @@ class Violation:
         return f"{self.severity.upper()} {self.code} [{self.subject}]: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property

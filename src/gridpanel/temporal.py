@@ -9,18 +9,19 @@ lower bound given by the observation window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ParameterError, YearRangeError
 from .records import EVENT_KINDS, MAJOR_CHANGE_KINDS, AssetRecordSet
 
 
-@dataclass(frozen=True)
-class LifetimeRecord:
-    """Observed or censored undisturbed lifetime of one line."""
+class LifetimeRecord(NamedTuple):
+    """Observed or censored undisturbed lifetime of one line.
+
+    The fields are in the order of the columns of ``lifetimes.csv``.
+    """
 
     edge_id: str
     year_commissioned: int
@@ -34,8 +35,7 @@ class LifetimeRecord:
 _by_commissioning = attrgetter("year_commissioned", "edge_id")
 
 
-@dataclass(frozen=True)
-class ChangeRateSeries:
+class ChangeRateSeries(NamedTuple):
     """Per-year activity counts over the dataset span.
 
     Relative rates are None in years with nothing in operation. The
@@ -84,15 +84,7 @@ def line_lifetimes(
             # True division of two ints is correctly rounded, as float(Fraction) is.
             ratio = lifetime / max_expected
         out.append(
-            LifetimeRecord(
-                edge_id=rec.edge_id,
-                year_commissioned=rec.year_in,
-                first_change_year=first_change,
-                lifetime_years=lifetime,
-                censored=first_change is None,
-                max_expected_lifetime=max_expected,
-                survived_ratio=ratio,
-            )
+            LifetimeRecord(rec.edge_id, rec.year_in, first_change, lifetime, first_change is None, max_expected, ratio)
         )
     out.sort(key=_by_commissioning)
     return out
@@ -118,7 +110,7 @@ def average_lifetime_by_year(
         elif rec.lifetime_years is not None:
             values.append(rec.lifetime_years)
     return {
-        year: float(Fraction(sum(values), len(values))) if values else None
+        year: sum(values) / len(values) if values else None
         for year, values in sorted(groups.items())
     }
 
@@ -128,22 +120,22 @@ def moving_average(values: Sequence[float | None], window: int = 5) -> list[floa
 
     The window shrinks at the series boundaries. None entries are
     skipped and the divisor renormalized; a stretch that is all None
-    stays None. Each mean is exact and rounded once, so it does not
-    depend on how the interpreter sums floats.
+    stays None. With the values scaled to integers over one common
+    denominator, each mean is one exact integer ratio, rounded once, so
+    it does not depend on how the interpreter sums floats.
     """
     if not isinstance(window, int) or window < 1:
         raise ParameterError(f"window must be a positive integer, got {window!r}")
     if window % 2 == 0:
         raise ParameterError(f"window must be odd so the average stays centered, got {window}")
     half = window // 2
+    ratios = [None if value is None else value.as_integer_ratio() for value in values]
+    common = lcm(*(ratio[1] for ratio in ratios if ratio is not None))
+    scaled = [None if ratio is None else ratio[0] * (common // ratio[1]) for ratio in ratios]
     out: list[float | None] = []
     for i in range(len(values)):
-        picked = [
-            values[j]
-            for j in range(max(0, i - half), min(len(values), i + half + 1))
-            if values[j] is not None
-        ]
-        out.append(float(sum(map(Fraction, picked)) / len(picked)) if picked else None)
+        picked = [x for x in scaled[max(0, i - half) : i + half + 1] if x is not None]
+        out.append(sum(picked) / (common * len(picked)) if picked else None)
     return out
 
 

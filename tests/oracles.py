@@ -10,9 +10,10 @@ from __future__ import annotations
 import csv
 import itertools
 import random
+import statistics
 from collections import Counter
 from fractions import Fraction
-from math import comb, floor, inf
+from math import comb, floor, inf, sqrt
 
 import numpy as np
 
@@ -387,6 +388,44 @@ def stars_by_neighbour_subsets(graph, leaves: int, variant: str) -> int:
                 continue
             count += 1
     return count
+
+
+def pair_at(index: int, n_nodes: int) -> tuple[int, int]:
+    """Unrank one slot of the lexicographic list of node pairs
+    ``(i, j)``, ``i < j``, from a square-root estimate of ``i``."""
+
+    def pairs_before(i: int) -> int:
+        return i * (2 * n_nodes - 1 - i) // 2
+
+    i = int((2 * n_nodes - 1 - sqrt((2 * n_nodes - 1) ** 2 - 8 * index)) // 2)
+    while pairs_before(i + 1) <= index:
+        i += 1
+    while pairs_before(i) > index:
+        i -= 1
+    return i, index - pairs_before(i) + i + 1
+
+
+def erdos_renyi_by_unranking(n_nodes: int, n_edges: int, seed: int) -> Graph:
+    """gen_erdos_renyi's graph from the same seeded sample of pair slots,
+    each slot unranked on its own and the edges passed to the Graph
+    constructor."""
+    picks = random.Random(seed).sample(range(comb(n_nodes, 2)), n_edges)
+    return Graph(range(n_nodes), [pair_at(idx, n_nodes) for idx in picks])
+
+
+def moving_average_by_fractions(values, window: int) -> list:
+    """Centered moving average, each window's mean an exact Fraction."""
+    half = window // 2
+    out = []
+    for i in range(len(values)):
+        picked = [Fraction(v) for v in values[max(0, i - half) : i + half + 1] if v is not None]
+        out.append(float(sum(picked) / len(picked)) if picked else None)
+    return out
+
+
+def mean_and_std_by_statistics(values) -> tuple[float, float]:
+    """``statistics.fmean`` and the root of ``statistics.pvariance``."""
+    return statistics.fmean(values), sqrt(statistics.pvariance(values))
 
 
 def snapshot_by_full_scan(records, year: int, voltage_floor_kv: int = 0) -> Graph:

@@ -1,5 +1,6 @@
 import csv
 import gc
+import io
 import shutil
 
 import pytest
@@ -334,6 +335,45 @@ def test_a_failed_baselines_run_writes_no_file(workspace, capsys, monkeypatch):
 
 
 # -- common ------------------------------------------------------------------
+
+
+CELLS = [
+    None,
+    True,
+    False,
+    0,
+    -17,
+    2**70,
+    0.1,
+    -0.0,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    1e16,
+    1e-07,
+    "a,b",
+    'say "hi"',
+    "two\nlines",
+    "cr\rlf",
+    " padded ",
+    "",
+]
+
+
+def test_csv_cells_are_written_as_format_value_writes_them(tmp_path):
+    rows = [CELLS, CELLS[::-1], [None], [""], [True], [1, True, 1.0], [0, False, 0.0]]
+    rows += [[cell] for cell in CELLS]
+    config = cli.RunConfig(out_dir=str(tmp_path))
+    cli._write_outputs(config, "check", {"cells.csv": (("a", "b"), rows)})
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(("a", "b"))
+    writer.writerows([cli._format_value(cell) for cell in row] for row in rows)
+    with open(tmp_path / "cells.csv", newline="", encoding="utf-8") as handle:
+        written = handle.read()
+    assert written == expected.getvalue()
+    # a row of one empty field is quoted, so it reads back as that row
+    assert '\n""\n""\n' in written
 
 
 def test_unknown_config_key_exits_two(workspace, tmp_path):

@@ -3,7 +3,10 @@ import math
 import statistics
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import oracles
 from gridpanel import (
     ParameterError,
     as_graph,
@@ -14,7 +17,8 @@ from gridpanel import (
     gen_ring_lattice,
     gen_watts_strogatz,
 )
-from gridpanel.generators import _pair_at
+from gridpanel.generators import BaselineSpec, _summarize
+from gridpanel.graph import Graph
 
 
 # -- ring lattice ------------------------------------------------------------
@@ -70,8 +74,20 @@ def test_er_bounds_validated():
 def test_pair_unranking_matches_lexicographic_order():
     for n in range(2, 9):
         expected = list(itertools.combinations(range(n), 2))
-        got = [_pair_at(i, n) for i in range(math.comb(n, 2))]
+        got = [oracles.pair_at(i, n) for i in range(math.comb(n, 2))]
         assert got == expected
+
+
+def storage(graph) -> tuple:
+    return graph.nodes, graph._index, graph.neighbor_rows()
+
+
+def test_er_rows_match_pairs_unranked_one_at_a_time():
+    cases = [(n, e, seed) for n in range(1, 13) for e in range(0, math.comb(n, 2) + 1, 3) for seed in range(3)]
+    cases += [(60, 120, 1), (97, 300, 5), (200, 400, 11), (40, 780, 2)]
+    for n, e, seed in cases:
+        got = as_graph(gen_erdos_renyi(n, e, seed))
+        assert storage(got) == storage(oracles.erdos_renyi_by_unranking(n, e, seed)), (n, e, seed)
 
 
 # -- Watts-Strogatz ----------------------------------------------------------
@@ -88,6 +104,15 @@ def test_ws_preserves_edge_count():
         g = gen_watts_strogatz(40, 4, p, seed=2)
         assert g.n_edges == 80
         assert g.n_nodes == 40
+
+
+def test_ws_rows_match_the_graph_constructor():
+    for n in range(3, 31):
+        for m in range(2, n, 2):
+            for p in (0.0, 0.1, 0.5, 1.0):
+                for seed in range(2):
+                    got = as_graph(gen_watts_strogatz(n, m, p, seed))
+                    assert storage(got) == storage(Graph(range(n), got.edges())), (n, m, p, seed)
 
 
 def test_ws_seed_determinism():
@@ -164,3 +189,10 @@ def test_sigma_reported_when_defined():
     ws_rows = result["watts_strogatz"].rows
     assert all("sigma" in row for row in ws_rows)
     assert result["watts_strogatz"].mean["sigma"] > 1.0
+
+
+@given(st.lists(st.one_of(st.floats(0, 1), st.floats(-1e150, 1e150)), min_size=1, max_size=30))
+@example([0.1, 0.2, 0.3])
+def test_summary_equals_fmean_and_pvariance(values):
+    ensemble = _summarize(BaselineSpec("erdos_renyi", 3), [{"x": v} for v in values], 0)
+    assert (ensemble.mean["x"], ensemble.std["x"]) == oracles.mean_and_std_by_statistics(values)

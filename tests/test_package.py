@@ -121,26 +121,35 @@ NOT_LOADED = {
     "temporal": ("gridpanel.metrics", "gridpanel.generators", "gridpanel.motifs"),
     "baselines": ("gridpanel.motifs", "gridpanel.temporal"),
 }
+# Standard-library modules no command loads: each costs milliseconds of
+# start-up (dataclasses alone pulls in inspect, ast, dis and tokenize).
+SLOW_STDLIB = ("dataclasses", "inspect", "fractions", "decimal", "statistics")
 REPORT_MODULES = """
 import sys
 from gridpanel.cli import main
 code = main(sys.argv[1:])
-print(" ".join(sorted(name for name in sys.modules if name.startswith("gridpanel"))))
+print(" ".join(sorted(sys.modules)))
 sys.exit(code)
 """
+
+
+def _loaded_modules(argv: list[str]) -> set[str]:
+    # The modules a fresh interpreter has loaded after running ``argv``
+    # (``-c`` and its code, then arguments), with this gridpanel on its path.
+    src = os.path.dirname(os.path.dirname(gridpanel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
 
 
 @pytest.mark.parametrize("command", sorted(NOT_LOADED))
 def test_commands_load_only_the_modules_they_use(tmp_path, country_records, command):
     paths = write_fixture_csvs(country_records, tmp_path)
-    src = os.path.dirname(os.path.dirname(gridpanel.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [command, "--nodes", paths["nodes"], "--edges", paths["edges"], "--events", paths["events"]]
     argv += ["--out", str(tmp_path / "out")]
-    done = subprocess.run(
-        [sys.executable, "-c", REPORT_MODULES, *argv], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    loaded = set(done.stdout.splitlines()[-1].split())
+    loaded = _loaded_modules(["-c", REPORT_MODULES, *argv])
     assert "gridpanel.records" in loaded
     assert loaded.isdisjoint(NOT_LOADED[command])
+    bare = _loaded_modules(["-c", "import sys; print(' '.join(sys.modules))"])
+    assert loaded.intersection(SLOW_STDLIB) <= bare

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from helpers import make_edge, make_node
 from gridpanel import (
     ParameterError,
@@ -255,6 +258,14 @@ def test_moving_average_is_the_exact_mean_rounded_once():
     # A float sum rounds after every addition, and how it rounds depends
     # on the interpreter version; the exact mean of these three is 0.2.
     assert moving_average([0.1, 0.2, 0.3], window=3)[1] == 0.2
+
+
+@given(
+    st.lists(st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)), max_size=12),
+    st.sampled_from([1, 3, 5, 7]),
+)
+def test_moving_average_equals_fraction_oracle(values, window):
+    assert moving_average(values, window) == oracles.moving_average_by_fractions(values, window)
 
 
 def test_moving_average_window_validated():
