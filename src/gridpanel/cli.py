@@ -5,7 +5,8 @@ analysis run writes its documented CSVs plus a manifest into the output
 directory, and a failed run writes none; running the same command with
 ``--config <manifest>`` again reproduces the outputs byte for byte. Exit
 codes: 0 success, 1 record validation failure, 2 I/O or parameter
-trouble.
+trouble. ``panel`` spreads its years over one forked process per usable
+CPU; its outputs are the same bytes whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import gc
 import os
 import sys
 from functools import partial
-from typing import Any, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .config import CONFIG_KEYS, STAR_VARIANTS, RunConfig, _format_value, apply_overrides, dump_config, load_config
@@ -182,6 +184,100 @@ def _write_outputs(config: RunConfig, command: str, tables: dict[str, tuple[Sequ
         handle.write(text)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _spread_over_cpus(work: Callable, items: Iterable, n_items: int) -> list:
+    """``[work(item) for item in items]`` for ``n_items`` items, computed
+    by ``w`` processes: one per usable CPU, at most one per item, and one
+    where ``os.fork`` does not exist.
+
+    Process ``k`` of ``w`` (the caller is process 0, the others are
+    forked first) consumes every item but calls ``work`` only on the
+    items ``i`` with ``i % w == k``, so ``items`` must come out the same
+    in every process. A worker sends its results back through a pipe as
+    a pickle and leaves through ``os._exit``, so none of the caller's
+    stdio buffers or exit handlers runs twice. The results come back in
+    item order. A failure is raised as a sequential run would raise it:
+    the exception of the earliest failing item, or ``ChildProcessError``
+    with the wait status of a worker that ended without sending its
+    results. Every worker is reaped before this returns or raises."""
+    w = min(_usable_cpus(), n_items) if hasattr(os, "fork") else 1
+    if w > 1:
+        import pickle
+        import signal
+    pipes: dict = {}  # pid of each worker not yet reaped -> read end of its pipe
+    try:
+        for k in range(1, w):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if not pid:
+                _send_share(write_fd, work, items, k, w)
+            os.close(write_fd)
+            pipes[pid] = open(read_fd, "rb")
+        shares = [_share(work, items, 0, w)]
+        for pid, pipe in list(pipes.items()):
+            with pipe:
+                sent = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del pipes[pid]
+            if status:
+                raise ChildProcessError(f"panel worker {pid} ended without its results (wait status {status})")
+            shares.append(pickle.loads(sent))
+    finally:
+        for pid, pipe in pipes.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = [failure for _, failure in shares if failure]
+    if failures:
+        raise min(failures, key=itemgetter(0))[1]
+    results: list = [None] * sum(len(done) for done, _ in shares)
+    for k, (done, _) in enumerate(shares):
+        results[k::w] = done
+    return results
+
+
+def _share(work: Callable, items: Iterable, k: int, w: int) -> tuple[list, tuple[int, Exception] | None]:
+    # Process k's results, and its first failure as (item index,
+    # exception) or None. A failure of the items themselves counts at the
+    # index of the item that was being produced.
+    done = []
+    index = 0
+    try:
+        for item in items:
+            if index % w == k:
+                done.append(work(item))
+            index += 1
+    except Exception as exc:
+        return done, (index, exc)
+    return done, None
+
+
+def _send_share(write_fd: int, work: Callable, items: Iterable, k: int, w: int) -> None:
+    # In a forked worker: send process k's share down the pipe, then
+    # leave, with status 0 only if the whole share was sent.
+    status = 1
+    try:
+        import pickle
+
+        sent = pickle.dumps(_share(work, items, k, w))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(sent)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
     _require_inputs(config)
     records = load_asset_records(
@@ -201,7 +297,13 @@ def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_panel(config: RunConfig, args: argparse.Namespace) -> int:
     from .metrics import METRIC_NAMES, metric_row
 
-    rows = [metric_row(snap, gamma=config.gamma, seed=config.seed) for snap in _year_snapshots(config)]
+    records = _load_validated(config)
+    start, end = _year_range_within(records, config.year_start, config.year_end)
+    rows = _spread_over_cpus(
+        partial(metric_row, gamma=config.gamma, seed=config.seed),
+        year_snapshots(records, start, end, config.voltage_floor_kv),
+        end - start + 1,
+    )
     tidy = []
     wide = []
     for row in rows:

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import Phase, settings
 
@@ -34,3 +36,11 @@ def churned_records():
 @pytest.fixture()
 def fixture_paths(tmp_path, country_records):
     return write_fixture_csvs(country_records, tmp_path)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    # panel forks workers; every exit path must reap them all.
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

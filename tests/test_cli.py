@@ -1,12 +1,16 @@
 import csv
 import gc
 import io
+import os
 import shutil
+import subprocess
+import sys
+import time
 
 import pytest
 
 from helpers import tree_bytes, write_fixture_csvs
-from gridpanel import GridPanelError, cli, generators, records
+from gridpanel import GridPanelError, cli, generators, metrics, records
 from gridpanel.cli import main
 
 
@@ -148,6 +152,149 @@ def test_panel_rerun_from_manifest_is_byte_identical(workspace):
     assert run("panel", "--config", str(backup / "panel_manifest.txt")) == 0
     second = tree_bytes(out)
     assert first == second
+
+
+def force_workers(monkeypatch, w):
+    # panel forks min(usable CPUs, years) - 1 workers.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: w)
+
+
+PANEL_SCOPES = {
+    "default floor": (),
+    "floor 0": ("--voltage-floor", "0"),
+    "sub-range": ("--voltage-floor", "0", "--year-start", "1961", "--year-end", "1990"),
+    "one year": ("--year-start", "1977", "--year-end", "1977"),
+}
+
+
+@pytest.mark.parametrize("scope", sorted(PANEL_SCOPES))
+def test_panel_writes_the_same_bytes_for_every_worker_count(workspace, capsys, monkeypatch, scope):
+    tmp_path, paths = workspace
+    out = tmp_path / "out"
+    written = []
+    for w in (1, 2, 3):
+        force_workers(monkeypatch, w)
+        assert run("panel", *base_args(paths, out, *PANEL_SCOPES[scope])) == 0
+        written.append((tree_bytes(out), capsys.readouterr().out))
+        shutil.rmtree(out)
+    assert written[0][0]["panel_manifest.txt"]
+    assert written[1] == written[0]
+    assert written[2] == written[0]
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
+
+
+def test_panel_forks_nothing_where_fork_does_not_exist(workspace, capsys, monkeypatch):
+    tmp_path, paths = workspace
+    out = tmp_path / "out"
+    force_workers(monkeypatch, 1)
+    assert run("panel", *base_args(paths, out)) == 0
+    sequential = tree_bytes(out)
+    shutil.rmtree(out)
+    force_workers(monkeypatch, 3)
+    monkeypatch.delattr(os, "fork")
+    assert run("panel", *base_args(paths, out)) == 0
+    assert tree_bytes(out) == sequential
+
+
+def failing_in(monkeypatch, fail):
+    # metric_row with ``fail(snapshot)`` run first, in whichever process
+    # computes that year.
+    real = metrics.metric_row
+
+    def patched(snapshot, **kwargs):
+        fail(snapshot)
+        return real(snapshot, **kwargs)
+
+    monkeypatch.setattr(metrics, "metric_row", patched)
+
+
+@pytest.mark.parametrize("w", [2, 3])
+def test_a_worker_that_dies_without_its_rows_exits_two_and_writes_nothing(workspace, capsys, monkeypatch, w):
+    tmp_path, paths = workspace
+    parent = os.getpid()
+    force_workers(monkeypatch, w)
+    failing_in(monkeypatch, lambda snapshot: os.getpid() != parent and os._exit(3))
+    out = tmp_path / "out"
+    assert run("panel", *base_args(paths, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: panel worker ")
+    assert f"(wait status {3 << 8})" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("failing_years", [{1991, 1994}, {1990, 1993}, {1995}], ids=str)
+def test_a_failing_year_raises_as_a_sequential_run_does(workspace, capsys, monkeypatch, failing_years):
+    # With w = 2, {1991, 1994} fails in the worker before the caller's own
+    # failure, and {1990, 1993} the other way round.
+    tmp_path, paths = workspace
+    argv = ("panel", *base_args(paths, tmp_path / "out"), "--year-start", "1990", "--year-end", "1995")
+
+    def fail(snapshot):
+        if snapshot.year in failing_years:
+            raise ValueError(f"no metrics for {snapshot.year}")
+
+    failing_in(monkeypatch, fail)
+    raised = []
+    for w in (1, 2, 3):
+        force_workers(monkeypatch, w)
+        with pytest.raises(ValueError) as exc:
+            run(*argv)
+        raised.append(str(exc.value))
+    assert raised == [f"no metrics for {min(failing_years)}"] * 3
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_interrupt_kills_and_reaps_the_workers(workspace, capsys, monkeypatch):
+    tmp_path, paths = workspace
+    parent = os.getpid()
+
+    def fail(snapshot):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # a worker that is not killed ends after one sleep
+        os._exit(1)
+
+    force_workers(monkeypatch, 3)
+    failing_in(monkeypatch, fail)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run("panel", *base_args(paths, tmp_path / "out"))
+    assert time.monotonic() - start < 30
+    assert not (tmp_path / "out").exists()
+
+
+PANEL_WITH_A_PENDING_LINE = """
+import atexit, sys
+from gridpanel import cli
+cli._usable_cpus = lambda: 3
+atexit.register(print, "exit handler")
+print("pending line")
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_forked_workers_write_nothing_to_stdout(workspace):
+    # stdout is a buffered pipe, so "pending line" is still in the buffer
+    # at fork time.
+    tmp_path, paths = workspace
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-c", PANEL_WITH_A_PENDING_LINE, "panel", *base_args(paths, tmp_path / "out")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "pending line"
+    assert lines[1].startswith("wrote panel_tidy.csv, panel_wide.csv for 55 years")
+    assert lines[2:] == ["exit handler"]
 
 
 def test_flag_overrides_config(workspace):
