@@ -23,7 +23,6 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from . import __version__
 from .config import CONFIG_KEYS, STAR_VARIANTS, RunConfig, _format_value, apply_overrides, dump_config, load_config
 from .errors import GridPanelError, ParameterError, ValidationFailedError
-from .graph import AnnualSnapshot
 from .records import (
     AssetRecordSet,
     _ascii_number,
@@ -138,21 +137,6 @@ def _load_validated(config: RunConfig) -> AssetRecordSet:
         config.event_file,
         country_tag=config.country_tag,
     )
-
-
-def _year_snapshots(config: RunConfig) -> Iterator[AnnualSnapshot]:
-    """The configured years' snapshots from one sweep over the records,
-    built one at a time as they are consumed. Loading, validation and the
-    year-range check run on the call, before any output is written."""
-    records = _load_validated(config)
-    return year_snapshots(records, config.year_start, config.year_end, config.voltage_floor_kv)
-
-
-def _year_changes(config: RunConfig) -> Iterator[tuple[AnnualSnapshot, set]]:
-    """As :func:`_year_snapshots`, each snapshot paired with the stations
-    whose rows the sweep rebuilt that year."""
-    records = _load_validated(config)
-    return year_changes(records, config.year_start, config.year_end, config.voltage_floor_kv)
 
 
 def _write_outputs(config: RunConfig, command: str, tables: dict[str, tuple[Sequence[str], Iterable]]) -> None:
@@ -329,7 +313,8 @@ def cmd_motifs(config: RunConfig, args: argparse.Namespace) -> int:
 
     n_years = 0
     out_rows = []
-    census = carried_motif_counts(_year_changes(config), chordless_only=config.chordless_only, variant=config.variant)
+    changes = year_changes(_load_validated(config), config.year_start, config.year_end, config.voltage_floor_kv)
+    census = carried_motif_counts(changes, chordless_only=config.chordless_only, variant=config.variant)
     for counts in census:
         n_years += 1
         shares = motif_shares(counts)
@@ -416,7 +401,8 @@ def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
     from .generators import FAMILIES, efficiency_comparison
     from .metrics import _round_half_up
 
-    sizes = [(snap.year, snap.n_nodes, snap.n_edges) for snap in _year_snapshots(config)]
+    snapshots = year_snapshots(_load_validated(config), config.year_start, config.year_end, config.voltage_floor_kv)
+    sizes = [(snap.year, snap.n_nodes, snap.n_edges) for snap in snapshots]
     mean_nodes = _round_half_up(sum(n_nodes for _, n_nodes, _ in sizes) / len(sizes))
     mean_edges = _round_half_up(sum(n_edges for _, _, n_edges in sizes) / len(sizes))
     ensembles = efficiency_comparison(

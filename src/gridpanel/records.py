@@ -134,23 +134,45 @@ class ValidationReport(NamedTuple):
 
 
 @contextmanager
-def _csv_rows(path: str, header: Sequence[str]) -> Iterator[Any]:
-    # A csv reader past the header row, which must name ``header``. What
-    # the csv module or the UTF-8 decoder cannot read, in the header or in
-    # the block, raises ParseError too.
+def _csv_rows(path: str, header: Sequence[str]) -> Iterator[Iterator[tuple[int, list[str]]]]:
+    # (line, fields) for each non-blank row past the header row, which
+    # must name ``header``; ``line`` is the line the row starts on, which a
+    # quoted field with line breaks moves past the row count. A row of
+    # another width raises. When the block raises ParseError, the rest of
+    # the file is read first and a malformed row there is raised instead.
+    # What the csv module or the UTF-8 decoder cannot read raises
+    # ParseError too.
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(path, None, f"cannot read file: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
+        width = len(header)
+
+        def sized_rows() -> Iterator[tuple[int, list[str]]]:
+            start = reader.line_num + 1
+            for row in reader:
+                line, start = start, reader.line_num + 1
+                if len(row) == width:
+                    yield line, row
+                elif row:
+                    raise ParseError(path, line, f"expected {width} fields, got {len(row)}") from None
+
         try:
             first = next(reader, None)
             if first is None:
                 raise ParseError(path, 1, "empty file, expected a header row")
             if [c.strip() for c in first] != list(header):
                 raise ParseError(path, 1, f"bad header, expected {','.join(header)}")
-            yield reader
+            rows = sized_rows()
+            try:
+                yield rows
+            except ParseError:
+                # After a field-count error ``rows`` is spent and reads nothing.
+                for _ in rows:
+                    pass
+                raise
         except csv.Error as exc:
             raise ParseError(path, reader.line_num, f"cannot read the row: {exc}") from None
         except UnicodeDecodeError:
@@ -168,24 +190,6 @@ def _not_utf8(path: str) -> ParseError:
         line = data.count(b"\n", 0, exc.start) + 1
         return ParseError(path, line, f"not UTF-8 text: cannot decode byte {data[exc.start]:#04x}")
     return ParseError(path, None, "not UTF-8 text")
-
-
-def _width_error(path: str, line: int, width: int, row: list[str]) -> ParseError:
-    return ParseError(path, line, f"expected {width} fields, got {len(row)}")
-
-
-def _check_later_widths(reader, path: str, width: int, row: list[str], start: int) -> None:
-    # Called on a ParseError raised while reading ``row``. If ``row`` has
-    # ``width`` fields, one of its fields failed; a row with another field
-    # count further down the file is reported first, so a file's field
-    # counts are checked before its fields. ``start`` is the line after
-    # ``row``; blank rows are skipped.
-    if len(row) != width:
-        return
-    for row in reader:
-        if row and len(row) != width:
-            raise _width_error(path, start, width, row) from None
-        start = reader.line_num + 1
 
 
 def _ascii_number(kind: Callable[[str], Any], text: str) -> Any:
@@ -249,14 +253,17 @@ def load_asset_records(
     """Read records from CSV without enforcing cross-record integrity.
 
     Raises :class:`ParseError` on structural problems (text that is not
-    UTF-8, a row the csv module cannot read, bad header, short row,
-    non-integer field, unknown event kind, event for an unknown edge). Referential and interval integrity are left to
+    UTF-8, a row the csv module cannot read, bad header, a row with another
+    field count than the header's, non-integer field, unknown event kind,
+    event for an unknown edge), naming the file and the line the row
+    starts on. Blank rows are skipped. In each file the first malformed
+    row is the one reported, even below a row with a bad field.
+    Referential and interval integrity are left to
     :func:`validate_records`, so broken datasets can still be loaded and
     reported on. The dataset span defaults to the years observed in the
     data; pass ``dataset_start`` / ``dataset_end`` to pin it explicitly.
     """
-    # Each file is read in one pass. A record's line is the line it starts
-    # on, which a quoted field with line breaks moves past the record count.
+    # Each file is read in one pass, each row's numbers parsed in column order.
     # Each distinct number text is parsed once by its field's grammar and
     # its value kept in ``ints`` or ``years``; a kept 0 or None reads as a
     # miss and is parsed again, and a text that fails is never kept, so
@@ -264,92 +271,58 @@ def load_asset_records(
     ints: dict[str, int] = {}
     years: dict[str, int | None] = {}
     nodes = []
-    with _csv_rows(node_file, NODE_HEADER) as reader:
-        start = reader.line_num + 1
-        try:
-            for row in reader:
-                line, start = start, reader.line_num + 1
-                if len(row) != 7:
-                    if row:
-                        raise _width_error(node_file, line, 7, row)
-                    continue
-                node_id, label, voltage, y_in, y_out, lat, lon = row
-                node_id = node_id.strip()
-                if not node_id:
-                    raise ParseError(node_file, line, "node_id must not be empty")
-                voltage_kv = ints.get(voltage) or ints.setdefault(voltage, _int_field(voltage, "voltage_kv", node_file, line))
-                year_in = years.get(y_in) or years.setdefault(y_in, _year_field(y_in, "year_in", node_file, line))
-                year_out = (
-                    (years.get(y_out) or years.setdefault(y_out, _opt_year_field(y_out, "year_out", node_file, line)))
-                    if y_out
-                    else None
-                )
-                lat = _opt_float_field(lat, "lat", node_file, line) if lat else None
-                lon = _opt_float_field(lon, "lon", node_file, line) if lon else None
-                nodes.append(NodeRecord(node_id, label.strip(), voltage_kv, year_in, year_out, lat, lon))
-        except ParseError:
-            _check_later_widths(reader, node_file, 7, row, start)
-            raise
+    with _csv_rows(node_file, NODE_HEADER) as rows:
+        for line, (node_id, label, voltage, y_in, y_out, lat, lon) in rows:
+            node_id = node_id.strip()
+            if not node_id:
+                raise ParseError(node_file, line, "node_id must not be empty")
+            voltage_kv = ints.get(voltage) or ints.setdefault(voltage, _int_field(voltage, "voltage_kv", node_file, line))
+            year_in = years.get(y_in) or years.setdefault(y_in, _year_field(y_in, "year_in", node_file, line))
+            year_out = (
+                (years.get(y_out) or years.setdefault(y_out, _opt_year_field(y_out, "year_out", node_file, line)))
+                if y_out
+                else None
+            )
+            lat = _opt_float_field(lat, "lat", node_file, line) if lat else None
+            lon = _opt_float_field(lon, "lon", node_file, line) if lon else None
+            nodes.append(NodeRecord(node_id, label.strip(), voltage_kv, year_in, year_out, lat, lon))
     if not nodes:
         raise ParseError(node_file, None, "no node records")
 
     # Edge fields first, as EdgeRecord's positional arguments; each record
     # is built once, after its events are known.
     edge_fields = []
-    with _csv_rows(edge_file, EDGE_HEADER) as reader:
-        start = reader.line_num + 1
-        try:
-            for row in reader:
-                line, start = start, reader.line_num + 1
-                if len(row) != 7:
-                    if row:
-                        raise _width_error(edge_file, line, 7, row)
-                    continue
-                edge_id, node_a, node_b, voltage, circuits, y_in, y_out = row
-                edge_id = edge_id.strip()
-                if not edge_id:
-                    raise ParseError(edge_file, line, "edge_id must not be empty")
-                voltage_kv = ints.get(voltage) or ints.setdefault(voltage, _int_field(voltage, "voltage_kv", edge_file, line))
-                n_circuits = ints.get(circuits) or ints.setdefault(circuits, _int_field(circuits, "circuits", edge_file, line))
-                year_in = years.get(y_in) or years.setdefault(y_in, _year_field(y_in, "year_in", edge_file, line))
-                year_out = (
-                    (years.get(y_out) or years.setdefault(y_out, _opt_year_field(y_out, "year_out", edge_file, line)))
-                    if y_out
-                    else None
-                )
-                edge_fields.append((edge_id, node_a.strip(), node_b.strip(), voltage_kv, year_in, year_out, n_circuits))
-        except ParseError:
-            _check_later_widths(reader, edge_file, 7, row, start)
-            raise
+    with _csv_rows(edge_file, EDGE_HEADER) as rows:
+        for line, (edge_id, node_a, node_b, voltage, circuits, y_in, y_out) in rows:
+            edge_id = edge_id.strip()
+            if not edge_id:
+                raise ParseError(edge_file, line, "edge_id must not be empty")
+            voltage_kv = ints.get(voltage) or ints.setdefault(voltage, _int_field(voltage, "voltage_kv", edge_file, line))
+            n_circuits = ints.get(circuits) or ints.setdefault(circuits, _int_field(circuits, "circuits", edge_file, line))
+            year_in = years.get(y_in) or years.setdefault(y_in, _year_field(y_in, "year_in", edge_file, line))
+            year_out = (
+                (years.get(y_out) or years.setdefault(y_out, _opt_year_field(y_out, "year_out", edge_file, line)))
+                if y_out
+                else None
+            )
+            edge_fields.append((edge_id, node_a.strip(), node_b.strip(), voltage_kv, year_in, year_out, n_circuits))
 
     # One ChangeEvent per distinct (year, kind): events are frozen values.
     by_edge: dict[str, Sequence[ChangeEvent]] = {}
     if event_file is not None:
         known = {fields[0] for fields in edge_fields}
         shared: dict[tuple[str, str], ChangeEvent] = {}
-        with _csv_rows(event_file, EVENT_HEADER) as reader:
-            start = reader.line_num + 1
-            try:
-                for row in reader:
-                    line, start = start, reader.line_num + 1
-                    if len(row) != 3:
-                        if row:
-                            raise _width_error(event_file, line, 3, row)
-                        continue
-                    edge_id, year, kind = row[0].strip(), row[1].strip(), row[2].strip()
-                    if kind not in EVENT_KINDS:
-                        raise ParseError(
-                            event_file, line, f"kind must be one of {', '.join(EVENT_KINDS)}, got {kind!r}"
-                        )
-                    if edge_id not in known:
-                        raise ParseError(event_file, line, f"event for unknown edge_id {edge_id!r}")
-                    event = shared.get((year, kind)) or shared.setdefault(
-                        (year, kind), ChangeEvent(_year_field(year, "year", event_file, line), kind)
-                    )
-                    by_edge.setdefault(edge_id, []).append(event)
-            except ParseError:
-                _check_later_widths(reader, event_file, 3, row, start)
-                raise
+        with _csv_rows(event_file, EVENT_HEADER) as rows:
+            for line, (edge_id, year, kind) in rows:
+                edge_id, year, kind = edge_id.strip(), year.strip(), kind.strip()
+                if kind not in EVENT_KINDS:
+                    raise ParseError(event_file, line, f"kind must be one of {', '.join(EVENT_KINDS)}, got {kind!r}")
+                if edge_id not in known:
+                    raise ParseError(event_file, line, f"event for unknown edge_id {edge_id!r}")
+                event = shared.get((year, kind)) or shared.setdefault(
+                    (year, kind), ChangeEvent(_year_field(year, "year", event_file, line), kind)
+                )
+                by_edge.setdefault(edge_id, []).append(event)
     for edge_id, events in by_edge.items():
         by_edge[edge_id] = tuple(sorted(events, key=_event_order) if len(events) > 1 else events)
     edges = [EdgeRecord(*fields, events=by_edge.get(fields[0], ())) for fields in edge_fields]

@@ -450,7 +450,8 @@ def snapshot_by_full_scan(records, year: int, voltage_floor_kv: int = 0) -> Grap
 
 def _rows_of(path: str, header) -> list[tuple[int, list[str]]]:
     # Every non-blank row of a CSV file with the line it starts on, read
-    # whole before any field is parsed.
+    # whole before any field is parsed. A row the csv module cannot read
+    # is reported at the line the reader stopped on.
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -465,13 +466,16 @@ def _rows_of(path: str, header) -> list[tuple[int, list[str]]]:
             raise ParseError(path, 1, f"bad header, expected {','.join(header)}")
         rows = []
         start = reader.line_num + 1
-        for row in reader:
-            line, start = start, reader.line_num + 1
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(path, line, f"expected {len(header)} fields, got {len(row)}")
-            rows.append((line, row))
+        try:
+            for row in reader:
+                line, start = start, reader.line_num + 1
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(path, line, f"expected {len(header)} fields, got {len(row)}")
+                rows.append((line, row))
+        except csv.Error as exc:
+            raise ParseError(path, reader.line_num, f"cannot read the row: {exc}") from None
     return rows
 
 

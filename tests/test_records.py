@@ -382,6 +382,11 @@ CLEAN_ROWS = {
 HEADERS = {"nodes.csv": NODE_HEADER, "edges.csv": EDGE_HEADER, "events.csv": EVENT_HEADER}
 
 
+def clean_rows():
+    """A fresh copy of CLEAN_ROWS to change."""
+    return {name: [list(row) for row in file_rows] for name, file_rows in CLEAN_ROWS.items()}
+
+
 @pytest.mark.parametrize("file,column", NUMERIC_COLUMNS)
 def test_loader_equals_the_oracle_on_odd_number_texts(tmp_path, file, column):
     # Each text in the first row, in the last row and in both, where the
@@ -392,7 +397,7 @@ def test_loader_equals_the_oracle_on_odd_number_texts(tmp_path, file, column):
     for text in ODD_NUMBER_TEXTS + ["9" * 5000]:
         for rows_changed in ((0,), (-1,), (0, -1)):
             for in_voltage_too in (False, True):
-                rows = {name: [list(row) for row in file_rows] for name, file_rows in CLEAN_ROWS.items()}
+                rows = clean_rows()
                 rows["nodes.csv"][0][2] = text if in_voltage_too else "220"
                 for i in rows_changed:
                     rows[file][i][field] = text
@@ -404,12 +409,53 @@ def test_loader_equals_the_oracle_on_odd_number_texts(tmp_path, file, column):
 @pytest.mark.parametrize("file", sorted(HEADERS))
 def test_a_malformed_row_is_reported_before_an_earlier_bad_field(tmp_path, file):
     # Field counts are checked over the whole file before any field is.
-    rows = {name: [list(row) for row in file_rows] for name, file_rows in CLEAN_ROWS.items()}
+    rows = clean_rows()
     rows[file][0][-2] = "soon"
     rows[file].insert(2, [])
     rows[file][-1] = rows[file][-1][:2]
     files = write_rows(tmp_path, rows)
     expected = (ParseError, f"{tmp_path / file}:5: expected {len(HEADERS[file])} fields, got 2")
+    assert load_outcome(load_asset_records, files) == load_outcome(records_by_rows, files) == expected
+
+
+@pytest.mark.parametrize("bad_field_above", [False, True])
+@pytest.mark.parametrize("file", sorted(HEADERS))
+def test_the_first_of_several_malformed_rows_is_reported(tmp_path, file, bad_field_above):
+    # Lines 3 and 4 are both short; line 3 is reported, whether or not a
+    # bad field on line 2 sends the reader looking for malformed rows.
+    rows = clean_rows()
+    if bad_field_above:
+        rows[file][0][-2] = "soon"
+    rows[file][1] = rows[file][1][:2]
+    rows[file][2] = rows[file][2][:1]
+    files = write_rows(tmp_path, rows)
+    expected = (ParseError, f"{tmp_path / file}:3: expected {len(HEADERS[file])} fields, got 2")
+    assert load_outcome(load_asset_records, files) == load_outcome(records_by_rows, files) == expected
+
+
+@pytest.mark.parametrize(
+    "file,first,second",
+    [(f, a, b) for f, a in NUMERIC_COLUMNS for g, b in NUMERIC_COLUMNS if f == g and a != b],
+)
+def test_two_bad_numbers_in_one_row_report_the_earlier_column(tmp_path, file, first, second):
+    rows = clean_rows()
+    rows[file][1][HEADERS[file].index(first)] = "bad"
+    rows[file][1][HEADERS[file].index(second)] = "worse"
+    files = write_rows(tmp_path, rows)
+    got = load_outcome(load_asset_records, files)
+    assert got == load_outcome(records_by_rows, files)
+    assert got[1].startswith(f"{tmp_path / file}:3: {min(first, second, key=HEADERS[file].index)} must be")
+
+
+@pytest.mark.parametrize("file", sorted(HEADERS))
+def test_an_unreadable_row_below_a_bad_field_is_reported(tmp_path, file):
+    # A field one character over the csv module's limit on line 4; the
+    # scan for malformed rows that the bad field on line 2 starts reads it.
+    rows = clean_rows()
+    rows[file][0][-2] = "soon"
+    rows[file][2] = ["x" * 131_073] + [""] * (len(HEADERS[file]) - 1)
+    files = write_rows(tmp_path, rows)
+    expected = (ParseError, f"{tmp_path / file}:4: cannot read the row: field larger than field limit (131072)")
     assert load_outcome(load_asset_records, files) == load_outcome(records_by_rows, files) == expected
 
 
@@ -436,7 +482,11 @@ def record_rows(draw, columns, min_rows=0):
     return out
 
 
-@settings(max_examples=300, deadline=None)
+# The thorough profile's count when it is larger: CI's deep run reads it.
+LOADER_EXAMPLES = max(300, settings.default.max_examples)
+
+
+@settings(max_examples=LOADER_EXAMPLES, deadline=None)
 @given(
     record_rows(
         [st.sampled_from(["A", "B", "C", " B ", "two\nlines"]), st.sampled_from(["a", "", "x\ny"])]
