@@ -5,8 +5,9 @@ analysis run writes its documented CSVs plus a manifest into the output
 directory, and a failed run writes none; running the same command with
 ``--config <manifest>`` again reproduces the outputs byte for byte. Exit
 codes: 0 success, 1 record validation failure, 2 I/O or parameter
-trouble. ``panel`` spreads its years over one forked process per usable
-CPU; its outputs are the same bytes whatever the CPU count.
+trouble. ``panel`` spreads its years, and ``baselines`` its reference
+graphs, over one forked process per usable CPU; their outputs are the
+same bytes whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import gc
 import os
 import sys
 from functools import partial
+from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -215,7 +217,7 @@ def _spread_over_cpus(work: Callable, items: Iterable, n_items: int) -> list:
             status = os.waitpid(pid, 0)[1]
             del pipes[pid]
             if status:
-                raise ChildProcessError(f"panel worker {pid} ended without its results (wait status {status})")
+                raise ChildProcessError(f"worker process {pid} ended without its results (wait status {status})")
             shares.append(pickle.loads(sent))
     finally:
         for pid, pipe in pipes.items():
@@ -398,16 +400,23 @@ def _replicate_rows(ensembles: dict) -> Iterator[tuple]:
 
 
 def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
-    from .generators import FAMILIES, efficiency_comparison
+    from .generators import FAMILIES, _plan
     from .metrics import _round_half_up
 
     snapshots = year_snapshots(_load_validated(config), config.year_start, config.year_end, config.voltage_floor_kv)
     sizes = [(snap.year, snap.n_nodes, snap.n_edges) for snap in snapshots]
     mean_nodes = _round_half_up(sum(n_nodes for _, n_nodes, _ in sizes) / len(sizes))
     mean_edges = _round_half_up(sum(n_edges for _, _, n_edges in sizes) / len(sizes))
-    ensembles = efficiency_comparison(
-        mean_nodes, mean_edges, config.replicates, config.seed, rewiring_p=config.rewiring_p
-    )
+    plans = [_plan(mean_nodes, mean_edges, config.replicates, config.seed, config.rewiring_p)]
+    years = []
+    if config.per_year:
+        for year, n_nodes, n_edges in sizes:
+            try:
+                plans.append(_plan(n_nodes, n_edges, config.replicates, config.seed, config.rewiring_p))
+            except ParameterError:
+                continue  # years too small to host a matched lattice
+            years.append(year)
+    ensembles, *yearly = _spread_ensembles(plans)
     summary = [
         (family, metric, ensembles[family].mean[metric], ensembles[family].std[metric])
         for family in FAMILIES
@@ -419,17 +428,8 @@ def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
         "baselines.csv": (("family", "replicate", "metric", "value"), _replicate_rows(ensembles)),
         "baselines_summary.csv": (("family", "metric", "mean", "std"), summary),
     }
-
     if config.per_year:
-        per_year_rows = []
-        for year, n_nodes, n_edges in sizes:
-            try:
-                yearly = efficiency_comparison(
-                    n_nodes, n_edges, config.replicates, config.seed, rewiring_p=config.rewiring_p
-                )
-            except ParameterError:
-                continue  # years too small to host a matched lattice
-            per_year_rows.extend((year,) + row for row in _replicate_rows(yearly))
+        per_year_rows = ((year,) + row for year, of_year in zip(years, yearly) for row in _replicate_rows(of_year))
         tables["baselines_per_year.csv"] = (("year", "family", "replicate", "metric", "value"), per_year_rows)
 
     _write_outputs(config, "baselines", tables)
@@ -440,3 +440,13 @@ def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
         f"{config.replicates} replicates to {config.out_dir}"
     )
     return 0
+
+
+def _spread_ensembles(plans: list) -> list[dict]:
+    # generators.efficiency_comparison's result for each plan, with the
+    # reference graphs of all plans measured as one job list over the CPUs.
+    from .generators import _ensembles, _measure
+
+    jobs = [job for plan in plans for job in plan.jobs]
+    rows = iter(_spread_over_cpus(_measure, jobs, len(jobs)))
+    return [_ensembles(plan, list(islice(rows, len(plan.jobs)))) for plan in plans]

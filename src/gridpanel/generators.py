@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import MetricUndefinedError, ParameterError
 from .graph import AnnualSnapshot, Graph, _from_rows, ring_lattice
@@ -141,6 +141,21 @@ def efficiency_comparison(
     residual via ``achieved_edges`` alongside the requested count.
     Raises when no feasible coordination exists.
     """
+    plan = _plan(n_nodes, n_edges, replicates, seed, rewiring_p)
+    return _ensembles(plan, list(map(_measure, plan.jobs)))
+
+
+class _Plan(NamedTuple):
+    # One efficiency_comparison's work: ``replicates`` Erdos-Renyi jobs,
+    # as many Watts-Strogatz jobs, then the one ring lattice job, each a
+    # (generator, args) pair that _measure runs; and what _ensembles
+    # summarizes their rows with.
+    specs: tuple[BaselineSpec, BaselineSpec, BaselineSpec]
+    jobs: list[tuple[Callable[..., AnnualSnapshot], tuple]]
+    achieved_edges: int
+
+
+def _plan(n_nodes: int, n_edges: int, replicates: int, seed: int, rewiring_p: float) -> _Plan:
     if replicates < 1:
         raise ParameterError(f"need at least one replicate, got {replicates}")
     coordination = max(2, 2 * _round_half_up(n_edges / n_nodes)) if n_nodes else 0
@@ -154,42 +169,47 @@ def efficiency_comparison(
         raise ParameterError(f"edge count {n_edges} outside 0..{max_edges} for {n_nodes} nodes")
     matched_edges = n_nodes * coordination // 2
 
-    out: dict[str, BaselineEnsemble] = {}
-
-    spec = BaselineSpec("erdos_renyi", n_nodes, n_edges=n_edges, replicates=replicates, seed=seed)
-    rows = [
-        _measure(gen_erdos_renyi(n_nodes, matched_edges, child))
-        for child in _child_seeds(seed, "erdos_renyi", replicates)
-    ]
-    out["erdos_renyi"] = _summarize(spec, rows, matched_edges)
-
-    spec = BaselineSpec(
-        "watts_strogatz",
-        n_nodes,
-        n_edges=n_edges,
-        coordination=coordination,
-        rewiring_p=rewiring_p,
-        replicates=replicates,
-        seed=seed,
+    specs = (
+        BaselineSpec("erdos_renyi", n_nodes, n_edges=n_edges, replicates=replicates, seed=seed),
+        BaselineSpec(
+            "watts_strogatz",
+            n_nodes,
+            n_edges=n_edges,
+            coordination=coordination,
+            rewiring_p=rewiring_p,
+            replicates=replicates,
+            seed=seed,
+        ),
+        BaselineSpec(
+            "ring_lattice",
+            n_nodes,
+            n_edges=n_edges,
+            coordination=coordination,
+            replicates=replicates,
+            seed=seed,
+        ),
     )
-    rows = [
-        _measure(gen_watts_strogatz(n_nodes, coordination, rewiring_p, child))
+    jobs = [
+        (gen_erdos_renyi, (n_nodes, matched_edges, child)) for child in _child_seeds(seed, "erdos_renyi", replicates)
+    ]
+    jobs += [
+        (gen_watts_strogatz, (n_nodes, coordination, rewiring_p, child))
         for child in _child_seeds(seed, "watts_strogatz", replicates)
     ]
-    out["watts_strogatz"] = _summarize(spec, rows, matched_edges)
+    jobs.append((gen_ring_lattice, (n_nodes, coordination)))
+    return _Plan(specs, jobs, matched_edges)
 
-    spec = BaselineSpec(
-        "ring_lattice",
-        n_nodes,
-        n_edges=n_edges,
-        coordination=coordination,
-        replicates=replicates,
-        seed=seed,
-    )
-    # deterministic family: one build, identical replicate rows
-    row = _measure(gen_ring_lattice(n_nodes, coordination))
-    out["ring_lattice"] = _summarize(spec, [dict(row) for _ in range(replicates)], matched_edges)
-    return out
+
+def _ensembles(plan: _Plan, rows: list[dict[str, float]]) -> dict[str, BaselineEnsemble]:
+    # The three ensembles from the rows of plan.jobs, in job order.
+    er, ws, lattice = plan.specs
+    replicates = er.replicates
+    return {
+        "erdos_renyi": _summarize(er, rows[:replicates], plan.achieved_edges),
+        "watts_strogatz": _summarize(ws, rows[replicates:-1], plan.achieved_edges),
+        # deterministic family: one build, identical replicate rows
+        "ring_lattice": _summarize(lattice, [dict(rows[-1]) for _ in range(replicates)], plan.achieved_edges),
+    }
 
 
 def _wrap(graph: Graph) -> AnnualSnapshot:
@@ -218,7 +238,9 @@ def _child_seeds(seed: int, family: str, count: int) -> list[int]:
     return [rng.getrandbits(63) for _ in range(count)]
 
 
-def _measure(snapshot: AnnualSnapshot) -> dict[str, float]:
+def _measure(job: tuple[Callable[..., AnnualSnapshot], tuple]) -> dict[str, float]:
+    generator, args = job
+    snapshot = generator(*args)
     paths = apsp_summary(snapshot)
     row: dict[str, float] = {"n_edges": float(snapshot.n_edges), "efficiency": paths.efficiency}
     try:

@@ -40,7 +40,7 @@ def fixture_paths(tmp_path, country_records):
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    # panel forks workers; every exit path must reap them all.
+    # panel and baselines fork workers; every exit path must reap them all.
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -155,7 +155,8 @@ def test_panel_rerun_from_manifest_is_byte_identical(workspace):
 
 
 def force_workers(monkeypatch, w):
-    # panel forks min(usable CPUs, years) - 1 workers.
+    # panel forks min(usable CPUs, years) - 1 workers, and baselines
+    # min(usable CPUs, reference graphs) - 1.
     monkeypatch.setattr(cli, "_usable_cpus", lambda: w)
 
 
@@ -204,16 +205,63 @@ def test_panel_forks_nothing_where_fork_does_not_exist(workspace, capsys, monkey
     assert tree_bytes(out) == sequential
 
 
-def failing_in(monkeypatch, fail):
-    # metric_row with ``fail(snapshot)`` run first, in whichever process
-    # computes that year.
-    real = metrics.metric_row
+# The function each forking command spreads over its workers: panel's
+# items are year snapshots, baselines' are (generator, args) jobs.
+SPREAD = {"panel": (metrics, "metric_row"), "baselines": (generators, "_measure")}
 
-    def patched(snapshot, **kwargs):
-        fail(snapshot)
-        return real(snapshot, **kwargs)
 
-    monkeypatch.setattr(metrics, "metric_row", patched)
+BASELINES_SCOPES = {
+    "averaged": ("--voltage-floor", "0", "--replicates", "3"),
+    # 1960-1965 have fewer than three stations at 400 kV and are skipped.
+    "per year": ("--voltage-floor", "400", "--year-start", "1960", "--year-end", "1972", "--per-year"),
+    "one replicate": ("--voltage-floor", "0", "--replicates", "1", "--per-year"),
+}
+
+
+@pytest.mark.parametrize("scope", sorted(BASELINES_SCOPES))
+def test_baselines_writes_the_same_bytes_for_every_worker_count(workspace, capsys, monkeypatch, scope):
+    tmp_path, paths = workspace
+    out = tmp_path / "out"
+    written = []
+    for w in (1, 2, 3):
+        force_workers(monkeypatch, w)
+        assert run("baselines", *base_args(paths, out, *BASELINES_SCOPES[scope])) == 0
+        written.append((tree_bytes(out), capsys.readouterr().out))
+        shutil.rmtree(out)
+    assert written[0][0]["baselines_manifest.txt"]
+    assert written[1] == written[0]
+    assert written[2] == written[0]
+    if scope == "per year":
+        per_year = csv.reader(io.StringIO(written[0][0]["baselines_per_year.csv"].decode()))
+        next(per_year)
+        assert sorted({int(row[0]) for row in per_year}) == list(range(1966, 1973))
+
+
+def test_baselines_forks_nothing_where_fork_does_not_exist(workspace, capsys, monkeypatch):
+    tmp_path, paths = workspace
+    out = tmp_path / "out"
+    argv = ("baselines", *base_args(paths, out, *COMMAND_ARGS["baselines"]))
+    force_workers(monkeypatch, 1)
+    assert run(*argv) == 0
+    sequential = tree_bytes(out)
+    shutil.rmtree(out)
+    force_workers(monkeypatch, 3)
+    monkeypatch.delattr(os, "fork")
+    assert run(*argv) == 0
+    assert tree_bytes(out) == sequential
+
+
+def failing_in(monkeypatch, fail, command="panel"):
+    # The function ``command`` spreads, with ``fail(item)`` run first, in
+    # whichever process computes that item.
+    module, name = SPREAD[command]
+    real = getattr(module, name)
+
+    def patched(item, **kwargs):
+        fail(item)
+        return real(item, **kwargs)
+
+    monkeypatch.setattr(module, name, patched)
 
 
 @pytest.mark.parametrize("w", [2, 3])
@@ -221,13 +269,14 @@ def test_a_worker_that_dies_without_its_rows_exits_two_and_writes_nothing(worksp
     tmp_path, paths = workspace
     parent = os.getpid()
     force_workers(monkeypatch, w)
-    failing_in(monkeypatch, lambda snapshot: os.getpid() != parent and os._exit(3))
     out = tmp_path / "out"
-    assert run("panel", *base_args(paths, out)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: panel worker ")
-    assert f"(wait status {3 << 8})" in err
-    assert not out.exists()
+    for command in SPREAD:
+        failing_in(monkeypatch, lambda item: os.getpid() != parent and os._exit(3), command)
+        assert run(command, *base_args(paths, out, *COMMAND_ARGS[command])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: worker process "), command
+        assert f"(wait status {3 << 8})" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("failing_years", [{1991, 1994}, {1990, 1993}, {1995}], ids=str)
@@ -256,19 +305,20 @@ def test_an_interrupt_kills_and_reaps_the_workers(workspace, capsys, monkeypatch
     tmp_path, paths = workspace
     parent = os.getpid()
 
-    def fail(snapshot):
+    def fail(item):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(60)  # a worker that is not killed ends after one sleep
         os._exit(1)
 
     force_workers(monkeypatch, 3)
-    failing_in(monkeypatch, fail)
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        run("panel", *base_args(paths, tmp_path / "out"))
-    assert time.monotonic() - start < 30
-    assert not (tmp_path / "out").exists()
+    for command in SPREAD:
+        failing_in(monkeypatch, fail, command)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run(command, *base_args(paths, tmp_path / "out", *COMMAND_ARGS[command]))
+        assert time.monotonic() - start < 30, command
+        assert not (tmp_path / "out").exists()
 
 
 PANEL_WITH_A_PENDING_LINE = """
@@ -462,23 +512,44 @@ def test_baselines_manifest_replays_its_flags(workspace):
 
 def test_a_failed_baselines_run_writes_no_file(workspace, capsys, monkeypatch):
     tmp_path, paths = workspace
-    calls = []
-    averaged = generators.efficiency_comparison
+    plans = []
+    measured = []  # the jobs the parent measured
+    plan = generators._plan
+    parent = os.getpid()
 
-    def failing_per_year(*args, **kwargs):
-        # The first call builds the averaged ensemble; the next is per year.
-        calls.append(args)
-        if len(calls) > 1:
+    def recording(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    def fail(job):
+        # Plans are made before any job is measured or any worker forked:
+        # the first is the averaged ensemble's, the later ones each a year's.
+        if job is plans[1].jobs[1]:
             raise GridPanelError("per-year ensemble failed")
-        return averaged(*args, **kwargs)
+        if os.getpid() == parent:
+            measured.append(job)
 
-    monkeypatch.setattr(generators, "efficiency_comparison", failing_per_year)
+    monkeypatch.setattr(generators, "_plan", recording)
+    failing_in(monkeypatch, fail, "baselines")
+    sizes = [
+        (snapshot.n_nodes, snapshot.n_edges)
+        for snapshot in records.year_snapshots(records.parse_asset_records(paths["nodes"], paths["edges"], paths["events"]))
+    ]
+    averaged = tuple(metrics._round_half_up(sum(size) / len(sizes)) for size in zip(*sizes))
     out = tmp_path / "out"
-    code = run("baselines", *base_args(paths, out), "--voltage-floor", "0", "--replicates", "2", "--per-year")
-    assert code == 2
-    assert len(calls) == 2
-    assert "per-year ensemble failed" in capsys.readouterr().err
-    assert not out.exists()
+    for w in (1, 2):
+        force_workers(monkeypatch, w)
+        plans.clear()
+        measured.clear()
+        code = run("baselines", *base_args(paths, out), "--voltage-floor", "0", "--replicates", "2", "--per-year")
+        assert code == 2
+        assert "per-year ensemble failed" in capsys.readouterr().err
+        assert len(plans) == 1 + len(sizes)
+        assert plans[0].specs[0][1:3] == averaged
+        # The parent's share of the jobs up to the failing one: the averaged
+        # ensemble's first, then the first year's first replicate.
+        assert measured == (plans[0].jobs + plans[1].jobs[:1])[::w]
+        assert not out.exists()
 
 
 # -- common ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import statistics
 
 import pytest
@@ -17,6 +18,7 @@ from gridpanel import (
     gen_ring_lattice,
     gen_watts_strogatz,
 )
+from gridpanel import cli, generators
 from gridpanel.generators import BaselineSpec, _summarize
 from gridpanel.graph import Graph
 
@@ -182,6 +184,30 @@ def test_efficiency_comparison_validation():
         efficiency_comparison(60, 2000, replicates=2, seed=1)
     with pytest.raises(ParameterError):
         efficiency_comparison(60, 90, replicates=0, seed=1)
+
+
+# (n_nodes, n_edges, replicates, seed, rewiring_p)
+COMPARISONS = [
+    (60, 90, 5, 21, 0.1),
+    (30, 45, 3, 5, 1.0),
+    (12, 40, 4, 7, 0.0),
+    (9, 9, 1, 3, 0.5),
+    (6, 0, 2, 11, 0.1),
+]
+
+
+def test_the_cli_spread_equals_efficiency_comparison(monkeypatch):
+    def forbidden():
+        raise AssertionError("efficiency_comparison forked")
+
+    monkeypatch.setattr(os, "fork", forbidden)
+    sequential = [efficiency_comparison(n, m, r, seed, rewiring_p=p) for n, m, r, seed, p in COMPARISONS]
+    monkeypatch.undo()
+    plans = [generators._plan(*comparison) for comparison in COMPARISONS]
+    for w in (1, 2, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: w)
+        assert cli._spread_ensembles(plans) == sequential
+        assert [cli._spread_ensembles([plan]) for plan in plans] == [[ensembles] for ensembles in sequential]
 
 
 def test_sigma_reported_when_defined():
