@@ -15,7 +15,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .errors import MetricUndefinedError, ParameterError
 from .graph import AnnualSnapshot, Graph, _from_rows, ring_lattice
-from .metrics import _round_half_up, _sigma, apsp_summary, average_degree, clustering_coefficient, random_baselines
+from .metrics import _lattice_coordination, _sigma, apsp_summary, average_degree, clustering_coefficient, random_baselines
 
 FAMILIES = ("erdos_renyi", "watts_strogatz", "ring_lattice")
 
@@ -158,7 +158,7 @@ class _Plan(NamedTuple):
 def _plan(n_nodes: int, n_edges: int, replicates: int, seed: int, rewiring_p: float) -> _Plan:
     if replicates < 1:
         raise ParameterError(f"need at least one replicate, got {replicates}")
-    coordination = max(2, 2 * _round_half_up(n_edges / n_nodes)) if n_nodes else 0
+    coordination = _lattice_coordination(2 * n_edges / n_nodes) if n_nodes else 0
     if n_nodes < 3 or coordination >= n_nodes:
         raise ParameterError(
             f"no ring lattice with {n_nodes} nodes can match {n_edges} edges "

@@ -156,15 +156,16 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
     ``t + d(r, y)`` from every node ``y`` outside ``r``'s tree, because
     every path out of the tree passes ``r``. So:
 
-    * The sweep walks 2-core nodes over their 2-core neighbors. A tree
-      node is a source that enters the sweep at its root at level ``t``.
-      A root's own tree is not in its ``unseen``; a shortest path from a
+    * The sweep is one loop per level over the 2-core, each node reading
+      its 2-core neighbors. A root is a 2-core node with a nonzero depth
+      profile, how many of its tree nodes sit at each depth. A tree node
+      is a source that enters the sweep at its root at level ``t``. A
+      root's own tree is not in its ``unseen``; a shortest path from a
       root to a node outside its tree never enters the tree, so every
       2-core node still gains a source at every level.
     * When root ``r`` finds ``c`` sources at level ``d``, its tree nodes
-      at depth ``t`` find them at ``d + t``. ``r``'s depth profile (how
-      many of its tree nodes sit at each depth) times ``c`` is added at
-      level ``d``, summed over the roots.
+      at depth ``t`` find them at ``d + t``. ``r``'s profile times ``c``
+      is added at level ``d``, summed over the roots.
     * Pairs inside one tree, its root included, and in trees with no
       2-core at all, come from subtree profiles. With ``S_i`` the profile
       of child ``i``'s subtree one level down and ``s = sum(S_i)``, a
@@ -231,12 +232,15 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
                 below[p] = s + up
                 break
 
-    # What is left in ``below`` are the roots: 2-core nodes that trees
-    # hang on.
-    prof = {}
+    # What is left in ``below`` are the roots, 2-core nodes that trees
+    # hang on; profile[i] is 0 for all other nodes. Only a root has a
+    # peeled neighbor, so only its row is cut down to the 2-core.
+    core_rows = list(rows)
+    profile = [0] * n
     for r, s in below.items():
         pairs += 2 * s + cross.get(r, 0)
-        prof[r] = s >> width
+        profile[r] = s >> width
+        core_rows[r] = tuple(j for j in rows[r] if not peeled[j])
     # inject[t] maps each root to the bits of its tree nodes at depth t.
     depth = [0] * n
     root = list(range(n))
@@ -250,50 +254,33 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
                 inject.append({})
             inject[t][r] = inject[t].get(r, 0) | (1 << x)
 
-    core = [i for i in range(n) if not peeled[i]]
-    unseen = _component_masks(rows, core)
-    core_rows = list(rows)
+    active = [i for i in range(n) if not peeled[i]]
+    unseen = _component_masks(rows, active)
     for level in inject:
         for r, bits in level.items():
             unseen[r] ^= bits
-    for r in prof:
-        core_rows[r] = tuple(j for j in rows[r] if not peeled[j])
     frontier = [1 << i for i in range(n)]
-    active = [i for i in core if i not in prof]
-    roots = list(prof)
     hist: dict[int, int] = {}
     d = 0
-    while active or roots:
+    while active:
         d += 1
         nxt = [0] * n
-        found = 0
+        found = fold = 0
         still = []
         for i in active:
             reached = 0
-            for j in rows[i]:
+            for j in core_rows[i]:
                 reached |= frontier[j]
             new = reached & unseen[i]
-            found += new.bit_count()
+            c = new.bit_count()
+            found += c
+            if profile[i]:
+                fold += c * profile[i]
             nxt[i] = new
             left = unseen[i] ^ new
             unseen[i] = left
             if left:
                 still.append(i)
-        fold = 0
-        still_roots = []
-        for r in roots:
-            reached = 0
-            for j in core_rows[r]:
-                reached |= frontier[j]
-            new = reached & unseen[r]
-            c = new.bit_count()
-            found += c
-            fold += c * prof[r]
-            nxt[r] = new
-            left = unseen[r] ^ new
-            unseen[r] = left
-            if left:
-                still_roots.append(r)
         if d < len(inject):
             for r, bits in inject[d].items():
                 nxt[r] |= bits
@@ -302,7 +289,6 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
             pairs += fold << (width * (d + 1))
         frontier = nxt
         active = still
-        roots = still_roots
 
     mask = one - 1
     d = 0
@@ -602,6 +588,10 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
+def _lattice_coordination(avg_degree: float) -> int:
+    return max(2, 2 * _round_half_up(avg_degree / 2))
+
+
 def lattice_clustering(n_nodes: int, avg_degree: float) -> float:
     """Clustering of a ring lattice matched to ``n_nodes`` and degree.
 
@@ -619,7 +609,7 @@ def lattice_clustering(n_nodes: int, avg_degree: float) -> float:
     _check_finite("avg_degree", avg_degree)
     if n_nodes < 3:
         raise MetricUndefinedError("lattice reference needs at least three nodes", "too_few_nodes")
-    m = max(2, 2 * _round_half_up(avg_degree / 2))
+    m = _lattice_coordination(avg_degree)
     m = min(m, n_nodes - 1 if n_nodes % 2 else n_nodes - 2)
     return clustering_coefficient(ring_lattice(min(n_nodes, 3 * (m // 2) + 1), m))
 

@@ -167,6 +167,8 @@ def test_efficiency_comparison_matches_edges_across_families():
         assert result[family].spec.n_edges == 90
         for row in result[family].rows:
             assert row["n_edges"] == 120
+    # 150 edges over 60 nodes is degree 5, whose half rounds up: coordination 6
+    assert efficiency_comparison(60, 150, replicates=1, seed=21)["ring_lattice"].achieved_edges == 180
 
 
 def test_efficiency_ordering_random_above_rewired_above_ring():

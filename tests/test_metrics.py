@@ -287,6 +287,17 @@ def adjacent_roots(size=10):
     return Graph(range(4 * size), edges)
 
 
+def paths_on_every_node(size=30):
+    # A cycle whose node i carries a path of 1 + i % 3 nodes, so every
+    # 2-core node is a root, with profiles of three depths.
+    edges = [(i, (i + 1) % size) for i in range(size)]
+    nxt = size
+    for i in range(size):
+        edges += [(i if k == 0 else nxt + k - 1, nxt + k) for k in range(1 + i % 3)]
+        nxt += 1 + i % 3
+    return Graph(range(nxt), edges)
+
+
 def tree_larger_than_core():
     # A triangle; node 0 carries a 60-node tree in which node v joins
     # v // 3, node 1 a 20-node path.
@@ -331,6 +342,7 @@ APSP_CASES = {
     "spider": spider(),
     "deep-branching": deep_branching_on_cycle(),
     "adjacent-roots": adjacent_roots(),
+    "paths-on-every-node30": paths_on_every_node(),
     "tree-over-core": tree_larger_than_core(),
     "trees-beside-core": trees_beside_a_core(),
     # 512 * 511 pairs at distance 2: a slot count near n**2
@@ -361,6 +373,7 @@ APSP_CASES.update(
                 "tree-over-core",
                 "trees-beside-core",
                 "star512",
+                "paths-on-every-node30",
             ),
             start=5,
         )
@@ -484,6 +497,8 @@ def test_non_finite_average_degree_rejected(n_nodes, avg_degree):
 def test_lattice_clustering_reference_points():
     assert lattice_clustering(20, 4.0) == 0.5
     assert lattice_clustering(200, 6.0) == 0.6
+    # half of 5 rounds up, to coordination 6
+    assert lattice_clustering(200, 5.0) == 0.6
     # coordination is capped at the largest feasible even value
     assert lattice_clustering(4, 3.0) == 0.0
     assert undefined_reason(lattice_clustering, 2, 2.0) == "too_few_nodes"
