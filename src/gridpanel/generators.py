@@ -1,10 +1,10 @@
 """Reference-graph families for judging empirical efficiency.
 
 Three families: uniform random graphs with an exact edge count, ring
-lattices, and rewired ring lattices. The rewired family and the lattice
-share a coordination number derived from the requested edge count, so
-their edge totals can differ from the random family's; the achieved
-count is reported per replicate rather than silently patched.
+lattices, and rewired ring lattices. A ring lattice exists only at some
+edge counts, so all three families run at the lattice's count nearest
+the requested one; that achieved count is reported beside the request
+rather than silently patched.
 """
 
 from __future__ import annotations
@@ -135,10 +135,11 @@ def efficiency_comparison(
 
     A fair comparison needs every family at the same node and edge
     count, but a ring lattice only exists at multiples of ``n_nodes / 2``
-    edges. The requested ``n_edges`` is therefore quantized through the
-    even coordination ``2 * round(n_edges / n_nodes)`` and all three
-    families run at that matched count; each ensemble reports the
-    residual via ``achieved_edges`` alongside the requested count.
+    edges. The requested ``n_edges`` is therefore quantized through an
+    even coordination, twice ``n_edges / n_nodes`` rounded half up and
+    at least 2, and all three families run at that matched count; each
+    ensemble reports the residual via ``achieved_edges`` alongside the
+    requested count.
     Raises when no feasible coordination exists.
     """
     plan = _plan(n_nodes, n_edges, replicates, seed, rewiring_p)
@@ -258,14 +259,16 @@ def _summarize(spec: BaselineSpec, rows: list[dict[str, float]], achieved_edges:
     for name in metrics:
         values = [row[name] for row in rows if name in row]
         n = len(values)
-        mean[name] = math.fsum(values) / n
-        # The root of the exact population variance, rounded once: with
-        # the values scaled to integers X over one denominator D, it is
+        # The exact mean, rounded once, and the root of the exact
+        # population variance: with the values scaled to integers X over
+        # one denominator D, they are sum(X) / (n * D) and the root of
         # (n * sum(X**2) - sum(X)**2) / (n**2 * D**2).
         ratios = [value.as_integer_ratio() for value in values]
         common = math.lcm(*(q for _, q in ratios))
         scaled = [p * (common // q) for p, q in ratios]
-        spread = n * sum(x * x for x in scaled) - sum(scaled) ** 2
+        total = sum(scaled)
+        mean[name] = total / (n * common)
+        spread = n * sum(x * x for x in scaled) - total ** 2
         std[name] = math.sqrt(spread / (n * n * common * common))
     return BaselineEnsemble(
         spec=spec,

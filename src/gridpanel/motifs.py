@@ -1,19 +1,24 @@
 """Counts of small recurring subgraphs: triangles, 4-cycles and stars.
 
-Triangles and 4-cycles are read from one wedge count per graph: a
-``Counter`` over every pair of neighbours of every centre, filled in a
-single C-level pass over the position rows, so cost scales with wedges
-rather than with dense node-triple or node-quadruple enumeration
-(Chiba and Nishizeki, SIAM J. Comput. 1985). Cycle counting defaults to
-chordless 4-cycles, meaning the four nodes induce exactly the cycle and
-nothing more; with ``chordless_only=False`` every distinct 4-cycle
-subgraph is counted, chords or not. Star counting has two variants:
+Triangles and 4-cycles come from one pair kernel, which reads a
+``Counter`` of node pairs and the neighbours each pair has in common.
+A whole graph feeds it its wedges: every pair of neighbours of every
+centre, each unordered pair once, filled in a single C-level pass over
+the position rows, so cost scales with wedges rather than with dense
+node-triple or node-quadruple enumeration (Chiba and Nishizeki, SIAM J.
+Comput. 1985). Cycle counting defaults to chordless 4-cycles, meaning
+the four nodes induce exactly the cycle and nothing more; with
+``chordless_only=False`` every distinct 4-cycle subgraph is counted,
+chords or not. Stars come from one star kernel with two variants:
 ``subgraph`` takes any choice of center plus k neighbors, ``induced``
 additionally requires the leaves to be pairwise unlinked.
 
 Along a year sweep, :func:`carried_motif_counts` carries the four totals
-from one year to the next. Each total is a sum of per-station terms, and
-a station's terms read only its own row and its neighbours' rows, so a
+from one year to the next. It feeds the pair kernel the 2-walks from
+some stations instead of the wedges: each pair of stations then appears
+once from each end, so over every station the pair sums come out twice
+the whole graph's. The sums split into per-station terms, and a
+station's terms read only its own row and its neighbours' rows, so a
 year recounts only the stations whose neighbourhood changed.
 """
 
@@ -22,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, combinations, repeat
 from math import comb
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .config import STAR_VARIANTS
 from .errors import ParameterError
@@ -85,13 +90,55 @@ def _wedges(rows: tuple[tuple[int, ...], ...]) -> Counter[tuple[int, int]]:
     return Counter(chain.from_iterable(map(combinations, rows, repeat(2))))
 
 
+def _walks(rows: Sequence[tuple[int, ...]], positions: Collection[int]) -> Counter[tuple[int, int]]:
+    # Key (a, c) for each station a at ``positions`` and each other
+    # station c two steps from it; the value is the number of neighbours
+    # a and c have in common. A pair of two such stations appears once
+    # from each end.
+    walks = Counter(
+        chain.from_iterable(zip(repeat(a), chain.from_iterable(map(rows.__getitem__, rows[a]))) for a in positions)
+    )
+    for a in positions:
+        del walks[a, a]
+    return walks
+
+
+def _pair_sums(
+    rows: Sequence[tuple[int, ...]], pairs: Counter[tuple[int, int]], chordless_only: bool
+) -> tuple[int, int]:
+    # Over node pairs with w common neighbours each: the w triangles that
+    # close on each linked pair, and the C(w, 2) 4-cycles with each pair
+    # as a diagonal. A chordless 4-cycle also needs its diagonal pair
+    # unlinked and its two middle corners unlinked, so each linked pair
+    # among the common neighbours is one cycle fewer.
+    closed = sum(w for (a, b), w in pairs.items() if b in rows[a])
+    if not chordless_only:
+        return closed, sum(map(comb, pairs.values(), repeat(2)))
+    cycles = 0
+    for (a, b), w in pairs.items():
+        if w > 1 and b not in rows[a]:
+            common = set(rows[a]).intersection(rows[b])
+            cycles += comb(w, 2) - sum(len(common.intersection(rows[x])) for x in common) // 2
+    return closed, cycles
+
+
+def _stars(rows: Sequence[tuple[int, ...]], centres: Iterable[tuple[int, ...]], leaves: int, induced: bool) -> int:
+    # Stars centred on the stations whose rows are ``centres``: every
+    # choice of ``leaves`` of a centre's neighbours, or only the
+    # pairwise-unlinked choices if ``induced``.
+    if not induced:
+        return sum(map(comb, map(len, centres), repeat(leaves)))
+    return sum(_independent_subsets(row, rows, leaves) for row in centres if len(row) >= leaves)
+
+
 def count_triangles(g: Graph | AnnualSnapshot) -> int:
     """Number of triangles: the wedges whose end pair is linked.
 
     Every triangle closes three wedges, one per corner.
     """
     rows = as_graph(g).neighbor_rows()
-    return _triangles(rows, _wedges(rows))
+    closed, _ = _pair_sums(rows, _wedges(rows), chordless_only=False)
+    return closed // 3
 
 
 def count_four_cycles(g: Graph | AnnualSnapshot, *, chordless_only: bool = True) -> int:
@@ -104,26 +151,8 @@ def count_four_cycles(g: Graph | AnnualSnapshot, *, chordless_only: bool = True)
     exactly the induced-cycle condition.
     """
     rows = as_graph(g).neighbor_rows()
-    return _four_cycles(rows, _wedges(rows), chordless_only)
-
-
-def _triangles(rows: tuple[tuple[int, ...], ...], wedges: Counter[tuple[int, int]]) -> int:
-    closed = sum(w for (a, b), w in wedges.items() if b in rows[a])
-    return closed // 3
-
-
-def _four_cycles(rows: tuple[tuple[int, ...], ...], wedges: Counter[tuple[int, int]], chordless_only: bool) -> int:
-    if not chordless_only:
-        return sum(map(comb, wedges.values(), repeat(2))) // 2
-
-    doubled = 0
-    for (a, b), w in wedges.items():
-        if w < 2 or b in rows[a]:
-            continue
-        common = set(rows[a]).intersection(rows[b])
-        linked_pairs = sum(len(common.intersection(rows[x])) for x in common) // 2
-        doubled += comb(w, 2) - linked_pairs
-    return doubled // 2
+    _, cycles = _pair_sums(rows, _wedges(rows), chordless_only)
+    return cycles // 2
 
 
 def count_stars(g: Graph | AnnualSnapshot, leaves: int, *, variant: str = "subgraph") -> int:
@@ -136,17 +165,8 @@ def count_stars(g: Graph | AnnualSnapshot, leaves: int, *, variant: str = "subgr
     if leaves < 1:
         raise ParameterError(f"a star needs at least one leaf, got {leaves}")
     _check_variant(variant)
-    graph = as_graph(g)
-    if variant == "subgraph":
-        return sum(map(comb, map(len, graph.neighbor_rows()), repeat(leaves)))
-
-    sets = graph.neighbor_sets()
-    acc = 0
-    for nbrs in graph.neighbor_rows():
-        if len(nbrs) < leaves:
-            continue
-        acc += _independent_subsets(nbrs, sets, leaves)
-    return acc
+    rows = as_graph(g).neighbor_rows()
+    return _stars(rows, rows, leaves, variant == "induced")
 
 
 def _check_variant(variant: str) -> None:
@@ -154,9 +174,7 @@ def _check_variant(variant: str) -> None:
         raise ParameterError(f"variant must be one of {', '.join(STAR_VARIANTS)}, got {variant!r}")
 
 
-def _independent_subsets(
-    candidates: tuple[int, ...], sets: Sequence[Collection[int]] | Mapping[int, Collection[int]], size: int
-) -> int:
+def _independent_subsets(candidates: tuple[int, ...], rows: Sequence[tuple[int, ...]], size: int) -> int:
     # Depth-first choice of pairwise-unlinked members from a sorted pool.
     def extend(start: int, chosen: list) -> int:
         if len(chosen) == size:
@@ -164,7 +182,7 @@ def _independent_subsets(
         found = 0
         for idx in range(start, len(candidates)):
             cand = candidates[idx]
-            if all(cand not in sets[prev] for prev in chosen):
+            if all(cand not in rows[prev] for prev in chosen):
                 chosen.append(cand)
                 found += extend(idx + 1, chosen)
                 chosen.pop()
@@ -181,15 +199,17 @@ def motif_counts(
 ) -> MotifCounts:
     """All four motif counts for one graph or snapshot, with triangles
     and 4-cycles read from one wedge count."""
+    _check_variant(variant)
     year = g.year if isinstance(g, AnnualSnapshot) else 0
     rows = as_graph(g).neighbor_rows()
-    wedges = _wedges(rows)
+    closed, cycles = _pair_sums(rows, _wedges(rows), chordless_only)
+    induced = variant == "induced"
     return MotifCounts(
         year=year,
-        triangles=_triangles(rows, wedges),
-        four_cycles=_four_cycles(rows, wedges, chordless_only),
-        three_stars=count_stars(g, 3, variant=variant),
-        four_stars=count_stars(g, 4, variant=variant),
+        triangles=closed // 3,
+        four_cycles=cycles // 2,
+        three_stars=_stars(rows, rows, 3, induced),
+        four_stars=_stars(rows, rows, 4, induced),
         variant=variant,
         chordless_only=chordless_only,
     )
@@ -234,9 +254,17 @@ def carried_motif_counts(
 def _carry(
     years: Iterable[tuple[AnnualSnapshot, Collection[NodeId]]], chordless_only: bool, variant: str
 ) -> Iterator[MotifCounts]:
-    # ``sums`` holds the station terms summed over the last graph: six
-    # times its triangles, four times its 4-cycles and its 3- and 4-stars.
+    # ``sums`` holds the kernels' totals over every station of the last
+    # graph: the pair sums of its 2-walks, six times its triangles and
+    # four times its 4-cycles, and its 3- and 4-stars. ``terms`` gives
+    # the share of the stations at ``positions``.
     induced = variant == "induced"
+
+    def terms(rows: Sequence[tuple[int, ...]], positions: Collection[int]) -> tuple[int, ...]:
+        closed, cycles = _pair_sums(rows, _walks(rows, positions), chordless_only)
+        centres = [rows[a] for a in positions]
+        return closed, cycles, _stars(rows, centres, 3, induced), _stars(rows, centres, 4, induced)
+
     last = Graph(())
     sums = (0, 0, 0, 0)
     for snap, touched in years:
@@ -246,8 +274,7 @@ def _carry(
             changed = graph.positions(touched)
             new = set(changed).union(chain.from_iterable(map(rows.__getitem__, changed)))
             old = last.positions({*touched, *map(nodes.__getitem__, new)})
-            before = _station_terms(last.neighbor_rows(), old, chordless_only, induced)
-            after = _station_terms(rows, new, chordless_only, induced)
+            before, after = terms(last.neighbor_rows(), old), terms(rows, new)
             sums = tuple(total - was + now for total, was, now in zip(sums, before, after))
             counts = MotifCounts(
                 year=snap.year,
@@ -263,38 +290,3 @@ def _carry(
             sums = (6 * counts.triangles, 4 * counts.four_cycles, counts.three_stars, counts.four_stars)
         yield counts
         last = graph
-
-
-def _station_terms(
-    rows: Sequence[tuple[int, ...]], positions: Iterable[int], chordless_only: bool, induced: bool
-) -> tuple[int, int, int, int]:
-    # Summed over the stations at ``positions``: twice the triangles on
-    # each, the 4-cycles on each, and the 3- and 4-stars centred on each.
-    # ``walks[c]`` counts the 2-walks from station a to c, which is the
-    # number of neighbours a and c share. A neighbour c closes that many
-    # triangles with a, so each triangle on a is seen from both of its
-    # other corners. Any other station c with w shared neighbours is the
-    # far corner of C(w, 2) 4-cycles through a; a chordless one also
-    # needs c unlinked to a and its two middle corners unlinked.
-    closed = cycles = three_stars = four_stars = 0
-    for a in positions:
-        row = rows[a]
-        walks = Counter(chain.from_iterable(map(rows.__getitem__, row)))
-        walks.pop(a, None)
-        closed += sum(map(walks.__getitem__, row))
-        if chordless_only:
-            near = set(row)
-            for c, w in walks.items():
-                if w > 1 and c not in near:
-                    common = near.intersection(rows[c])
-                    cycles += comb(w, 2) - sum(len(common.intersection(rows[x])) for x in common) // 2
-        else:
-            cycles += sum(map(comb, walks.values(), repeat(2)))
-        if induced:
-            sets = {x: frozenset(rows[x]) for x in row}
-            three_stars += _independent_subsets(row, sets, 3) if len(row) >= 3 else 0
-            four_stars += _independent_subsets(row, sets, 4) if len(row) >= 4 else 0
-        else:
-            three_stars += comb(len(row), 3)
-            four_stars += comb(len(row), 4)
-    return closed, cycles, three_stars, four_stars

@@ -25,6 +25,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PATH_TESTS = ["tests/test_metrics.py::test_path_summary_equals_per_source_bfs_past_word_boundaries"]
+MOTIF_TESTS = [
+    "tests/test_motifs.py::test_larger_graph_counts_by_hand",
+    "tests/test_motifs.py::test_counts_match_edge_and_wedge_oracles_on_larger_graphs",
+]
+SPREAD_TESTS = [
+    "tests/test_cli.py::test_panel_writes_the_same_bytes_for_every_worker_count",
+    "tests/test_cli.py::test_baselines_writes_the_same_bytes_for_every_worker_count",
+]
 
 # (file, old text, new text, test ids)
 MUTANTS = [
@@ -65,6 +73,55 @@ MUTANTS = [
             "tests/test_metrics.py::test_lattice_clustering_reference_points",
             "tests/test_generators.py::test_efficiency_comparison_matches_edges_across_families",
         ],
+    ),
+    # The census keeps each station's walk back to itself as a pair.
+    (
+        "src/gridpanel/motifs.py",
+        "    for a in positions:\n        del walks[a, a]\n",
+        "",
+        ["tests/test_motifs.py::test_census_equals_motif_counts_on_the_fixtures"],
+    ),
+    # Chordless 4-cycles lose the correction for linked middle corners.
+    (
+        "src/gridpanel/motifs.py",
+        "cycles += comb(w, 2) - sum(len(common.intersection(rows[x])) for x in common) // 2",
+        "cycles += comb(w, 2)",
+        MOTIF_TESTS,
+    ),
+    # A linked diagonal pair closes chordless 4-cycles.
+    (
+        "src/gridpanel/motifs.py",
+        "if w > 1 and b not in rows[a]:",
+        "if w > 1:",
+        MOTIF_TESTS,
+    ),
+    # Each process's results are concatenated, not interleaved.
+    (
+        "src/gridpanel/cli.py",
+        "    for k, (done, _) in enumerate(shares):\n        results[k::w] = done\n",
+        "    results = [result for done, _ in shares for result in done]\n",
+        SPREAD_TESTS,
+    ),
+    # The first failure in process order is raised, not the earliest item's.
+    (
+        "src/gridpanel/cli.py",
+        "raise min(failures, key=itemgetter(0))[1]",
+        "raise failures[0][1]",
+        ["tests/test_cli.py::test_a_failing_year_raises_as_a_sequential_run_does"],
+    ),
+    # A worker's wait status is ignored.
+    (
+        "src/gridpanel/cli.py",
+        "status = os.waitpid(pid, 0)[1]",
+        "status = 0 * os.waitpid(pid, 0)[1]",
+        ["tests/test_cli.py::test_a_worker_that_dies_without_its_rows_exits_two_and_writes_nothing"],
+    ),
+    # Process k computes the items one index after its own.
+    (
+        "src/gridpanel/cli.py",
+        "    index = 0\n",
+        "    index = 1\n",
+        SPREAD_TESTS,
     ),
 ]
 

@@ -424,8 +424,9 @@ def moving_average_by_fractions(values, window: int) -> list:
 
 
 def mean_and_std_by_statistics(values) -> tuple[float, float]:
-    """``statistics.fmean`` and the root of ``statistics.pvariance``."""
-    return statistics.fmean(values), sqrt(statistics.pvariance(values))
+    """``statistics.mean``, the exact mean rounded once, and the root of
+    ``statistics.pvariance``."""
+    return statistics.mean(values), sqrt(statistics.pvariance(values))
 
 
 def snapshot_by_full_scan(records, year: int, voltage_floor_kv: int = 0) -> Graph:

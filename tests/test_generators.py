@@ -221,6 +221,18 @@ def test_sigma_reported_when_defined():
 
 @given(st.lists(st.one_of(st.floats(0, 1), st.floats(-1e150, 1e150)), min_size=1, max_size=30))
 @example([0.1, 0.2, 0.3])
-def test_summary_equals_fmean_and_pvariance(values):
+def test_summary_equals_exact_mean_and_pvariance(values):
     ensemble = _summarize(BaselineSpec("erdos_renyi", 3), [{"x": v} for v in values], 0)
     assert (ensemble.mean["x"], ensemble.std["x"]) == oracles.mean_and_std_by_statistics(values)
+
+
+@pytest.mark.parametrize("comparison", COMPARISONS)
+def test_lattice_mean_equals_its_replicate_value(comparison):
+    # The lattice family's replicates are one build repeated, so its mean
+    # is that build's value and its spread is zero.
+    n, m, replicates, seed, p = comparison
+    for r in sorted({1, 2, 3, replicates, 7}):
+        lattice = efficiency_comparison(n, m, r, seed, rewiring_p=p)["ring_lattice"]
+        for name, value in lattice.rows[0].items():
+            assert lattice.mean[name] == value
+            assert lattice.std[name] == 0.0

@@ -245,7 +245,11 @@ def test_larger_graph_counts_by_hand():
     assert count_triangles(sparse) > 0 and count_four_cycles(sparse, chordless_only=True) > 0
 
 
-@settings(max_examples=30, deadline=None)
+# The thorough profile (tests/conftest.py) raises this for a deep run.
+ORACLE_EXAMPLES = max(30, settings.default.max_examples)
+
+
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
 @given(
     st.randoms(use_true_random=False),
     st.integers(min_value=4, max_value=9),
@@ -309,11 +313,19 @@ def test_motif_counts_builds_one_wedge_count_per_snapshot(monkeypatch, country_r
 
 def assert_census_matches(records, start, end, floor, chordless, variant):
     # Under the module's recount rule, and with RECOUNT_SHARE 0, which
-    # carries every year with a station, the first one too.
-    expected = [
-        motif_counts(snap, chordless_only=chordless, variant=variant)
-        for snap in year_snapshots(records, start, end, floor)
-    ]
+    # carries every year with a station, the first one too. The census and
+    # motif_counts share their kernels, so each year is also checked
+    # against the edge, wedge and neighbour-subset oracles.
+    snapshots = list(year_snapshots(records, start, end, floor))
+    expected = [motif_counts(snap, chordless_only=chordless, variant=variant) for snap in snapshots]
+    for snap, counts in zip(snapshots, expected):
+        g = snap.graph
+        assert counts[1:5] == (
+            oracles.triangles_by_edge_intersections(g),
+            oracles.four_cycles_by_wedge_pairs(g, chordless),
+            oracles.stars_by_neighbour_subsets(g, 3, variant),
+            oracles.stars_by_neighbour_subsets(g, 4, variant),
+        ), snap.year
     for share in (motifs_module.RECOUNT_SHARE, 0):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(motifs_module, "RECOUNT_SHARE", share)
