@@ -18,6 +18,16 @@ from .records import _ascii_number
 STAR_VARIANTS = ("subgraph", "induced")
 
 
+def check_variant(variant: str) -> None:
+    if variant not in STAR_VARIANTS:
+        raise ParameterError(f"variant must be one of {', '.join(STAR_VARIANTS)}, got {variant!r}")
+
+
+def check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < 1.0:
+        raise ParameterError(f"threshold must lie strictly between 0 and 1, got {threshold!r}")
+
+
 class _RunConfigFields(NamedTuple):
     node_file: str | None = None
     edge_file: str | None = None
@@ -71,10 +81,8 @@ class RunConfig(_RunConfigFields):
             raise ParameterError(f"rewiring_p must lie in [0, 1], got {self.rewiring_p!r}")
         if not isinstance(self.window, int) or self.window < 1 or self.window % 2 == 0:
             raise ParameterError(f"window must be a positive odd integer, got {self.window!r}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ParameterError(f"threshold must lie strictly between 0 and 1, got {self.threshold!r}")
-        if self.variant not in STAR_VARIANTS:
-            raise ParameterError(f"variant must be one of {', '.join(STAR_VARIANTS)}, got {self.variant!r}")
+        check_threshold(self.threshold)
+        check_variant(self.variant)
         return self
 
     @classmethod

@@ -11,7 +11,9 @@ the four nodes induce exactly the cycle and nothing more; with
 ``chordless_only=False`` every distinct 4-cycle subgraph is counted,
 chords or not. Stars come from one star kernel with two variants:
 ``subgraph`` takes any choice of center plus k neighbors, ``induced``
-additionally requires the leaves to be pairwise unlinked.
+additionally requires the leaves to be pairwise unlinked. It counts
+every leaf count asked of it at once, from ``C(degree, k)`` per centre
+or from one depth-first pass over each centre's neighbours.
 
 Along a year sweep, :func:`carried_motif_counts` carries the four totals
 from one year to the next. It feeds the pair kernel the 2-walks from
@@ -29,7 +31,7 @@ from itertools import chain, combinations, repeat
 from math import comb
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
-from .config import STAR_VARIANTS
+from .config import STAR_VARIANTS, check_variant
 from .errors import ParameterError
 from .graph import AnnualSnapshot, Graph, NodeId, as_graph
 
@@ -122,13 +124,19 @@ def _pair_sums(
     return closed, cycles
 
 
-def _stars(rows: Sequence[tuple[int, ...]], centres: Iterable[tuple[int, ...]], leaves: int, induced: bool) -> int:
-    # Stars centred on the stations whose rows are ``centres``: every
-    # choice of ``leaves`` of a centre's neighbours, or only the
-    # pairwise-unlinked choices if ``induced``.
+def _stars(
+    rows: Sequence[tuple[int, ...]], centres: Sequence[tuple[int, ...]], sizes: Sequence[int], induced: bool
+) -> list[int]:
+    # Stars centred on the stations whose rows are ``centres``, one total
+    # per leaf count in ``sizes``: every choice of that many of a centre's
+    # neighbours, or only the pairwise-unlinked choices if ``induced``.
     if not induced:
-        return sum(map(comb, map(len, centres), repeat(leaves)))
-    return sum(_independent_subsets(row, rows, leaves) for row in centres if len(row) >= leaves)
+        degrees = list(map(len, centres))
+        return [sum(map(comb, degrees, repeat(k))) for k in sizes]
+    found = [0] * (max(sizes) + 1)
+    for row in centres:
+        _independent_subsets(row, rows, found)
+    return [found[k] for k in sizes]
 
 
 def count_triangles(g: Graph | AnnualSnapshot) -> int:
@@ -160,35 +168,32 @@ def count_stars(g: Graph | AnnualSnapshot, leaves: int, *, variant: str = "subgr
 
     The subgraph variant counts every way to pick the leaves among a
     center's neighbors, ``C(degree, leaves)`` per center. The induced
-    variant keeps only leaf sets with no internal links.
+    variant keeps only leaf sets with no internal links, found in one
+    depth-first pass over each center's neighbors that counts the
+    unlinked sets of every size up to ``leaves`` on the way.
     """
     if leaves < 1:
         raise ParameterError(f"a star needs at least one leaf, got {leaves}")
-    _check_variant(variant)
+    check_variant(variant)
     rows = as_graph(g).neighbor_rows()
-    return _stars(rows, rows, leaves, variant == "induced")
+    return _stars(rows, rows, (leaves,), variant == "induced")[0]
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in STAR_VARIANTS:
-        raise ParameterError(f"variant must be one of {', '.join(STAR_VARIANTS)}, got {variant!r}")
-
-
-def _independent_subsets(candidates: tuple[int, ...], rows: Sequence[tuple[int, ...]], size: int) -> int:
-    # Depth-first choice of pairwise-unlinked members from a sorted pool.
-    def extend(start: int, chosen: list) -> int:
-        if len(chosen) == size:
-            return 1
-        found = 0
-        for idx in range(start, len(candidates)):
-            cand = candidates[idx]
-            if all(cand not in rows[prev] for prev in chosen):
-                chosen.append(cand)
-                found += extend(idx + 1, chosen)
-                chosen.pop()
-        return found
-
-    return extend(0, [])
+def _independent_subsets(pool: Sequence[int], rows: Sequence[tuple[int, ...]], found: list[int]) -> None:
+    # Adds to found[s] the pairwise-unlinked s-member subsets of the
+    # sorted pool, for every s from 1 below len(found), in one depth-first
+    # pass. Each member of a level's pool completes one subset of that
+    # level's size; the next level's pool keeps the later members unlinked
+    # to it. A stack, not a nested recursive function, leaves no reference
+    # cycle for the paused collector.
+    levels = [(pool, 1)]
+    while levels:
+        pool, size = levels.pop()
+        found[size] += len(pool)
+        if size + 1 < len(found):
+            for idx, cand in enumerate(pool):
+                row = rows[cand]
+                levels.append(([c for c in pool[idx + 1 :] if c not in row], size + 1))
 
 
 def motif_counts(
@@ -199,20 +204,12 @@ def motif_counts(
 ) -> MotifCounts:
     """All four motif counts for one graph or snapshot, with triangles
     and 4-cycles read from one wedge count."""
-    _check_variant(variant)
+    check_variant(variant)
     year = g.year if isinstance(g, AnnualSnapshot) else 0
     rows = as_graph(g).neighbor_rows()
     closed, cycles = _pair_sums(rows, _wedges(rows), chordless_only)
-    induced = variant == "induced"
-    return MotifCounts(
-        year=year,
-        triangles=closed // 3,
-        four_cycles=cycles // 2,
-        three_stars=_stars(rows, rows, 3, induced),
-        four_stars=_stars(rows, rows, 4, induced),
-        variant=variant,
-        chordless_only=chordless_only,
-    )
+    three_stars, four_stars = _stars(rows, rows, (3, 4), variant == "induced")
+    return MotifCounts(year, closed // 3, cycles // 2, three_stars, four_stars, variant, chordless_only)
 
 
 def motif_shares(counts: MotifCounts) -> MotifShares:
@@ -247,7 +244,7 @@ def carried_motif_counts(
     :func:`motif_counts` instead, and so is the first year. Both ways give the same counts; the
     rule only picks the cheaper one. The variant is checked on the call.
     """
-    _check_variant(variant)
+    check_variant(variant)
     return _carry(years, chordless_only, variant)
 
 
@@ -262,8 +259,7 @@ def _carry(
 
     def terms(rows: Sequence[tuple[int, ...]], positions: Collection[int]) -> tuple[int, ...]:
         closed, cycles = _pair_sums(rows, _walks(rows, positions), chordless_only)
-        centres = [rows[a] for a in positions]
-        return closed, cycles, _stars(rows, centres, 3, induced), _stars(rows, centres, 4, induced)
+        return closed, cycles, *_stars(rows, [rows[a] for a in positions], (3, 4), induced)
 
     last = Graph(())
     sums = (0, 0, 0, 0)
@@ -276,15 +272,7 @@ def _carry(
             old = last.positions({*touched, *map(nodes.__getitem__, new)})
             before, after = terms(last.neighbor_rows(), old), terms(rows, new)
             sums = tuple(total - was + now for total, was, now in zip(sums, before, after))
-            counts = MotifCounts(
-                year=snap.year,
-                triangles=sums[0] // 6,
-                four_cycles=sums[1] // 4,
-                three_stars=sums[2],
-                four_stars=sums[3],
-                variant=variant,
-                chordless_only=chordless_only,
-            )
+            counts = MotifCounts(snap.year, sums[0] // 6, sums[1] // 4, *sums[2:], variant, chordless_only)
         else:
             counts = motif_counts(snap, chordless_only=chordless_only, variant=variant)
             sums = (6 * counts.triangles, 4 * counts.four_cycles, counts.three_stars, counts.four_stars)

@@ -13,6 +13,7 @@ from math import lcm
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
+from .config import check_threshold
 from .errors import ParameterError, YearRangeError
 from .records import EVENT_KINDS, MAJOR_CHANGE_KINDS, AssetRecordSet
 
@@ -220,8 +221,7 @@ def underperformers(
     sitting exactly at the threshold is not flagged. Sorted by
     commissioning year.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ParameterError(f"threshold must lie strictly between 0 and 1, got {threshold!r}")
+    check_threshold(threshold)
     flagged = [
         rec
         for rec in lifetimes

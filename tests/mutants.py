@@ -33,6 +33,15 @@ SPREAD_TESTS = [
     "tests/test_cli.py::test_panel_writes_the_same_bytes_for_every_worker_count",
     "tests/test_cli.py::test_baselines_writes_the_same_bytes_for_every_worker_count",
 ]
+STAR_TESTS = [
+    "tests/test_motifs.py::test_counts_match_subset_enumeration",
+    "tests/test_motifs.py::test_counts_match_edge_and_wedge_oracles_on_larger_graphs",
+]
+STDOUT_TESTS = ["tests/test_cli.py::test_forked_workers_write_nothing_to_stdout"]
+INTERRUPT_TESTS = ["tests/test_cli.py::test_an_interrupt_kills_and_reaps_the_workers"]
+DEAD_WORKER_TESTS = ["tests/test_cli.py::test_a_worker_that_dies_without_its_rows_exits_two_and_writes_nothing"]
+CLI_SPREAD_TESTS = ["tests/test_generators.py::test_the_cli_spread_equals_efficiency_comparison"]
+GOLDEN_TESTS = ["tests/test_golden.py::test_csv_bytes_match_recorded_digests"]
 
 # (file, old text, new text, test ids)
 MUTANTS = [
@@ -122,6 +131,104 @@ MUTANTS = [
         "    index = 0\n",
         "    index = 1\n",
         SPREAD_TESTS,
+    ),
+    # Each level of the induced star pass counts one subset, not one per pool member.
+    (
+        "src/gridpanel/motifs.py",
+        "found[size] += len(pool)",
+        "found[size] += 1",
+        STAR_TESTS,
+    ),
+    # The next level's pool keeps the chosen member.
+    (
+        "src/gridpanel/motifs.py",
+        "[c for c in pool[idx + 1 :] if c not in row]",
+        "[c for c in pool[idx:] if c not in row]",
+        STAR_TESTS,
+    ),
+    # The next level's pool is not filtered by the chosen member's row.
+    (
+        "src/gridpanel/motifs.py",
+        "[c for c in pool[idx + 1 :] if c not in row]",
+        "list(pool[idx + 1 :])",
+        STAR_TESTS,
+    ),
+    # A worker leaves through sys.exit, which runs the caller's exit handlers and flushes its stdio.
+    (
+        "src/gridpanel/cli.py",
+        "    finally:\n        os._exit(status)\n",
+        "    finally:\n        sys.exit(status)\n",
+        STDOUT_TESTS,
+    ),
+    # A worker flushes the stdout buffer it inherited.
+    (
+        "src/gridpanel/cli.py",
+        "    finally:\n        os._exit(status)\n",
+        "    finally:\n        sys.stdout.flush()\n        os._exit(status)\n",
+        STDOUT_TESTS,
+    ),
+    # Workers left behind are reaped but not killed first.
+    (
+        "src/gridpanel/cli.py",
+        "            os.kill(pid, signal.SIGKILL)\n",
+        "",
+        INTERRUPT_TESTS,
+    ),
+    # Workers left behind are killed but not reaped.
+    (
+        "src/gridpanel/cli.py",
+        "            os.kill(pid, signal.SIGKILL)\n            os.waitpid(pid, 0)\n",
+        "            os.kill(pid, signal.SIGKILL)\n",
+        INTERRUPT_TESTS,
+    ),
+    # Every plan reads the first rows of the job list.
+    (
+        "src/gridpanel/cli.py",
+        "rows = iter(_spread_over_cpus(_measure, jobs, len(jobs)))",
+        "rows = list(_spread_over_cpus(_measure, jobs, len(jobs)))",
+        CLI_SPREAD_TESTS,
+    ),
+    # The Watts-Strogatz ensemble also takes the lattice row.
+    (
+        "src/gridpanel/generators.py",
+        "rows[replicates:-1]",
+        "rows[replicates:]",
+        ["tests/test_generators.py::test_efficiency_comparison_shapes_and_determinism", *GOLDEN_TESTS],
+    ),
+    # A year too small for a lattice is skipped but still listed.
+    (
+        "src/gridpanel/cli.py",
+        "                continue  # years too small to host a matched lattice\n",
+        "                pass  # years too small to host a matched lattice\n",
+        ["tests/test_cli.py::test_baselines_writes_the_same_bytes_for_every_worker_count"],
+    ),
+    # A dead worker is reported with the old text.
+    (
+        "src/gridpanel/cli.py",
+        'f"worker process {pid} ended without its results',
+        'f"panel worker {pid} ended without its results',
+        DEAD_WORKER_TESTS,
+    ),
+    # baselines measures every job in the caller.
+    (
+        "src/gridpanel/cli.py",
+        "rows = iter(_spread_over_cpus(_measure, jobs, len(jobs)))",
+        "rows = iter(map(_measure, jobs))",
+        [*DEAD_WORKER_TESTS, "tests/test_cli.py::test_a_failed_baselines_run_writes_no_file"],
+    ),
+    # The lattice job comes first in a plan.
+    (
+        "src/gridpanel/generators.py",
+        "    jobs.append((gen_ring_lattice, (n_nodes, coordination)))\n",
+        "    jobs.insert(0, (gen_ring_lattice, (n_nodes, coordination)))\n",
+        ["tests/test_generators.py::test_efficiency_ordering_random_above_rewired_above_ring", *GOLDEN_TESTS],
+    ),
+    # efficiency_comparison spreads its jobs over the CPUs.
+    (
+        "src/gridpanel/generators.py",
+        "    return _ensembles(plan, list(map(_measure, plan.jobs)))\n",
+        "    from .cli import _spread_over_cpus\n\n    return _ensembles(plan, _spread_over_cpus(_measure, plan.jobs, len(plan.jobs)))\n",
+        CLI_SPREAD_TESTS,
     ),
 ]
 

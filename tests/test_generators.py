@@ -203,6 +203,8 @@ def test_the_cli_spread_equals_efficiency_comparison(monkeypatch):
         raise AssertionError("efficiency_comparison forked")
 
     monkeypatch.setattr(os, "fork", forbidden)
+    # Three usable CPUs, so a spreading efficiency_comparison would fork on any host.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     sequential = [efficiency_comparison(n, m, r, seed, rewiring_p=p) for n, m, r, seed, p in COMPARISONS]
     monkeypatch.undo()
     plans = [generators._plan(*comparison) for comparison in COMPARISONS]

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -180,7 +181,7 @@ def test_counts_match_subset_enumeration():
                 assert count_four_cycles(g, chordless_only=chordless) == oracles.four_cycles_by_subsets(
                     g, chordless
                 )
-            for leaves in (3, 4):
+            for leaves in (1, 2, 3, 4, 5):
                 for variant in ("subgraph", "induced"):
                     assert count_stars(g, leaves, variant=variant) == oracles.stars_by_subsets(
                         g, leaves, variant
@@ -220,7 +221,7 @@ def test_counts_match_edge_and_wedge_oracles_on_larger_graphs(name):
             assert count_four_cycles(g, chordless_only=chordless) == oracles.four_cycles_by_wedge_pairs(
                 g, chordless
             )
-        for leaves in (3, 4):
+        for leaves in (1, 2, 3, 4, 5):
             for variant in ("subgraph", "induced"):
                 assert count_stars(g, leaves, variant=variant) == oracles.stars_by_neighbour_subsets(
                     g, leaves, variant
@@ -259,7 +260,9 @@ def test_property_counts_match_oracle(rng, n, p):
     g = random_test_graph(rng, n, p)
     assert count_triangles(g) == oracles.triangles_by_subsets(g)
     assert count_four_cycles(g, chordless_only=True) == oracles.four_cycles_by_subsets(g, True)
-    assert count_stars(g, 3, variant="induced") == oracles.stars_by_subsets(g, 3, "induced")
+    for leaves in (1, 2, 3, 4, 5):
+        for variant in STAR_VARIANTS:
+            assert count_stars(g, leaves, variant=variant) == oracles.stars_by_subsets(g, leaves, variant)
 
 
 def test_motif_counts_carry_snapshot_year(country_records):
@@ -306,6 +309,49 @@ def test_motif_counts_builds_one_wedge_count_per_snapshot(monkeypatch, country_r
     for snap in snapshots:
         motif_counts(snap, chordless_only=True, variant="induced")
     assert calls == [snap.graph.neighbor_rows() for snap in snapshots]
+
+
+def test_induced_stars_enumerate_each_centre_once(monkeypatch):
+    # A ring of 30 stations, each linked to the two on either side, so
+    # every station has degree 4 or more. In 2001 the chord S00-S15 is
+    # added: two changed stations of 30, so that year is carried.
+    nodes = [make_node(f"S{i:02d}", 2000) for i in range(30)]
+    edges = [make_edge(f"r{i}-{k}", f"S{i:02d}", f"S{(i + k) % 30:02d}", 2000) for i in range(30) for k in (1, 2)]
+    records = build_record_set(nodes, [*edges, make_edge("x", "S00", "S15", 2001)], dataset_end=2001)
+    calls = []
+    real = motifs_module._independent_subsets
+    monkeypatch.setattr(
+        motifs_module,
+        "_independent_subsets",
+        lambda pool, rows, found: calls.append(pool) or real(pool, rows, found),
+    )
+    first, carried = year_snapshots(records)
+    recounted = motif_counts(carried, variant="induced")
+    assert calls == list(carried.graph.neighbor_rows())
+    census = carried_motif_counts(year_changes(records), variant="induced")
+    next(census)
+    calls.clear()
+    assert next(census) == recounted
+    # The carried year reads each centre once in each graph: the changed
+    # stations and their neighbours.
+    centres = {"S00", "S15", *carried.graph.neighbors("S00"), *carried.graph.neighbors("S15")}
+    expected = [snap.graph.neighbor_rows()[at] for snap in (first, carried) for at in snap.graph.positions(centres)]
+    assert sorted(calls) == sorted(expected)
+
+
+def test_induced_stars_leave_no_cyclic_garbage():
+    # The commands pause the cyclic collector, so a kernel must not leave
+    # reference cycles behind.
+    g = LARGER_GRAPHS["sparse300"]
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        motif_counts(g, variant="induced")
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # -- the census carried along the year sweep -----------------------------------
