@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import MetricUndefinedError, ParameterError
 from .graph import AnnualSnapshot, Graph, as_graph, ring_lattice
@@ -412,19 +412,16 @@ def _check_finite(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be a finite number, got {value!r}")
 
 
-def _local_moving(
-    adj: list[tuple[tuple[int, int], ...]],
-    k: list[int],
-    order: list[int],
-    p: int,
-    q: int,
-) -> list[int]:
-    """Weighted one-level pass over nodes 0..len(adj)-1.
+def _local_moving(rows: Sequence[Sequence[int]], k: list[int], order: list[int], p: int, q: int) -> list[int]:
+    """One-level pass over nodes 0..len(rows)-1 of a multigraph.
 
+    Row u lists u's neighbors, never u itself, once per unit of edge
+    weight, so u's weight to community c is its count of row entries in c.
     Each node joins the candidate community with the largest gain; equal
     gains go to the lowest label. Scaled by q * 2m, the gain of community
     c for node u is the integer q * 2m * w_c - p * k_u * tot_c, so the
-    comparison is exact.
+    comparison is exact. The largest gain with the lowest label first is
+    a total order, so the order of a row's entries cannot change a move.
 
     A node is scored again only if something it compares has changed.
     ``changed[c]`` is the move count at which ``tot[c]`` last changed, and
@@ -434,10 +431,10 @@ def _local_moving(
     has moved and no candidate's ``tot`` has changed: every w_c and tot_c
     u would compare is the one it compared last time. The candidates are
     then those of its last scoring, less at most the community it left
-    then, which lost. The largest gain with the lowest label first is a
-    total order, so u would choose its community again, and it is skipped.
+    then, which lost. By the total order u would choose its community
+    again, and it is skipped.
     """
-    size = len(adj)
+    size = len(rows)
     q_two_m = q * sum(k)
     comm = list(range(size))
     tot = k[:]
@@ -448,25 +445,26 @@ def _local_moving(
     for _ in range(64):  # converges in a handful of passes; cap is defensive
         improved = False
         for u in order:
-            row = adj[u]
+            row = rows[u]
             last = scored[u]
             if changed[comm[u]] <= last:
-                for v, _w in row:
+                for v in row:
                     if changed[comm[v]] > last:
                         break
                 else:
                     continue
             a = comm[u]
             ku = k[u]
-            tot[a] -= ku
-            for v, w in row:
-                acc[comm[v]] += w
+            for v in row:
+                acc[comm[v]] += 1
             p_ku = p * ku
+            # u's own community is scored without u, and only here
             best_c = a
-            best_gain = q_two_m * acc[a] - p_ku * tot[a]
-            # weights are positive, so a nonzero acc[c] marks a candidate
-            # not yet scored; scoring it resets acc[c] for the next node
-            for v, _w in row:
+            best_gain = q_two_m * acc[a] - p_ku * (tot[a] - ku)
+            acc[a] = 0
+            # a nonzero acc[c] marks a candidate not yet scored; scoring it
+            # resets acc[c], for the entries still to come and the next node
+            for v in row:
                 c = comm[v]
                 w_c = acc[c]
                 if w_c:
@@ -476,21 +474,67 @@ def _local_moving(
                         best_gain, best_c = gain, c
             if best_c != a:
                 comm[u] = best_c
+                tot[a] -= ku
+                tot[best_c] += ku
                 moves += 1
                 changed[a] = changed[best_c] = moves
                 improved = True
             scored[u] = moves
-            tot[best_c] += ku
         if not improved:
             break
     return comm
 
 
-def modularity_detect(
-    g: Graph | AnnualSnapshot,
-    gamma: float = 1.0,
-    seed: int = 42,
-) -> CommunityPartition:
+def _louvain_levels(g: Graph | AnnualSnapshot, gamma: float, seed: int) -> tuple[float, list[list[int]]]:
+    """The modularity that Louvain reaches, and each merging level's map
+    from its nodes to the next level's. ``loop[u]`` is level node u's
+    self-weight, every internal edge counted from both ends, and ``k[u]``
+    its degree, self-weight included."""
+    _check_finite("gamma", gamma)
+    graph = as_graph(g)
+    if graph.n_edges == 0:
+        raise MetricUndefinedError("community detection needs at least one edge", "no_edges")
+    p, q = gamma.as_integer_ratio()
+    rows: Sequence[Sequence[int]] = graph.neighbor_rows()
+    k = list(map(len, rows))
+    loop = [0] * len(rows)
+    rng = random.Random(seed)
+    maps = []
+    while True:
+        size = len(rows)
+        order = list(range(size))
+        rng.shuffle(order)
+        comm = _local_moving(rows, k, order, p, q)
+        # Relabel communities 0..count-1 by first appearance in node order,
+        # that is by smallest member, which keeps labels anchored to the
+        # lowest original node id through levels.
+        first = dict.fromkeys(comm)
+        count = len(first)
+        if count == size:
+            break
+        labels = dict(zip(first, range(count)))
+        to_new = list(map(labels.__getitem__, comm))
+        maps.append(to_new)
+        # A community's row is its members' rows in new labels, less the
+        # entries of its own label, which are internal weight.
+        new_rows: list[list[int]] = [[] for _ in range(count)]
+        new_k = [0] * count
+        new_loop = [0] * count
+        for c, row, k_u, loop_u in zip(to_new, rows, k, loop):
+            new_rows[c].extend(map(to_new.__getitem__, row))
+            new_k[c] += k_u
+            new_loop[c] += loop_u
+        for c, row in enumerate(new_rows):
+            own = row.count(c)
+            if own:
+                new_loop[c] += own
+                new_rows[c] = [v for v in row if v != c]
+        rows, k, loop = new_rows, new_k, new_loop
+    # every last-level node is its own community
+    return _modularity(loop, k, 2 * graph.n_edges, gamma), maps
+
+
+def modularity_detect(g: Graph | AnnualSnapshot, gamma: float = 1.0, seed: int = 42) -> CommunityPartition:
     """Greedy multi-level community detection (Louvain).
 
     Repeats local moving and community aggregation until no merge
@@ -499,73 +543,19 @@ def modularity_detect(
     fraction; the largest gain wins and equal gains go to the lowest
     community label, so a given (graph, gamma, seed) always yields the
     same partition. Each level makes at most 64 passes.
+
+    Every level is a multigraph of neighbor rows, each neighbor listed
+    once per unit of edge weight. Level 0 reads the graph's own rows; a
+    community's row on the next level is its members' rows in the new
+    labels. The assignment composes the levels' label maps.
     """
-    _check_finite("gamma", gamma)
+    modularity, maps = _louvain_levels(g, gamma, seed)
     graph = as_graph(g)
-    if graph.n_edges == 0:
-        raise MetricUndefinedError("community detection needs at least one edge", "no_edges")
-    n = graph.n_nodes
-    p, q = gamma.as_integer_ratio()
-    # Level nodes are 0..size-1: adj[u] holds (v, weight) for v != u, and
-    # loop[u] is u's self-weight, every internal edge counted from both ends.
-    adj = [tuple((j, 1) for j in row) for row in graph.neighbor_rows()]
-    loop = [0] * n
-    k = [len(row) for row in adj]
-
-    rng = random.Random(seed)
-    membership = list(range(n))
-    while True:
-        size = len(adj)
-        order = list(range(size))
-        rng.shuffle(order)
-        comm = _local_moving(adj, k, order, p, q)
-        # Relabel communities 0..count-1 by first appearance in node order,
-        # that is by smallest member, which keeps labels anchored to the
-        # lowest original node id through levels.
-        to_new = [-1] * size
-        members: list[list[int]] = []
-        for u in range(size):
-            c = comm[u]
-            if to_new[c] < 0:
-                to_new[c] = len(members)
-                members.append([])
-            members[to_new[c]].append(u)
-        node_to_new = [to_new[c] for c in comm]
-        membership = [node_to_new[s] for s in membership]
-        count = len(members)
-        if count == size:
-            break
-        acc = [0] * count
-        new_adj = []
-        new_loop = []
-        for cu, group in enumerate(members):
-            self_weight = 0
-            touched = []
-            for u in group:
-                self_weight += loop[u]
-                for v, w in adj[u]:
-                    cv = node_to_new[v]
-                    if cv == cu:
-                        self_weight += w
-                    else:
-                        if not acc[cv]:
-                            touched.append(cv)
-                        acc[cv] += w
-            new_adj.append(tuple((cv, acc[cv]) for cv in touched))
-            for cv in touched:
-                acc[cv] = 0
-            new_loop.append(self_weight)
-        k = [sum(k[u] for u in group) for group in members]
-        adj, loop = new_adj, new_loop
-
-    assignment = {graph.nodes[i]: membership[i] for i in range(n)}
-    return CommunityPartition(
-        assignment=assignment,
-        gamma=gamma,
-        seed=seed,
-        # every last-level node is its own community
-        modularity=_modularity(loop, k, 2 * graph.n_edges, gamma),
-    )
+    membership: Sequence[int] = range(graph.n_nodes)
+    for to_new in maps:
+        membership = list(map(to_new.__getitem__, membership))
+    assignment = dict(zip(graph.nodes, membership))
+    return CommunityPartition(assignment=assignment, gamma=gamma, seed=seed, modularity=modularity)
 
 
 def random_baselines(n_nodes: int, avg_degree: float) -> RandomBaselines:
@@ -710,7 +700,7 @@ def metric_row(snapshot: AnnualSnapshot, gamma: float = 1.0, seed: int = 42) -> 
 
     k = values["avg_degree"] = average_degree(graph)
     c = values["clustering"] = clustering_coefficient(graph)
-    fill(("modularity",), lambda: modularity_detect(graph, gamma, seed).modularity)
+    fill(("modularity",), lambda: _louvain_levels(graph, gamma, seed)[0])
     fill(("density",), link_density, graph)
     paths = fill(PathSummary._fields, apsp_summary, graph)
     if paths is not None and paths.avg_path_length is None:

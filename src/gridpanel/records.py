@@ -270,12 +270,16 @@ def load_asset_records(
     # every error is raised, and worded, by the field's own helper.
     ints: dict[str, int] = {}
     years: dict[str, int | None] = {}
+    # Each station id to itself: its records and the edge endpoints that
+    # name it share one string.
+    ids: dict[str, str] = {}
     nodes = []
     with _csv_rows(node_file, NODE_HEADER) as rows:
         for line, (node_id, label, voltage, y_in, y_out, lat, lon) in rows:
             node_id = node_id.strip()
             if not node_id:
                 raise ParseError(node_file, line, "node_id must not be empty")
+            node_id = ids.setdefault(node_id, node_id)
             voltage_kv = ints.get(voltage) or ints.setdefault(voltage, _int_field(voltage, "voltage_kv", node_file, line))
             year_in = years.get(y_in) or years.setdefault(y_in, _year_field(y_in, "year_in", node_file, line))
             year_out = (
@@ -305,7 +309,9 @@ def load_asset_records(
                 if y_out
                 else None
             )
-            edge_fields.append((edge_id, node_a.strip(), node_b.strip(), voltage_kv, year_in, year_out, n_circuits))
+            node_a, node_b = node_a.strip(), node_b.strip()
+            node_a, node_b = ids.get(node_a, node_a), ids.get(node_b, node_b)
+            edge_fields.append((edge_id, node_a, node_b, voltage_kv, year_in, year_out, n_circuits))
 
     # One ChangeEvent per distinct (year, kind): events are frozen values.
     by_edge: dict[str, Sequence[ChangeEvent]] = {}

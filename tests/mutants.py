@@ -42,6 +42,17 @@ INTERRUPT_TESTS = ["tests/test_cli.py::test_an_interrupt_kills_and_reaps_the_wor
 DEAD_WORKER_TESTS = ["tests/test_cli.py::test_a_worker_that_dies_without_its_rows_exits_two_and_writes_nothing"]
 CLI_SPREAD_TESTS = ["tests/test_generators.py::test_the_cli_spread_equals_efficiency_comparison"]
 GOLDEN_TESTS = ["tests/test_golden.py::test_csv_bytes_match_recorded_digests"]
+LOUVAIN_TESTS = [
+    "tests/test_modularity.py::test_detection_equals_fraction_gain_oracle",
+    "tests/test_modularity.py::test_property_detection_equals_the_oracle",
+]
+LOADER_TESTS = [
+    "tests/test_records.py::test_loader_equals_the_oracle_on_the_fixtures",
+    "tests/test_records.py::test_loader_equals_the_oracle_on_odd_number_texts",
+    "tests/test_records.py::test_a_malformed_row_is_reported_before_an_earlier_bad_field",
+    "tests/test_records.py::test_errors_name_the_line_a_record_starts_on",
+    "tests/test_records.py::test_property_loader_equals_the_oracle",
+]
 
 # (file, old text, new text, test ids)
 MUTANTS = [
@@ -229,6 +240,77 @@ MUTANTS = [
         "    return _ensembles(plan, list(map(_measure, plan.jobs)))\n",
         "    from .cli import _spread_over_cpus\n\n    return _ensembles(plan, _spread_over_cpus(_measure, plan.jobs, len(plan.jobs)))\n",
         CLI_SPREAD_TESTS,
+    ),
+    # Equal gains go to the highest label.
+    (
+        "src/gridpanel/metrics.py",
+        "(gain == best_gain and c < best_c)",
+        "(gain == best_gain and c > best_c)",
+        ["tests/test_modularity.py::test_equal_gains_go_to_the_lowest_label", *LOUVAIN_TESTS],
+    ),
+    # Equal gains go to the community scored last.
+    (
+        "src/gridpanel/metrics.py",
+        "if gain > best_gain or (gain == best_gain",
+        "if gain >= best_gain or (gain == best_gain",
+        ["tests/test_modularity.py::test_equal_gains_go_to_the_lowest_label", *LOUVAIN_TESTS],
+    ),
+    # A community's entries of its own label stay in its row, and its loop misses them.
+    (
+        "src/gridpanel/metrics.py",
+        "        for c, row in enumerate(new_rows):\n            own = row.count(c)\n            if own:\n"
+        "                new_loop[c] += own\n                new_rows[c] = [v for v in row if v != c]\n",
+        "",
+        LOUVAIN_TESTS,
+    ),
+    # Repeated entries of a community's row collapse to one.
+    (
+        "src/gridpanel/metrics.py",
+        "new_rows[c].extend(map(to_new.__getitem__, row))",
+        "new_rows[c].extend(set(map(to_new.__getitem__, row)).difference(new_rows[c]))",
+        LOUVAIN_TESTS,
+    ),
+    # A community's degree is taken as its row length, without its self-weight.
+    (
+        "src/gridpanel/metrics.py",
+        "rows, k, loop = new_rows, new_k, new_loop",
+        "rows, k, loop = new_rows, list(map(len, new_rows)), new_loop",
+        LOUVAIN_TESTS,
+    ),
+    # After a bad field the rest of the file is not scanned for a malformed row.
+    (
+        "src/gridpanel/records.py",
+        "                for _ in rows:\n                    pass\n",
+        "",
+        LOADER_TESTS,
+    ),
+    # A row's line number counts records, not the lines a quoted field spans.
+    (
+        "src/gridpanel/records.py",
+        "line, start = start, reader.line_num + 1",
+        "line, start = start, start + 1",
+        LOADER_TESTS,
+    ),
+    # An edge's events are sorted by kind first.
+    (
+        "src/gridpanel/records.py",
+        '_event_order = attrgetter("year", "kind")',
+        '_event_order = attrgetter("kind", "year")',
+        LOADER_TESTS,
+    ),
+    # A station's year_in reads the memo of integer fields.
+    (
+        "src/gridpanel/records.py",
+        'years.get(y_in) or years.setdefault(y_in, _year_field(y_in, "year_in", node_file, line))',
+        'ints.get(y_in) or ints.setdefault(y_in, _year_field(y_in, "year_in", node_file, line))',
+        LOADER_TESTS,
+    ),
+    # An edge endpoint keeps its own text rather than the station's identifier string.
+    (
+        "src/gridpanel/records.py",
+        "            node_a, node_b = ids.get(node_a, node_a), ids.get(node_b, node_b)\n",
+        "",
+        LOADER_TESTS,
     ),
 ]
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from helpers import (
@@ -171,11 +173,39 @@ def oracle_graphs():
 ORACLE_GRAPHS = oracle_graphs()
 
 
-@pytest.mark.parametrize("gamma", [0.5, 0.7, 1.0, 1.1, 1.3, 2.0])
-def test_detection_equals_fraction_gain_oracle(gamma):
+@pytest.mark.parametrize(
+    ("gamma", "seed"),
+    # seed 11 keeps the bare gamma as its id
+    [
+        pytest.param(gamma, seed, id=str(gamma) if seed == 11 else f"{gamma}-seed{seed}")
+        for seed in (11, 42, 7)
+        for gamma in (0.5, 0.7, 1.0, 1.1, 1.3, 2.0)
+    ],
+)
+def test_detection_equals_fraction_gain_oracle(gamma, seed):
     for g in ORACLE_GRAPHS:
-        part = modularity_detect(g, gamma=gamma, seed=11)
-        assert (part.assignment, part.modularity) == oracles.louvain_by_fractions(g, gamma, 11)
+        part = modularity_detect(g, gamma=gamma, seed=seed)
+        assert (part.assignment, part.modularity) == oracles.louvain_by_fractions(g, gamma, seed)
+
+
+# The thorough profile (tests/conftest.py) raises this for a deep run.
+ORACLE_EXAMPLES = max(30, settings.default.max_examples)
+
+
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.integers(min_value=2, max_value=40),
+    st.floats(min_value=0.03, max_value=0.6),
+    st.sampled_from([0.5, 1.0, 1.3, 2.0]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_detection_equals_the_oracle(rng, n, p, gamma, seed):
+    # Upper levels carry edge weights above 1 on most of these graphs.
+    g = random_test_graph(rng, n, p)
+    assume(g.n_edges)
+    part = modularity_detect(g, gamma=gamma, seed=seed)
+    assert (part.assignment, part.modularity) == oracles.louvain_by_fractions(g, gamma, seed)
 
 
 def test_equal_gains_go_to_the_lowest_label():

@@ -351,6 +351,11 @@ def test_loader_equals_the_oracle_on_the_fixtures(tmp_path, country_records, pla
         loaded = load_asset_records(*files, **kwargs)
         assert loaded == records_by_rows(*files, **kwargs)
         assert loaded.edges == tuple(sorted(records.edges, key=lambda r: (r.edge_id, r.year_in)))
+        # A station's records and the edge endpoints naming it share one string.
+        by_id = loaded.node_by_id
+        assert all(rec.node_id is by_id[rec.node_id].node_id for rec in loaded.nodes)
+        ends = [end for rec in loaded.edges for end in (rec.node_a, rec.node_b) if end in by_id]
+        assert ends and all(end is by_id[end].node_id for end in ends)
 
 
 ODD_NUMBER_TEXTS = [" 1960 ", "+400", "007", "0999", "10000", "1_000", "١٩٦٠", "nan", "inf", "", " ", "\t"]
