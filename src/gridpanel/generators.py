@@ -252,6 +252,23 @@ def _measure(job: tuple[Callable[..., AnnualSnapshot], tuple]) -> dict[str, floa
     return row
 
 
+def _root_of_ratio(p: int, q: int) -> float:
+    # The square root of p / q, p >= 0 and q > 0, rounded once to a float,
+    # as CPython 3.11's statistics._float_sqrt_of_frac takes it. The ratio
+    # is scaled by a power of four to at least 2 ** 108, so its integer
+    # root has at least 55 bits, two past a float's 53; that root's last
+    # bit is set when it is inexact (round to odd), so the one int/int
+    # division that scales it back rounds as the exact root would.
+    shift = (p.bit_length() - q.bit_length() - 109) // 2
+    if shift >= 0:
+        q <<= 2 * shift
+    else:
+        p <<= -2 * shift
+    root = math.isqrt(p // q)
+    root |= root * root * q != p
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
 def _summarize(spec: BaselineSpec, rows: list[dict[str, float]], achieved_edges: int) -> BaselineEnsemble:
     metrics = sorted({name for row in rows for name in row})
     mean: dict[str, float] = {}
@@ -269,7 +286,7 @@ def _summarize(spec: BaselineSpec, rows: list[dict[str, float]], achieved_edges:
         total = sum(scaled)
         mean[name] = total / (n * common)
         spread = n * sum(x * x for x in scaled) - total ** 2
-        std[name] = math.sqrt(spread / (n * n * common * common))
+        std[name] = _root_of_ratio(spread, (n * common) ** 2)
     return BaselineEnsemble(
         spec=spec,
         rows=tuple(rows),

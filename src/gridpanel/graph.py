@@ -11,6 +11,8 @@ the API boundary (``nodes``, ``neighbors``, ``degree``, ``has_edge``, ``edges``)
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain, combinations, repeat
 from typing import Hashable, Iterable, NamedTuple
 
 NodeId = Hashable
@@ -65,12 +67,6 @@ class Graph:
         neighbors of ``nodes[i]``. This is the graph's own storage."""
         return self._rows
 
-    def neighbor_sets(self) -> list[frozenset[int]]:
-        """Row ``i`` of :meth:`neighbor_rows` as a frozenset, for
-        intersections. Built on each call and not cached, so the sets live
-        only as long as the caller holds them."""
-        return [frozenset(row) for row in self._rows]
-
     def positions(self, labels: Iterable[NodeId]) -> list[int]:
         """Positions in :attr:`nodes` of those ``labels`` that are nodes,
         in the order given; labels that are not nodes are skipped."""
@@ -113,6 +109,12 @@ def _from_rows(
     graph._rows = rows
     graph._n_edges = sum(map(len, rows)) // 2
     return graph
+
+
+def _wedges(rows: tuple[tuple[int, ...], ...]) -> Counter[tuple[int, int]]:
+    # Key (a, b) with a < b, because rows are sorted; the value is the
+    # number of neighbours a and b have in common.
+    return Counter(chain.from_iterable(map(combinations, rows, repeat(2))))
 
 
 class AnnualSnapshot(NamedTuple):

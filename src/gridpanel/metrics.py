@@ -19,7 +19,7 @@ from collections import Counter
 from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import MetricUndefinedError, ParameterError
-from .graph import AnnualSnapshot, Graph, as_graph, ring_lattice
+from .graph import AnnualSnapshot, Graph, _wedges, as_graph, ring_lattice
 
 # Truncated Euler-Mascheroni constant; the reference-path formula is
 # conventionally quoted at four decimals, so keep it that way.
@@ -341,26 +341,26 @@ def clustering_coefficient(g: Graph | AnnualSnapshot, *, skip_low_degree: bool =
     zero by default; ``skip_low_degree=True`` drops them from the mean
     instead (0.0 if nothing is left).
 
-    Nodes of one degree ``k`` share the denominator ``k (k - 1)``, so
-    their linked-neighbor counts are summed as integers per degree, and
-    the mean is one integer ratio over the lcm of the distinct degrees'
-    denominators: the same rational, and so the same float, as a sum
-    over nodes.
+    Linked neighbor pairs come off the wedge count the motif kernels
+    read too: a linked pair (a, b) with w common neighbors gives a and
+    b each w linked neighbor pairs that hold the other, so over its
+    neighbors a node counts each of its linked pairs twice. Nodes of
+    one degree ``k`` share the denominator ``k (k - 1)``, so these
+    counts are summed as integers per degree, and the mean is one
+    integer ratio over the lcm of the degrees' denominators: the same
+    rational, and so the same float, as a sum over nodes.
     """
     graph = as_graph(g)
     n = graph.n_nodes
     if n == 0:
         raise MetricUndefinedError("clustering needs at least one node", "empty_graph")
-    sets = graph.neighbor_sets()
-    linked_by_degree: dict[int, int] = {}
-    eligible = 0
-    for sv in sets:
-        kv = len(sv)
-        if kv < 2:
-            continue
-        eligible += 1
-        linked_twice = sum(len(sets[u] & sv) for u in sv)
-        linked_by_degree[kv] = linked_by_degree.get(kv, 0) + linked_twice
+    rows = graph.neighbor_rows()
+    linked_by_degree: Counter[int] = Counter()
+    for (a, b), w in _wedges(rows).items():
+        if b in rows[a]:
+            linked_by_degree[len(rows[a])] += w
+            linked_by_degree[len(rows[b])] += w
+    eligible = sum(len(row) > 1 for row in rows)
     common = math.lcm(*(k * (k - 1) for k in linked_by_degree))
     total = sum(t * (common // (k * (k - 1))) for k, t in linked_by_degree.items())
     if skip_low_degree:

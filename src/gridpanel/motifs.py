@@ -27,13 +27,13 @@ year recounts only the stations whose neighbourhood changed.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 from math import comb
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .config import STAR_VARIANTS, check_variant
 from .errors import ParameterError
-from .graph import AnnualSnapshot, Graph, NodeId, as_graph
+from .graph import AnnualSnapshot, Graph, NodeId, _wedges, as_graph
 
 MOTIF_NAMES = ("triangle", "four_cycle", "three_star", "four_star")
 
@@ -84,12 +84,6 @@ class MotifShares(NamedTuple):
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in MOTIF_NAMES}
-
-
-def _wedges(rows: tuple[tuple[int, ...], ...]) -> Counter[tuple[int, int]]:
-    # Key (a, b) with a < b, because rows are sorted; the value is the
-    # number of neighbours a and b have in common.
-    return Counter(chain.from_iterable(map(combinations, rows, repeat(2))))
 
 
 def _walks(rows: Sequence[tuple[int, ...]], positions: Collection[int]) -> Counter[tuple[int, int]]:

@@ -94,6 +94,16 @@ MUTANTS = [
             "tests/test_generators.py::test_efficiency_comparison_matches_edges_across_families",
         ],
     ),
+    # Both ends' shares of a linked pair go to its lower end's degree class.
+    (
+        "src/gridpanel/metrics.py",
+        "            linked_by_degree[len(rows[b])] += w\n",
+        "            linked_by_degree[len(rows[a])] += w\n",
+        [
+            "tests/test_metrics.py::test_clustering_equals_per_node_fractions",
+            "tests/test_metrics.py::test_property_clustering_equals_the_oracle",
+        ],
+    ),
     # The census keeps each station's walk back to itself as a pair.
     (
         "src/gridpanel/motifs.py",
@@ -205,6 +215,13 @@ MUTANTS = [
         "rows[replicates:-1]",
         "rows[replicates:]",
         ["tests/test_generators.py::test_efficiency_comparison_shapes_and_determinism", *GOLDEN_TESTS],
+    ),
+    # The ensemble std is the root of the variance rounded to a float.
+    (
+        "src/gridpanel/generators.py",
+        "std[name] = _root_of_ratio(spread, (n * common) ** 2)",
+        "std[name] = math.sqrt(spread / (n * n * common * common))",
+        ["tests/test_generators.py::test_summary_std_is_the_exact_root_rounded_once"],
     ),
     # A year too small for a lattice is skipped but still listed.
     (

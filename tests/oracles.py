@@ -13,7 +13,7 @@ import random
 import statistics
 from collections import Counter
 from fractions import Fraction
-from math import comb, floor, inf, sqrt
+from math import comb, floor, inf, ldexp, nextafter, sqrt, ulp
 
 import numpy as np
 
@@ -347,7 +347,7 @@ def stars_by_subsets(graph, leaves: int, variant: str) -> int:
 def triangles_by_edge_intersections(graph) -> int:
     """Common neighbours of each edge's endpoints, summed over edges; each
     triangle is seen once per edge. Works on graphs too large to enumerate."""
-    sets = graph.neighbor_sets()
+    sets = [frozenset(row) for row in graph.neighbor_rows()]
     acc = 0
     for u, su in enumerate(sets):
         acc += sum(len(su & sets[v]) for v in su if v > u)
@@ -365,7 +365,7 @@ def four_cycles_by_wedge_pairs(graph, chordless: bool) -> int:
                 wedges[(nbrs[i], nbrs[j])] += 1
     if not chordless:
         return sum(comb(w, 2) for w in wedges.values()) // 2
-    sets = graph.neighbor_sets()
+    sets = [frozenset(row) for row in graph.neighbor_rows()]
     doubled = 0
     for (u, v), w in wedges.items():
         if w < 2 or v in sets[u]:
@@ -425,8 +425,29 @@ def moving_average_by_fractions(values, window: int) -> list:
 
 def mean_and_std_by_statistics(values) -> tuple[float, float]:
     """``statistics.mean``, the exact mean rounded once, and the root of
-    ``statistics.pvariance``."""
-    return statistics.mean(values), sqrt(statistics.pvariance(values))
+    ``statistics.pvariance`` over ``Fraction`` values, the exact variance,
+    rounded once."""
+    return statistics.mean(values), correctly_rounded_root(statistics.pvariance(map(Fraction, values)))
+
+
+def correctly_rounded_root(square: Fraction) -> float:
+    """The float nearest the square root of ``square``, ties to the even
+    significand. A guess taken in the normal float range and scaled back
+    is within one step of it, and each of the guess's two neighbours
+    wins only if the root lies past their midpoint with the guess, which
+    comparing ``square`` with the midpoint's exact square decides."""
+    k = (square.numerator.bit_length() - square.denominator.bit_length()) // 2
+    guess = ldexp(sqrt(float(square / Fraction(4) ** k)), k)
+
+    def nearer(a: float, b: float) -> bool:
+        # The root is nearer a than b, or halfway and a is even.
+        middle = (Fraction(a) + Fraction(b)) / 2
+        return square < middle**2 or (square == middle**2 and Fraction(a) / Fraction(ulp(a)) % 2 == 0)
+
+    below, above = nextafter(guess, -inf), nextafter(guess, inf)
+    if below >= 0 and nearer(below, guess):
+        return below
+    return guess if nearer(guess, above) else above
 
 
 def snapshot_by_full_scan(records, year: int, voltage_floor_kv: int = 0) -> Graph:

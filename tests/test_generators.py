@@ -223,9 +223,26 @@ def test_sigma_reported_when_defined():
 
 @given(st.lists(st.one_of(st.floats(0, 1), st.floats(-1e150, 1e150)), min_size=1, max_size=30))
 @example([0.1, 0.2, 0.3])
+@example([0.0, 1e-310, 3e-320])
 def test_summary_equals_exact_mean_and_pvariance(values):
     ensemble = _summarize(BaselineSpec("erdos_renyi", 3), [{"x": v} for v in values], 0)
     assert (ensemble.mean["x"], ensemble.std["x"]) == oracles.mean_and_std_by_statistics(values)
+
+
+@pytest.mark.parametrize(
+    "values, std",
+    [
+        # The root of the variance rounded to a float reads 0.047140452079103175.
+        ([0.1, 0.1, 0.2], 0.04714045207910317),
+        # The root lies halfway between 0.0 and the least float; the tie goes to 0.0.
+        ([0.0, 5e-324], 0.0),
+        ([0.0, 1e-323], 5e-324),
+    ],
+)
+def test_summary_std_is_the_exact_root_rounded_once(values, std):
+    ensemble = _summarize(BaselineSpec("erdos_renyi", 3), [{"x": v} for v in values], 0)
+    assert ensemble.std["x"] == std
+    assert oracles.mean_and_std_by_statistics(values)[1] == std
 
 
 @pytest.mark.parametrize("comparison", COMPARISONS)

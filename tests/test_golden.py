@@ -31,12 +31,12 @@ GOLDEN = {
     ("baselines", "default"): {
         "baselines.csv": "0028eac24c9aae03b47c0559dc8c11de39856dac00b2b18934ae32dfce10ff30",
         "baselines_per_year.csv": "5ee9f14214934244b31a76c2b1c08d58f0d371ef79973f8640453898388bb68c",
-        "baselines_summary.csv": "1cfc51203c98ff4cd6f3a4039e58e8de2cc1fb50ab39ed2bfacd216f0260fd85",
+        "baselines_summary.csv": "207ef8a517b154522fb885914677c8d498d784e36729c2d2fbd46969afb76150",
     },
     ("baselines", "floor0_subrange"): {
         "baselines.csv": "eadb9a06192637af9ce05b609e9d99b0cb99d9258610c468df4a029f68b7ee77",
         "baselines_per_year.csv": "d82e73e33eef79df33aa73d95c7bf85a2145524ec0365eaba7321a3a6a737bc0",
-        "baselines_summary.csv": "6a1d313c3e5fd84491968b751b6476f556eb89b8267c6692df321b5b2bbb9b81",
+        "baselines_summary.csv": "2dd331d3336138a056b23be00c7257d96d33e73dd5d5b0cda50983b713cca0ed",
     },
     ("motifs", "default"): {
         "motifs.csv": "05ac70840467a08a833cb27e7de9f4b2dd14da3505592f28e84a600e8b6edb6f",

@@ -65,5 +65,3 @@ def test_neighbor_rows_are_sorted_positions_built_once():
     g = Graph(["c", "a", "b", "d"], [("a", "c"), ("b", "c"), ("d", "a")])
     assert g.neighbor_rows() == ((2, 3), (2,), (0, 1), (0,))
     assert g.neighbor_rows() is g.neighbor_rows()
-    assert g.neighbor_sets() == [frozenset({2, 3}), frozenset({2}), frozenset({0, 1}), frozenset({0})]
-    assert g.neighbor_sets() is not g.neighbor_sets()

@@ -463,6 +463,14 @@ def test_clustering_equals_per_node_fractions(graph):
             )
 
 
+@given(graph_strategy)
+def test_property_clustering_equals_the_oracle(graph):
+    for skip in (False, True):
+        assert clustering_coefficient(graph, skip_low_degree=skip) == oracles.clustering_by_node_fractions(
+            graph, skip_low_degree=skip
+        )
+
+
 # -- reference values --------------------------------------------------------
 
 
