@@ -9,7 +9,7 @@ with comment headers) parses back to an identical RunConfig.
 from __future__ import annotations
 
 from math import isfinite
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .errors import ParameterError
 from .records import _ascii_number
@@ -17,15 +17,31 @@ from .records import _ascii_number
 # The choices of the ``variant`` key; gridpanel.motifs counts stars by them.
 STAR_VARIANTS = ("subgraph", "induced")
 
+# Each run parameter's domain, a test and the words for what it asks,
+# read by RunConfig and by every library call that takes the parameter.
+# The range tests are chained comparisons, so NaN, which compares false
+# with everything, fails them.
+_DOMAINS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "gamma": (isfinite, "must be a finite number"),
+    "avg_degree": (isfinite, "must be a finite number"),
+    "voltage_floor_kv": (lambda v: v >= 0, "must not be negative"),
+    "replicates": (lambda v: v >= 1, "must be at least 1"),
+    "rewiring_p": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "window": (lambda v: isinstance(v, int) and v >= 1 and v % 2 == 1, "must be a positive odd integer"),
+    "threshold": (lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1"),
+    "variant": (lambda v: v in STAR_VARIANTS, f"must be one of {', '.join(STAR_VARIANTS)}"),
+}
 
-def check_variant(variant: str) -> None:
-    if variant not in STAR_VARIANTS:
-        raise ParameterError(f"variant must be one of {', '.join(STAR_VARIANTS)}, got {variant!r}")
 
-
-def check_threshold(threshold: float) -> None:
-    if not 0.0 < threshold < 1.0:
-        raise ParameterError(f"threshold must lie strictly between 0 and 1, got {threshold!r}")
+def check(name: str, value: Any) -> None:
+    """Raise ``ParameterError`` unless ``value`` is in parameter ``name``'s domain."""
+    test, rule = _DOMAINS[name]
+    try:
+        inside = test(value)
+    except TypeError:  # a value the test cannot compare, such as text for a number
+        inside = False
+    if not inside:
+        raise ParameterError(f"{name} {rule}, got {value!r}")
 
 
 class _RunConfigFields(NamedTuple):
@@ -67,22 +83,11 @@ class RunConfig(_RunConfigFields):
                 raise ParameterError(
                     f"{name} must not start or end with whitespace or hold a line break, got {value!r}"
                 )
-        # Checked for every command, not only where Louvain runs, so a
-        # manifest never records a gamma no run could use.
-        if not isfinite(self.gamma):
-            raise ParameterError(f"gamma must be a finite number, got {self.gamma!r}")
-        if self.voltage_floor_kv < 0:
-            raise ParameterError(f"voltage_floor_kv must not be negative, got {self.voltage_floor_kv}")
-        if self.replicates < 1:
-            raise ParameterError(f"replicates must be at least 1, got {self.replicates}")
-        # The range checks are chained comparisons, so NaN, which compares
-        # false with everything, fails them.
-        if not 0.0 <= self.rewiring_p <= 1.0:
-            raise ParameterError(f"rewiring_p must lie in [0, 1], got {self.rewiring_p!r}")
-        if not isinstance(self.window, int) or self.window < 1 or self.window % 2 == 0:
-            raise ParameterError(f"window must be a positive odd integer, got {self.window!r}")
-        check_threshold(self.threshold)
-        check_variant(self.variant)
+        # gamma too is checked for every command, not only where Louvain
+        # runs, so a manifest never records a gamma no run could use.
+        for name in _DOMAINS:
+            if name in self._fields:
+                check(name, getattr(self, name))
         return self
 
     @classmethod

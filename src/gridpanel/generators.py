@@ -13,6 +13,7 @@ import math
 import random
 from typing import Callable, Iterable, NamedTuple
 
+from .config import check
 from .errors import MetricUndefinedError, ParameterError
 from .graph import AnnualSnapshot, Graph, _from_rows, ring_lattice
 from .metrics import _lattice_coordination, _sigma, apsp_summary, average_degree, clustering_coefficient, random_baselines
@@ -96,8 +97,7 @@ def gen_watts_strogatz(n_nodes: int, coordination: int, rewiring_p: float, seed:
     ``N * m / 2`` edges. Probability 0 returns the pristine lattice.
     """
     _check_coordination(n_nodes, coordination)
-    if not 0.0 <= rewiring_p <= 1.0:
-        raise ParameterError(f"rewiring probability must lie in [0, 1], got {rewiring_p!r}")
+    check("rewiring_p", rewiring_p)
     rng = random.Random(seed)
     adj: list[set[int]] = [set() for _ in range(n_nodes)]
     for distance in range(1, coordination // 2 + 1):
@@ -157,8 +157,7 @@ class _Plan(NamedTuple):
 
 
 def _plan(n_nodes: int, n_edges: int, replicates: int, seed: int, rewiring_p: float) -> _Plan:
-    if replicates < 1:
-        raise ParameterError(f"need at least one replicate, got {replicates}")
+    check("replicates", replicates)
     coordination = _lattice_coordination(2 * n_edges / n_nodes) if n_nodes else 0
     if n_nodes < 3 or coordination >= n_nodes:
         raise ParameterError(

@@ -18,6 +18,7 @@ import random
 from collections import Counter
 from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
+from .config import check
 from .errors import MetricUndefinedError, ParameterError
 from .graph import AnnualSnapshot, Graph, _wedges, as_graph, ring_lattice
 
@@ -381,7 +382,7 @@ def modularity_of(
     independent of community iteration order; the all-in-one partition
     yields exactly 0.0 at gamma 1.
     """
-    _check_finite("gamma", gamma)
+    check("gamma", gamma)
     graph = as_graph(g)
     if graph.n_edges == 0:
         raise MetricUndefinedError("modularity needs at least one edge", "no_edges")
@@ -405,11 +406,6 @@ def _modularity(internal: Iterable[int], degree_sums: Iterable[int], two_m: int,
     # exactly, that is one integer ratio, rounded to float once.
     p, q = gamma.as_integer_ratio()
     return (q * two_m * sum(internal) - p * sum(t * t for t in degree_sums)) / (q * two_m * two_m)
-
-
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ParameterError(f"{name} must be a finite number, got {value!r}")
 
 
 def _local_moving(rows: Sequence[Sequence[int]], k: list[int], order: list[int], p: int, q: int) -> list[int]:
@@ -490,7 +486,7 @@ def _louvain_levels(g: Graph | AnnualSnapshot, gamma: float, seed: int) -> tuple
     from its nodes to the next level's. ``loop[u]`` is level node u's
     self-weight, every internal edge counted from both ends, and ``k[u]``
     its degree, self-weight included."""
-    _check_finite("gamma", gamma)
+    check("gamma", gamma)
     graph = as_graph(g)
     if graph.n_edges == 0:
         raise MetricUndefinedError("community detection needs at least one edge", "no_edges")
@@ -564,7 +560,7 @@ def random_baselines(n_nodes: int, avg_degree: float) -> RandomBaselines:
     Clustering: ``k / N``. Path length: ``(ln N - 0.5772) / ln k + 0.5``.
     Defined for at least two nodes and average degree above one.
     """
-    _check_finite("avg_degree", avg_degree)
+    check("avg_degree", avg_degree)
     if n_nodes < 2:
         raise MetricUndefinedError("random-graph baselines need at least two nodes", "too_few_nodes")
     if avg_degree <= 1.0:
@@ -596,7 +592,7 @@ def lattice_clustering(n_nodes: int, avg_degree: float) -> float:
     are linked around the far side of the ring. Every such ring has one
     clustering, so a ring of ``min(n_nodes, 3k + 1)`` nodes stands in.
     """
-    _check_finite("avg_degree", avg_degree)
+    check("avg_degree", avg_degree)
     if n_nodes < 3:
         raise MetricUndefinedError("lattice reference needs at least three nodes", "too_few_nodes")
     m = _lattice_coordination(avg_degree)

@@ -31,7 +31,7 @@ from itertools import chain, repeat
 from math import comb
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
-from .config import STAR_VARIANTS, check_variant
+from .config import STAR_VARIANTS, check
 from .errors import ParameterError
 from .graph import AnnualSnapshot, Graph, NodeId, _wedges, as_graph
 
@@ -168,7 +168,7 @@ def count_stars(g: Graph | AnnualSnapshot, leaves: int, *, variant: str = "subgr
     """
     if leaves < 1:
         raise ParameterError(f"a star needs at least one leaf, got {leaves}")
-    check_variant(variant)
+    check("variant", variant)
     rows = as_graph(g).neighbor_rows()
     return _stars(rows, rows, (leaves,), variant == "induced")[0]
 
@@ -198,7 +198,7 @@ def motif_counts(
 ) -> MotifCounts:
     """All four motif counts for one graph or snapshot, with triangles
     and 4-cycles read from one wedge count."""
-    check_variant(variant)
+    check("variant", variant)
     year = g.year if isinstance(g, AnnualSnapshot) else 0
     rows = as_graph(g).neighbor_rows()
     closed, cycles = _pair_sums(rows, _wedges(rows), chordless_only)
@@ -238,7 +238,7 @@ def carried_motif_counts(
     :func:`motif_counts` instead, and so is the first year. Both ways give the same counts; the
     rule only picks the cheaper one. The variant is checked on the call.
     """
-    check_variant(variant)
+    check("variant", variant)
     return _carry(years, chordless_only, variant)
 
 

@@ -13,7 +13,7 @@ from math import lcm
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
-from .config import check_threshold
+from .config import check
 from .errors import ParameterError, YearRangeError
 from .records import EVENT_KINDS, MAJOR_CHANGE_KINDS, AssetRecordSet
 
@@ -125,10 +125,7 @@ def moving_average(values: Sequence[float | None], window: int = 5) -> list[floa
     denominator, each mean is one exact integer ratio, rounded once, so
     it does not depend on how the interpreter sums floats.
     """
-    if not isinstance(window, int) or window < 1:
-        raise ParameterError(f"window must be a positive integer, got {window!r}")
-    if window % 2 == 0:
-        raise ParameterError(f"window must be odd so the average stays centered, got {window}")
+    check("window", window)
     half = window // 2
     ratios = [None if value is None else value.as_integer_ratio() for value in values]
     common = lcm(*(ratio[1] for ratio in ratios if ratio is not None))
@@ -221,7 +218,7 @@ def underperformers(
     sitting exactly at the threshold is not flagged. Sorted by
     commissioning year.
     """
-    check_threshold(threshold)
+    check("threshold", threshold)
     flagged = [
         rec
         for rec in lifetimes
