@@ -88,6 +88,12 @@ class RunConfig(_RunConfigFields):
         for name in _DOMAINS:
             if name in self._fields:
                 check(name, getattr(self, name))
+        # dump_config writes a value of another type, such as True for an
+        # int, as text that reads back as another value or not at all.
+        for name, value in zip(self._fields, self):
+            if not _has_field_type(name, value):
+                kind, optional = _field_type(name)
+                raise ParameterError(f"{name} must be of type {kind}{' | None' if optional else ''}, got {value!r}")
         return self
 
     @classmethod
@@ -99,18 +105,37 @@ class RunConfig(_RunConfigFields):
 CONFIG_KEYS = RunConfig._fields
 
 
-def _parse_value(key: str, raw: str, source: str, line: int) -> Any:
-    # The annotation's text; typing may wrap it in a ForwardRef.
+def _field_type(key: str) -> tuple[str, bool]:
+    # A field's annotation as its type's name and whether it may be None,
+    # ("int", True) for "int | None"; typing may wrap the text in a ForwardRef.
     kind = _RunConfigFields.__annotations__[key]
     kind = getattr(kind, "__forward_arg__", kind)
-    if raw == "" and "None" in kind:
+    name, _, rest = kind.partition(" | ")
+    return name, rest == "None"
+
+
+# The values each annotation's type name takes; a bool, although an int,
+# stands for neither an int nor a float.
+_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def _has_field_type(key: str, value: Any) -> bool:
+    kind, optional = _field_type(key)
+    if value is None:
+        return optional
+    return isinstance(value, _TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
+
+
+def _parse_value(key: str, raw: str, source: str, line: int) -> Any:
+    kind, optional = _field_type(key)
+    if raw == "" and optional:
         return None
     try:
-        if kind.startswith("int"):
+        if kind == "int":
             return _ascii_number(int, raw)
-        if kind.startswith("float"):
+        if kind == "float":
             return _ascii_number(float, raw)
-        if kind.startswith("bool"):
+        if kind == "bool":
             if raw not in ("true", "false"):
                 raise ValueError
             return raw == "true"

@@ -65,11 +65,7 @@ def gen_erdos_renyi(n_nodes: int, n_edges: int, seed: int) -> AnnualSnapshot:
     """
     if n_nodes < 1:
         raise ParameterError(f"need at least one node, got {n_nodes}")
-    max_edges = n_nodes * (n_nodes - 1) // 2
-    if not 0 <= n_edges <= max_edges:
-        raise ParameterError(
-            f"edge count {n_edges} outside 0..{max_edges} for {n_nodes} nodes"
-        )
+    max_edges = _max_edges(n_nodes, n_edges)
     rng = random.Random(seed)
     picks = rng.sample(range(max_edges), n_edges)
     picks.sort()
@@ -164,9 +160,7 @@ def _plan(n_nodes: int, n_edges: int, replicates: int, seed: int, rewiring_p: fl
             f"no ring lattice with {n_nodes} nodes can match {n_edges} edges "
             f"(derived coordination {coordination})"
         )
-    max_edges = n_nodes * (n_nodes - 1) // 2
-    if not 0 <= n_edges <= max_edges:
-        raise ParameterError(f"edge count {n_edges} outside 0..{max_edges} for {n_nodes} nodes")
+    _max_edges(n_nodes, n_edges)
     matched_edges = n_nodes * coordination // 2
 
     specs = (
@@ -221,6 +215,14 @@ def _wrap_rows(n_nodes: int, rows: Iterable[tuple[int, ...]]) -> AnnualSnapshot:
     # rows, which are then also its neighbour lists.
     nodes = tuple(range(n_nodes))
     return _wrap(_from_rows(nodes, dict(zip(nodes, nodes)), tuple(rows)))
+
+
+def _max_edges(n_nodes: int, n_edges: int) -> int:
+    # The most edges a simple graph on n_nodes can hold; n_edges must fit.
+    max_edges = n_nodes * (n_nodes - 1) // 2
+    if not 0 <= n_edges <= max_edges:
+        raise ParameterError(f"edge count {n_edges} outside 0..{max_edges} for {n_nodes} nodes")
+    return max_edges
 
 
 def _check_coordination(n_nodes: int, coordination: int) -> None:

@@ -666,7 +666,9 @@ def metric_row(snapshot: AnnualSnapshot, gamma: float = 1.0, seed: int = 42) -> 
     error's ``reason``. Sigma and omega take the reason of their first
     undefined input, the random baselines before the paths before the
     lattice, and are computed only when all their inputs are defined.
+    ``gamma`` is checked first, on an empty year too.
     """
+    check("gamma", gamma)
     graph = snapshot.graph
     n = graph.n_nodes
     values: dict[str, float | int | None] = dict.fromkeys(METRIC_NAMES)

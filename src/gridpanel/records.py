@@ -379,6 +379,12 @@ def validate_records(records: AssetRecordSet) -> ValidationReport:
     def err(code: str, subject: str, message: str) -> None:
         out.append(Violation("error", code, subject, message))
 
+    def check_interval(subject: str, year_in: int, year_out: int | None) -> None:
+        if year_out is not None and year_out < year_in:
+            err("interval_reversed", subject, f"year_out {year_out} is before year_in {year_in}")
+        if not start <= year_in <= end or (year_out is not None and not start <= year_out <= end):
+            err("year_outside_span", subject, f"service interval leaves the dataset span {start}-{end}")
+
     start, end = records.dataset_start, records.dataset_end
     if start > end:
         err("span_reversed", "dataset", f"dataset_start {start} is after dataset_end {end}")
@@ -390,10 +396,7 @@ def validate_records(records: AssetRecordSet) -> ValidationReport:
         seen_nodes.add(node_id)
         if voltage_kv <= 0:
             err("nonpositive_voltage", node_id, f"voltage_kv must be positive, got {voltage_kv}")
-        if year_out is not None and year_out < year_in:
-            err("interval_reversed", node_id, f"year_out {year_out} is before year_in {year_in}")
-        if not start <= year_in <= end or (year_out is not None and not start <= year_out <= end):
-            err("year_outside_span", node_id, f"service interval leaves the dataset span {start}-{end}")
+        check_interval(node_id, year_in, year_out)
 
     node_map = records.node_by_id
     seen_edges: set[str] = set()
@@ -407,10 +410,7 @@ def validate_records(records: AssetRecordSet) -> ValidationReport:
             err("nonpositive_voltage", edge_id, f"voltage_kv must be positive, got {voltage_kv}")
         if circuits <= 0:
             err("nonpositive_circuits", edge_id, f"circuits must be positive, got {circuits}")
-        if year_out is not None and year_out < year_in:
-            err("interval_reversed", edge_id, f"year_out {year_out} is before year_in {year_in}")
-        if not start <= year_in <= end or (year_out is not None and not start <= year_out <= end):
-            err("year_outside_span", edge_id, f"service interval leaves the dataset span {start}-{end}")
+        check_interval(edge_id, year_in, year_out)
 
         edge_end = year_out if year_out is not None else end + 1
         for endpoint in (node_a, node_b):

@@ -53,6 +53,15 @@ LOADER_TESTS = [
     "tests/test_records.py::test_errors_name_the_line_a_record_starts_on",
     "tests/test_records.py::test_property_loader_equals_the_oracle",
 ]
+WINDOW_TESTS = [
+    "tests/test_config.py::test_out_of_range_run_parameters_rejected[window-4]",
+    "tests/test_temporal.py::test_moving_average_window_validated",
+]
+REPLICATES_TESTS = [
+    "tests/test_config.py::test_out_of_range_run_parameters_rejected[replicates-0]",
+    "tests/test_generators.py::test_efficiency_comparison_validation",
+]
+INTERVAL_TESTS = ["tests/test_records.py::test_empty_service_interval_is_clean"]
 
 # (file, old text, new text, test ids)
 MUTANTS = [
@@ -328,6 +337,27 @@ MUTANTS = [
         "            node_a, node_b = ids.get(node_a, node_a), ids.get(node_b, node_b)\n",
         "",
         LOADER_TESTS,
+    ),
+    # An even window passes the shared domain table.
+    (
+        "src/gridpanel/config.py",
+        "isinstance(v, int) and v >= 1 and v % 2 == 1,",
+        "isinstance(v, int) and v >= 1,",
+        WINDOW_TESTS,
+    ),
+    # An ensemble of no replicates passes the shared domain table.
+    (
+        "src/gridpanel/config.py",
+        '"replicates": (lambda v: v >= 1,',
+        '"replicates": (lambda v: v >= 0,',
+        REPLICATES_TESTS,
+    ),
+    # An empty service interval counts as reversed.
+    (
+        "src/gridpanel/records.py",
+        "if year_out is not None and year_out < year_in:",
+        "if year_out is not None and year_out <= year_in:",
+        INTERVAL_TESTS,
     ),
 ]
 

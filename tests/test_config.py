@@ -1,8 +1,26 @@
 
 import pytest
 
-from gridpanel import ParameterError, RunConfig
-from gridpanel.config import apply_overrides, dump_config, load_config, parse_config_text
+from helpers import make_edge, make_node
+from gridpanel import (
+    AnnualSnapshot,
+    Graph,
+    ParameterError,
+    RunConfig,
+    annual_change_rates,
+    build_record_set,
+    count_stars,
+    efficiency_comparison,
+    gen_watts_strogatz,
+    metric_row,
+    modularity_detect,
+    modularity_of,
+    motif_counts,
+    moving_average,
+    underperformers,
+)
+from gridpanel.config import _format_value, apply_overrides, dump_config, load_config, parse_config_text
+from gridpanel.motifs import carried_motif_counts
 
 
 def test_defaults():
@@ -146,6 +164,8 @@ def test_negative_voltage_floor_rejected():
 
 
 OUT_OF_RANGE = [
+    ("gamma", float("nan")),
+    ("gamma", float("inf")),
     ("replicates", 0),
     ("replicates", -3),
     ("rewiring_p", float("nan")),
@@ -196,6 +216,87 @@ def test_string_values_a_manifest_cannot_carry_rejected(key, value):
         apply_overrides(RunConfig(), **{key: value})
     with pytest.raises(ParameterError, match=key):
         RunConfig()._replace(**{key: value})
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("seed", True),
+        ("seed", 1.5),
+        ("window", True),
+        ("gamma", False),
+        ("replicates", True),
+        ("replicates", "5"),
+        ("country_tag", 5),
+        ("year_start", 1970.0),
+        ("node_file", 3),
+        ("chordless_only", 1),
+        ("per_year", "true"),
+    ],
+)
+def test_values_of_another_type_than_the_field_rejected(key, value):
+    # dump_config would write the value as text that parses back as a
+    # value of the field's type, or not at all.
+    with pytest.raises(ParameterError, match=key):
+        RunConfig(**{key: value})
+    with pytest.raises(ParameterError, match=key):
+        apply_overrides(RunConfig(), **{key: value})
+    with pytest.raises(ParameterError, match=key):
+        RunConfig()._replace(**{key: value})
+    text = f"{key} = {_format_value(value)}\n"
+    try:
+        parsed = getattr(parse_config_text(text, source="bad.cfg"), key)
+    except ParameterError as exc:
+        assert str(exc).startswith(f"bad.cfg:1: bad value for {key}")
+    else:
+        assert type(parsed) is not type(value)
+
+
+def test_float_fields_take_ints_and_optional_fields_take_none():
+    cfg = RunConfig(gamma=2, rewiring_p=1, year_start=None, node_file=None)
+    assert parse_config_text(dump_config(cfg), source="ints") == cfg
+
+
+def _two_triangles():
+    return Graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
+
+
+def _records():
+    nodes = [make_node("A", 2000), make_node("B", 2000)]
+    return build_record_set(nodes, [make_edge("E", "A", "B", 2001)], dataset_start=2000, dataset_end=2005)
+
+
+# Each run parameter's library entry points, called with the value.
+LIBRARY_CALLS = {
+    "gamma": [
+        lambda v: modularity_detect(_two_triangles(), gamma=v),
+        lambda v: modularity_of(_two_triangles(), dict.fromkeys(range(6), 0), gamma=v),
+        lambda v: metric_row(AnnualSnapshot(2000, 0, _two_triangles()), gamma=v),
+        lambda v: metric_row(AnnualSnapshot(2000, 0, Graph([])), gamma=v),
+    ],
+    "replicates": [lambda v: efficiency_comparison(12, 24, v, seed=1)],
+    "rewiring_p": [
+        lambda v: efficiency_comparison(12, 24, 1, seed=1, rewiring_p=v),
+        lambda v: gen_watts_strogatz(12, 4, v, seed=1),
+    ],
+    "window": [lambda v: moving_average([1.0, 2.0], v), lambda v: annual_change_rates(_records(), window=v)],
+    "threshold": [lambda v: underperformers([], v)],
+    "variant": [
+        lambda v: motif_counts(_two_triangles(), variant=v),
+        lambda v: count_stars(_two_triangles(), 3, variant=v),
+        lambda v: carried_motif_counts([], variant=v),
+    ],
+}
+
+
+@pytest.mark.parametrize("key,value", OUT_OF_RANGE)
+def test_the_library_rejects_a_value_in_the_words_of_run_config(key, value):
+    with pytest.raises(ParameterError) as expected:
+        RunConfig(**{key: value})
+    for call in LIBRARY_CALLS[key]:
+        with pytest.raises(ParameterError) as exc:
+            call(value)
+        assert str(exc.value) == str(expected.value)
 
 
 def test_inner_spaces_survive_a_manifest():

@@ -558,6 +558,15 @@ def test_reversed_interval_flagged():
     assert "interval_reversed" in validate_records(records).codes()
 
 
+def test_empty_service_interval_is_clean():
+    # Intervals are half-open, so year_out == year_in is an asset that is
+    # in no snapshot, not a reversed interval; for a station and a line.
+    nodes = [make_node("A", 1960), make_node("B", 1960), make_node("C", 1970, year_out=1970)]
+    edges = [make_edge("E", "A", "B", 1975, year_out=1975), make_edge("F", "A", "B", 1976, year_out=1975)]
+    report = validate_records(build_record_set(nodes, edges, dataset_start=1960, dataset_end=1990))
+    assert [(v.code, v.subject) for v in report.violations] == [("interval_reversed", "F")]
+
+
 def test_dead_endpoint_flagged():
     nodes = [make_node("A", 1970, year_out=1980), make_node("B", 1960)]
     edges = [make_edge("E", "A", "B", 1975, year_out=1990)]
