@@ -136,7 +136,9 @@ def efficiency_comparison(
     at least 2, and all three families run at that matched count; each
     ensemble reports the residual via ``achieved_edges`` alongside the
     requested count.
-    Raises when no feasible coordination exists.
+    Raises ParameterError, before any graph is generated, when no
+    feasible coordination exists or when ``replicates``, ``n_edges`` or
+    ``rewiring_p`` is out of range.
     """
     plan = _plan(n_nodes, n_edges, replicates, seed, rewiring_p)
     return _ensembles(plan, list(map(_measure, plan.jobs)))
@@ -154,6 +156,7 @@ class _Plan(NamedTuple):
 
 def _plan(n_nodes: int, n_edges: int, replicates: int, seed: int, rewiring_p: float) -> _Plan:
     check("replicates", replicates)
+    check("rewiring_p", rewiring_p)
     coordination = _lattice_coordination(2 * n_edges / n_nodes) if n_nodes else 0
     if n_nodes < 3 or coordination >= n_nodes:
         raise ParameterError(

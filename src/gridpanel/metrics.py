@@ -29,6 +29,17 @@ RANDOM_PATH_CONSTANT = 0.5772
 # |omega| below this counts as small-world-compatible.
 OMEGA_BAND = 0.7
 
+# A tree with a node at least this deep under its root is tall, and
+# apsp_summary folds it from both ends instead of sending its nodes
+# through the sweep. Among the 50 Watts-Strogatz references of the
+# seed-1 baselines benchmark input (177 nodes, 221 edges, coordination
+# 2), 231 of 284 trees are tall and the deepest is 77 deep; the median
+# sweep fell from 51 to 14 levels. In process (CPython 3.11.7, one CPU,
+# medians of 21 paired rounds), depths 3, 4 and 6 timed within 6% of
+# each other; 2 made the 70 growth-grid snapshots of the panel benchmark
+# input 20% slower than 3, and 1 (every tree) 2.3 times as slow.
+_TALL_DEPTH = 3
+
 
 class PathSummary(NamedTuple):
     """Shortest-path statistics from one full breadth-first sweep."""
@@ -132,22 +143,21 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
     """Average shortest path, diameter, efficiency and pair coverage.
 
     All sources are swept at once, breadth-first: node ``i`` holds a
-    bitset (a Python int) ``unseen[i]`` of the sources in its own
-    connected component, other than ``i``, that have not reached it yet,
-    and another of those that reached it at the last level. The component
-    masks come from one O(n + m) pass over the rows. Each level ORs the
-    last-level bitsets over a node's neighbors, keeps the bits still in
-    ``unseen``, removes them from it, and counts them into a histogram of
-    finite distances.
+    bitset (a Python int) ``unseen[i]`` of the sources, other than ``i``,
+    that have not reached it yet, and another of those that reached it at
+    the last level. Each level ORs the last-level bitsets over a node's
+    neighbors, keeps the bits still in ``unseen``, removes them from it,
+    and counts them into a histogram of finite distances.
 
-    Only active nodes, those with ``unseen`` nonzero, are walked; a node
-    drops out once it has been reached from its whole component, and
-    passes nothing on after the level at which it finished. An active
-    node gains at least one source at every level: if some source is
-    farther than ``d - 1`` from it, the breadth-first layers around it are
-    contiguous, so some source sits at exactly ``d``, and distance is
-    symmetric. The histogram therefore has no empty level and the sweep
-    ends when no node is active.
+    Only active nodes are walked. A node drops out at its first level
+    that adds nothing, or once ``unseen`` is empty, and passes nothing on
+    after the level at which it finished. Until then it gains a source at
+    every level: if some source is farther than ``d - 1`` from it, the
+    breadth-first layers around it are contiguous, so some source sits at
+    exactly ``d``, and distance is symmetric. So a node that gains
+    nothing has been reached from its whole component, and no component
+    masks are needed. Only the last level, at which every node still
+    active gains nothing, can be empty; it is not recorded.
 
     Only 2-core nodes are targets. The 2-core is what is left after
     repeatedly removing nodes of degree one or zero; each removed node is
@@ -155,18 +165,29 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
     tree whose top node is left in the 2-core hangs on that node, its
     root, and a tree node at depth ``t`` under root ``r`` is at
     ``t + d(r, y)`` from every node ``y`` outside ``r``'s tree, because
-    every path out of the tree passes ``r``. So:
+    every path out of the tree passes ``r``. A tree is tall if it has a
+    node at depth ``_TALL_DEPTH`` or more, and short otherwise. So:
 
     * The sweep is one loop per level over the 2-core, each node reading
       its 2-core neighbors. A root is a 2-core node with a nonzero depth
-      profile, how many of its tree nodes sit at each depth. A tree node
-      is a source that enters the sweep at its root at level ``t``. A
-      root's own tree is not in its ``unseen``; a shortest path from a
-      root to a node outside its tree never enters the tree, so every
-      2-core node still gains a source at every level.
+      profile, how many of its tree nodes sit at each depth.
+    * A short tree's node is a source that enters the sweep at its root
+      at level ``t``. A root's own tree is not in its ``unseen``. A
+      shortest path from a 2-core node to a source never enters a tree
+      other than the source's own, so every 2-core node still gains a
+      source at every level.
     * When root ``r`` finds ``c`` sources at level ``d``, its tree nodes
       at depth ``t`` find them at ``d + t``. ``r``'s profile times ``c``
       is added at level ``d``, summed over the roots.
+    * A tall tree is folded from both ends instead. Its nodes are no
+      sources: they are cleared from every ``unseen`` and never enter
+      the sweep, so a deep tree does not keep the whole 2-core active
+      until its deepest node arrives. Its root's profile is doubled, so
+      the fold above counts each pair of a tree node and a source in
+      both orders. A node of ``r``'s tall tree and one of ``q``'s are
+      ``d(r, q)`` plus both depths apart: when ``r`` finds ``q``, the
+      product of their profiles is added at level ``d(r, q)``, so each
+      ordered pair is counted once from each end.
     * Pairs inside one tree, its root included, and in trees with no
       2-core at all, come from subtree profiles. With ``S_i`` the profile
       of child ``i``'s subtree one level down and ``s = sum(S_i)``, a
@@ -177,18 +198,23 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
     A profile is packed into one Python int, slot ``t`` counting distance
     ``t`` in ``width = 2 * n.bit_length() + 2`` bits, so a product of two
     profiles is their convolution, done exactly in C. Every slot of every
-    packed value counts distinct nodes or distinct ordered pairs, so it
-    stays below ``n**2 < 2**(width - 2)`` and never carries into the next.
+    packed value counts distinct nodes or distinct ordered pairs, at most
+    four times over, so it stays below ``4 * n**2 < 2**width`` and never
+    carries into the next.
 
-    The work is about the sum over 2-core nodes i of ecc(i) * core
-    degree(i) ORs of n-bit integers, plus O(tree nodes) operations on
-    packed ints of at most (tree height + diameter + 1) slots and one per
-    root and level. Memory is three lists of n n-bit integers (unseen,
-    last level, next level), about 3 * n**2 / 8 bytes, where one BFS per
-    source needed O(n), plus at most one n-bit integer per tree node for
-    the injected sources and profiles of O(n * width) bits. Every
-    statistic is read off the histogram as one exact integer ratio, so
-    the result does not depend on node labels or summation order.
+    A short tree is at most ``_TALL_DEPTH - 1`` deep, so the sweep takes
+    at most the largest eccentricity in the 2-core plus ``_TALL_DEPTH``
+    levels, the last of which may be empty. The work is about the sum
+    over 2-core nodes i of that many times core degree(i) ORs of n-bit
+    integers, plus O(tree nodes) operations on packed ints of at most
+    (tree height + diameter + 1) slots, one per root and level, and at
+    most (number of tall roots)**2 pair terms. Memory is three lists of n
+    n-bit integers (unseen, last level, next level), about 3 * n**2 / 8
+    bytes, where one BFS per source needed O(n), plus at most one n-bit
+    integer per tree node for the injected sources and profiles of
+    O(n * width) bits. Every statistic is read off the histogram as one
+    exact integer ratio, so the result does not depend on node labels or
+    summation order.
 
     Averages run over ordered reachable pairs. With no reachable pair at
     all the path length and diameter are None while efficiency is 0.
@@ -235,31 +261,49 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
 
     # What is left in ``below`` are the roots, 2-core nodes that trees
     # hang on; profile[i] is 0 for all other nodes. Only a root has a
-    # peeled neighbor, so only its row is cut down to the 2-core.
+    # peeled neighbor, so only its row is cut down to the 2-core. A tall
+    # root's profile is doubled, since it folds each source for both
+    # orders of the pair.
     core_rows = list(rows)
     profile = [0] * n
+    tall = []
     for r, s in below.items():
         pairs += 2 * s + cross.get(r, 0)
         profile[r] = s >> width
+        if s >> (_TALL_DEPTH * width):
+            profile[r] <<= 1
+            tall.append(r)
         core_rows[r] = tuple(j for j in rows[r] if not peeled[j])
-    # inject[t] maps each root to the bits of its tree nodes at depth t.
+    # root[x] is the root x's tree hangs on, or -1 if the tree's nodes
+    # are not sources: a tall tree, or a tree with no 2-core at all.
+    # inject[t] maps each other root to the bits of its tree nodes at
+    # depth t; hidden holds the bits of the nodes that are not sources.
     depth = [0] * n
     root = list(range(n))
+    for r in tall:
+        root[r] = -1
     inject: list[dict[int, int]] = [{}]
+    hidden = 0
     for x in reversed(order):
         p = parent[x]
         r = root[x] = root[p] if p >= 0 else -1
-        if r >= 0:
-            t = depth[x] = depth[p] + 1
-            if t == len(inject):
-                inject.append({})
-            inject[t][r] = inject[t].get(r, 0) | (1 << x)
+        if r < 0:
+            hidden |= 1 << x
+            continue
+        t = depth[x] = depth[p] + 1
+        if t == len(inject):
+            inject.append({})
+        inject[t][r] = inject[t].get(r, 0) | (1 << x)
 
     active = [i for i in range(n) if not peeled[i]]
-    unseen = _component_masks(rows, active)
+    sources = ((1 << n) - 1) ^ hidden
+    unseen = [0] * n
+    for i in active:
+        unseen[i] = sources ^ (1 << i)
     for level in inject:
         for r, bits in level.items():
             unseen[r] ^= bits
+    tall_mask = sum(1 << r for r in tall)
     frontier = [1 << i for i in range(n)]
     hist: dict[int, int] = {}
     d = 0
@@ -280,14 +324,30 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
             nxt[i] = new
             left = unseen[i] ^ new
             unseen[i] = left
-            if left:
+            if new and left:
                 still.append(i)
         if d < len(inject):
             for r, bits in inject[d].items():
                 nxt[r] |= bits
-        hist[d] = found
+        if found:
+            hist[d] = found
         if fold:
             pairs += fold << (width * (d + 1))
+        # Tall roots that meet at level d: both profiles are doubled, so
+        # meet is four times the pairs of their trees' nodes, at d plus
+        # both depths.
+        meet = 0
+        for r in tall:
+            met = nxt[r] & tall_mask
+            if met:
+                near = 0
+                while met:
+                    low = met & -met
+                    near += profile[low.bit_length() - 1]
+                    met ^= low
+                meet += profile[r] * near
+        if meet:
+            pairs += (meet >> 2) << (width * (d + 2))
         frontier = nxt
         active = still
 
@@ -309,29 +369,6 @@ def apsp_summary(g: Graph | AnnualSnapshot) -> PathSummary:
     common = math.lcm(*hist)
     eff = sum(c * (common // d) for d, c in hist.items()) / (common * total)
     return PathSummary(sum(d * c for d, c in hist.items()) / reachable, max(hist), eff, reachable / total)
-
-
-def _component_masks(rows: tuple[tuple[int, ...], ...], starts: Iterable[int]) -> list[int]:
-    """Entry ``i`` is the bitset of the positions in the connected
-    component of ``i``, without ``i`` itself, for every ``i`` in the
-    component of some node in ``starts``; 0 for all other nodes."""
-    n = len(rows)
-    masks = [0] * n
-    placed = [False] * n
-    for start in starts:
-        if placed[start]:
-            continue
-        placed[start] = True
-        members = [start]
-        for v in members:
-            for w in rows[v]:
-                if not placed[w]:
-                    placed[w] = True
-                    members.append(w)
-        mask = sum(1 << v for v in members)
-        for v in members:
-            masks[v] = mask ^ (1 << v)
-    return masks
 
 
 def clustering_coefficient(g: Graph | AnnualSnapshot, *, skip_low_degree: bool = False) -> float:

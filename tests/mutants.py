@@ -93,6 +93,34 @@ MUTANTS = [
         "                fold += profile[i]",
         PATH_TESTS,
     ),
+    # A tall root folds each source it finds for one order of the pair only.
+    (
+        "src/gridpanel/metrics.py",
+        "            profile[r] <<= 1\n",
+        "",
+        PATH_TESTS,
+    ),
+    # Pairs between two tall trees are never counted.
+    (
+        "src/gridpanel/metrics.py",
+        "                meet += profile[r] * near\n",
+        "",
+        PATH_TESTS,
+    ),
+    # Pairs between two tall trees are counted one step short.
+    (
+        "src/gridpanel/metrics.py",
+        "pairs += (meet >> 2) << (width * (d + 2))",
+        "pairs += (meet >> 2) << (width * (d + 1))",
+        PATH_TESTS,
+    ),
+    # The last level, at which no node gains a source, is recorded.
+    (
+        "src/gridpanel/metrics.py",
+        "        if found:\n            hist[d] = found\n",
+        "        hist[d] = found\n",
+        PATH_TESTS,
+    ),
     # The matched lattice's coordination rounds half of the degree to even.
     (
         "src/gridpanel/metrics.py",
@@ -344,6 +372,13 @@ MUTANTS = [
         "isinstance(v, int) and v >= 1 and v % 2 == 1,",
         "isinstance(v, int) and v >= 1,",
         WINDOW_TESTS,
+    ),
+    # efficiency_comparison checks rewiring_p only when its first Watts-Strogatz graph is built.
+    (
+        "src/gridpanel/generators.py",
+        '    check("replicates", replicates)\n    check("rewiring_p", rewiring_p)\n',
+        '    check("replicates", replicates)\n',
+        ["tests/test_generators.py::test_a_bad_rewiring_p_is_rejected_before_any_graph_is_measured"],
     ),
     # An ensemble of no replicates passes the shared domain table.
     (

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from gridpanel import (
     ParameterError,
+    RunConfig,
     as_graph,
     apsp_summary,
     clustering_coefficient,
@@ -186,6 +187,19 @@ def test_efficiency_comparison_validation():
         efficiency_comparison(60, 2000, replicates=2, seed=1)
     with pytest.raises(ParameterError):
         efficiency_comparison(60, 90, replicates=0, seed=1)
+
+
+@pytest.mark.parametrize("rewiring_p", [1.5, -0.1, float("nan")])
+def test_a_bad_rewiring_p_is_rejected_before_any_graph_is_measured(monkeypatch, rewiring_p):
+    def forbidden(job):
+        raise AssertionError(f"measured {job[0].__name__} before the check")
+
+    monkeypatch.setattr(generators, "_measure", forbidden)
+    with pytest.raises(ParameterError) as expected:
+        RunConfig(rewiring_p=rewiring_p)
+    with pytest.raises(ParameterError) as exc:
+        efficiency_comparison(12, 24, 1, seed=1, rewiring_p=rewiring_p)
+    assert str(exc.value) == str(expected.value)
 
 
 # (n_nodes, n_edges, replicates, seed, rewiring_p)

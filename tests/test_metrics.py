@@ -247,11 +247,15 @@ def leafy_cycle(size=30):
     return Graph(range(2 * size), edges)
 
 
-def pendant_path_on_cycle(cycle=12, length=100):
-    # A cycle with a path of ``length`` nodes hanging on node 0.
-    edges = [(i, (i + 1) % cycle) for i in range(cycle)]
-    edges += [(0 if i == cycle else i - 1, i) for i in range(cycle, cycle + length)]
-    return Graph(range(cycle + length), edges)
+def paths_on_a_cycle(size, hung):
+    # A cycle whose node i carries a path of k nodes, for each (i, k) in
+    # ``hung``; a path of 3 or more nodes is a tall tree.
+    edges = [(i, (i + 1) % size) for i in range(size)]
+    nxt = size
+    for i, k in hung:
+        edges += [(i if j == 0 else nxt + j - 1, nxt + j) for j in range(k)]
+        nxt += k
+    return Graph(range(nxt), edges)
 
 
 def spider(legs=(1, 2, 3, 5, 8, 13)):
@@ -287,17 +291,6 @@ def adjacent_roots(size=10):
     return Graph(range(4 * size), edges)
 
 
-def paths_on_every_node(size=30):
-    # A cycle whose node i carries a path of 1 + i % 3 nodes, so every
-    # 2-core node is a root, with profiles of three depths.
-    edges = [(i, (i + 1) % size) for i in range(size)]
-    nxt = size
-    for i in range(size):
-        edges += [(i if k == 0 else nxt + k - 1, nxt + k) for k in range(1 + i % 3)]
-        nxt += 1 + i % 3
-    return Graph(range(nxt), edges)
-
-
 def tree_larger_than_core():
     # A triangle; node 0 carries a 60-node tree in which node v joins
     # v // 3, node 1 a 20-node path.
@@ -307,15 +300,48 @@ def tree_larger_than_core():
     return Graph(range(83), edges)
 
 
+def disjoint_union(*parts):
+    # The parts side by side on int nodes, each part's nodes numbered in
+    # its own node order after those of the parts before it.
+    nodes, edges = 0, []
+    for part in parts:
+        position = {v: nodes + k for k, v in enumerate(part.nodes)}
+        edges += [(position[u], position[v]) for u, v in part.edges()]
+        nodes += part.n_nodes
+    return Graph(range(nodes), edges)
+
+
 def trees_beside_a_core():
     # A leafy 12-cycle, then tree components: a 7-node path, the spider,
     # a 5-leaf star, an isolated edge and an isolated node.
-    parts = [leafy_cycle(12), path_graph(7), spider(), star_graph(5), path_graph(2), Graph([0], [])]
-    edges, offset = [], 0
-    for part in parts:
-        edges += [(offset + u, offset + v) for u, v in part.edges()]
-        offset += part.n_nodes
-    return Graph(range(offset), edges)
+    return disjoint_union(leafy_cycle(12), path_graph(7), spider(), star_graph(5), path_graph(2), Graph([0], []))
+
+
+def heights_two_and_three():
+    # A 6-cycle. Node 0 carries a tree of height exactly 2: two children,
+    # one with two leaves. Node 3 carries one of height exactly 3: a path
+    # of three nodes with a second leaf on its middle node.
+    edges = [(i, (i + 1) % 6) for i in range(6)]
+    edges += [(0, 6), (0, 7), (6, 8), (6, 9)]
+    edges += [(3, 10), (10, 11), (11, 12), (11, 13)]
+    return Graph(range(14), edges)
+
+
+def cores_isolated_nodes_and_trees():
+    # An isolated node, a triangle carrying a 4-node path, a path, a
+    # 5-cycle carrying a height-2 tree, two isolated nodes, the spider,
+    # the height-2-and-3 cycle, K4 and the two-tall-path cycle.
+    return disjoint_union(
+        Graph([0], []),
+        paths_on_a_cycle(3, ((1, 4),)),
+        path_graph(6),
+        paths_on_a_cycle(5, ((2, 2),)),
+        Graph([0, 1], []),
+        spider(),
+        heights_two_and_three(),
+        complete_graph(4),
+        paths_on_a_cycle(9, ((0, 6), (4, 9))),
+    )
 
 
 APSP_CASES = {
@@ -338,13 +364,25 @@ APSP_CASES = {
     # Watts-Strogatz at k = 2 is a ring whose rewired links leave most
     # nodes in trees hung on a small 2-core.
     **{f"ws177-s{s}": as_graph(gen_watts_strogatz(177, 2, 0.1, s)) for s in (1, 2, 3)},
-    "pendant-path100": pendant_path_on_cycle(),
+    # A cycle with a 100-node path on one node.
+    "pendant-path100": paths_on_a_cycle(12, ((0, 100),)),
     "spider": spider(),
     "deep-branching": deep_branching_on_cycle(),
     "adjacent-roots": adjacent_roots(),
-    "paths-on-every-node30": paths_on_every_node(),
+    # Every 2-core node is a root, with profiles of three depths.
+    "paths-on-every-node30": paths_on_a_cycle(30, [(i, 1 + i % 3) for i in range(30)]),
     "tree-over-core": tree_larger_than_core(),
     "trees-beside-core": trees_beside_a_core(),
+    "two-tall-paths": paths_on_a_cycle(9, ((0, 6), (4, 9))),
+    # Tall roots 1 to 5 apart, one of them carrying a path exactly as
+    # deep as the tall threshold.
+    "tall-paths-1-to-5-apart": paths_on_a_cycle(10, ((0, 3), (1, 7), (4, 5), (9, 12))),
+    "tall-in-two-components": disjoint_union(deep_branching_on_cycle(), paths_on_a_cycle(7, ((0, 5), (3, 10)))),
+    "heights-two-and-three": heights_two_and_three(),
+    # Two 2-cores whose own diameters are the graph's: the sweep ends
+    # with a level at which no node gains a source.
+    "cycle-triangle-isolated": disjoint_union(cycle_graph(6), Graph([0], []), complete_graph(3)),
+    "cores-isolated-and-trees": cores_isolated_nodes_and_trees(),
     # 512 * 511 pairs at distance 2: a slot count near n**2
     "star512": star_graph(512),
 }
@@ -374,6 +412,10 @@ APSP_CASES.update(
                 "trees-beside-core",
                 "star512",
                 "paths-on-every-node30",
+                "two-tall-paths",
+                "tall-in-two-components",
+                "heights-two-and-three",
+                "cores-isolated-and-trees",
             ),
             start=5,
         )
@@ -407,6 +449,23 @@ def test_path_summary_equals_per_source_bfs_on_leafy_sparse_graphs(rng, n, extra
 )
 def test_path_summary_equals_per_source_bfs_on_trees_hung_on_a_2_core(rng, core_size, chords, hung, forest):
     g = hanging_tree_graph(rng, core_size, chords, hung, forest)
+    assert apsp_summary(g) == oracles.path_summary_by_bfs(g)
+
+
+# (core_size, chords, hung, forest) of one hanging_tree_graph
+TREE_SHAPES = st.tuples(
+    st.integers(min_value=3, max_value=20),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=10),
+)
+
+
+@settings(max_examples=PATH_EXAMPLES, deadline=None)
+@given(st.randoms(use_true_random=False), TREE_SHAPES, TREE_SHAPES)
+def test_path_summary_equals_per_source_bfs_on_two_hanging_tree_graphs(rng, first, second):
+    # Tall trees in two components, whose roots must never meet.
+    g = disjoint_union(hanging_tree_graph(rng, *first), hanging_tree_graph(rng, *second))
     assert apsp_summary(g) == oracles.path_summary_by_bfs(g)
 
 
