@@ -18,6 +18,7 @@ from gridpanel import (
     NodeRecord,
     build_record_set,
 )
+from gridpanel.records import EVENT_KINDS
 
 
 def make_node(node_id, year_in, *, year_out=None, voltage=220, label="", lat=None, lon=None):
@@ -343,6 +344,41 @@ def small_record_sets(draw) -> AssetRecordSet:
             edges.append(make_edge(f"e{len(edges)}", a, b, year_out, year_out=rebuild, voltage=voltage))
     return build_record_set(nodes, edges, dataset_start=2000, dataset_end=2010)
 
+
+
+@st.composite
+def flawed_record_sets(draw) -> AssetRecordSet:
+    """small_record_sets with the other flaws validation reports: events
+    of every kind dated in and out of their circuit's life, decommission
+    events on and off ``year_out``, self-loops, endpoints naming no
+    station, repeated circuit ids, voltages and circuit counts of zero
+    or below, and a dataset span that may be narrower than the records'
+    years or reversed."""
+    base = draw(small_record_sets())
+    low = st.sampled_from((0, -110))
+    nodes = [rec._replace(voltage_kv=draw(low)) if draw(st.integers(0, 7)) == 0 else rec for rec in base.nodes]
+    events = st.lists(st.tuples(st.integers(1996, 2014), st.sampled_from(EVENT_KINDS)), max_size=3)
+    flaws = st.sets(st.sampled_from(("self_loop", "unknown_end", "repeated_id", "voltage", "circuits")), max_size=2)
+    edges = []
+    for rec in base.edges:
+        dated = [ChangeEvent(year, kind) for year, kind in draw(events)]
+        if rec.year_out is not None and draw(st.booleans()):
+            dated.append(ChangeEvent(rec.year_out, "decommission"))
+        rec = rec._replace(events=tuple(dated))
+        for flaw in sorted(draw(flaws)):
+            if flaw == "self_loop":
+                rec = rec._replace(node_b=rec.node_a)
+            elif flaw == "unknown_end":
+                rec = rec._replace(node_a="X")
+            elif flaw == "repeated_id" and edges:
+                rec = rec._replace(edge_id=edges[-1].edge_id)
+            elif flaw == "voltage":
+                rec = rec._replace(voltage_kv=draw(low))
+            elif flaw == "circuits":
+                rec = rec._replace(circuits=draw(st.sampled_from((0, -1))))
+        edges.append(rec)
+    start, end = draw(st.sampled_from(((2000, 2010), (2003, 2007), (2010, 2000))))
+    return build_record_set(nodes, edges, dataset_start=start, dataset_end=end)
 
 def write_fixture_csvs(records: AssetRecordSet, directory) -> dict[str, str]:
     """Write a record set out in the documented CSV schemas."""

@@ -24,11 +24,14 @@ from gridpanel.records import (
     EVENT_HEADER,
     EVENT_KINDS,
     NODE_HEADER,
+    ValidationReport,
+    Violation,
     _int_field,
     _opt_float_field,
     _opt_year_field,
     _year_field,
 )
+from gridpanel.temporal import LifetimeRecord
 
 
 def index_of(graph) -> dict:
@@ -554,3 +557,105 @@ def records_by_rows(node_file: str, edge_file: str, event_file: str | None = Non
         for fields in edge_fields
     ]
     return build_record_set(nodes, edges, **kwargs)
+
+
+def violations_by_rule(records) -> ValidationReport:
+    """``validate_records``' report from each integrity rule written out
+    on its own: the span first, then every station record and every
+    circuit record in record order, each circuit's endpoints after its
+    own fields and its events last. A repeated identifier is reported
+    at its second and later records; an endpoint is checked against the
+    first station record with its identifier; an open service interval
+    runs through the last year of the span."""
+    start, end = records.dataset_start, records.dataset_end
+    found = []
+
+    def report(code, subject, message):
+        found.append(Violation(severity="error", code=code, subject=subject, message=message))
+
+    def in_span(year):
+        return start <= year <= end
+
+    def last_year_in_service(year_out):
+        return end if year_out is None else year_out - 1
+
+    def interval_rules(subject, year_in, year_out):
+        if year_out is not None and year_out < year_in:
+            report("interval_reversed", subject, f"year_out {year_out} is before year_in {year_in}")
+        if not in_span(year_in) or (year_out is not None and not in_span(year_out)):
+            report("year_outside_span", subject, f"service interval leaves the dataset span {start}-{end}")
+
+    if start > end:
+        report("span_reversed", "dataset", f"dataset_start {start} is after dataset_end {end}")
+    for i, node in enumerate(records.nodes):
+        if any(earlier.node_id == node.node_id for earlier in records.nodes[:i]):
+            report("duplicate_node_id", node.node_id, "node_id appears more than once")
+        if not node.voltage_kv > 0:
+            report("nonpositive_voltage", node.node_id, f"voltage_kv must be positive, got {node.voltage_kv}")
+        interval_rules(node.node_id, node.year_in, node.year_out)
+    for i, edge in enumerate(records.edges):
+        if any(earlier.edge_id == edge.edge_id for earlier in records.edges[:i]):
+            report("duplicate_edge_id", edge.edge_id, "edge_id appears more than once")
+        if edge.node_a == edge.node_b:
+            report("self_loop", edge.edge_id, f"both endpoints are {edge.node_a!r}")
+        if not edge.voltage_kv > 0:
+            report("nonpositive_voltage", edge.edge_id, f"voltage_kv must be positive, got {edge.voltage_kv}")
+        if not edge.circuits > 0:
+            report("nonpositive_circuits", edge.edge_id, f"circuits must be positive, got {edge.circuits}")
+        interval_rules(edge.edge_id, edge.year_in, edge.year_out)
+        for endpoint in (edge.node_a, edge.node_b):
+            named = [node for node in records.nodes if node.node_id == endpoint]
+            if not named:
+                report("unknown_endpoint", edge.edge_id, f"endpoint {endpoint!r} is not a known node_id")
+            elif named[0].year_in > edge.year_in or last_year_in_service(named[0].year_out) < last_year_in_service(
+                edge.year_out
+            ):
+                report(
+                    "endpoint_dead",
+                    edge.edge_id,
+                    f"endpoint {endpoint!r} is not in service for the whole edge interval",
+                )
+        last_event_year = end if edge.year_out is None else edge.year_out
+        for event in edge.events:
+            if not edge.year_in <= event.year <= last_event_year:
+                report(
+                    "event_out_of_range",
+                    edge.edge_id,
+                    f"{event.kind} event in {event.year} falls outside {edge.year_in}-{last_event_year}",
+                )
+            if event.kind == "decommission" and event.year != edge.year_out:
+                report(
+                    "decommission_mismatch",
+                    edge.edge_id,
+                    f"decommission event in {event.year} disagrees with year_out {edge.year_out}",
+                )
+    return ValidationReport(violations=tuple(found))
+
+
+def lifetimes_by_rule(records, change_kinds) -> list:
+    """``line_lifetimes`` from the temporal module's rule, one circuit at a
+    time: the first change is the earliest of ``year_out`` and the years
+    of the events of ``change_kinds``, a circuit with none is censored,
+    and the survived ratio is the exact ratio of the lifetime to the
+    years from commissioning to the span's end, rounded once, where that
+    span is positive. Sorted by commissioning year, then identifier."""
+    out = []
+    for edge in records.edges:
+        change_years = [event.year for event in edge.events if event.kind in change_kinds]
+        if edge.year_out is not None:
+            change_years.append(edge.year_out)
+        first_change = min(change_years, default=None)
+        window = records.dataset_end - edge.year_in
+        lifetime = None if first_change is None else first_change - edge.year_in
+        out.append(
+            LifetimeRecord(
+                edge_id=edge.edge_id,
+                year_commissioned=edge.year_in,
+                first_change_year=first_change,
+                lifetime_years=lifetime,
+                censored=first_change is None,
+                max_expected_lifetime=window,
+                survived_ratio=float(Fraction(lifetime, window)) if lifetime is not None and window > 0 else None,
+            )
+        )
+    return sorted(out, key=lambda rec: (rec.year_commissioned, rec.edge_id))

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_edge, make_node, small_record_sets, synthetic_records, write_fixture_csvs
-from oracles import records_by_rows, snapshot_by_full_scan
+from helpers import flawed_record_sets, make_edge, make_node, small_record_sets, synthetic_records, write_fixture_csvs
+from oracles import records_by_rows, snapshot_by_full_scan, violations_by_rule
 from gridpanel import (
     ChangeEvent,
     EdgeRecord,
@@ -537,6 +537,22 @@ def test_clean_fixture_validates(country_records):
     assert report.ok
     assert str(report) == "OK: no violations"
 
+
+
+def test_validator_equals_the_oracle_on_the_fixtures(country_records, planted_records, churned_records):
+    for records in (country_records, planted_records, churned_records, unvalidated_records()):
+        assert validate_records(records) == violations_by_rule(records)
+
+
+# The thorough profile's count when it is larger: CI's deep run reads it.
+VALIDATOR_EXAMPLES = max(200, settings.default.max_examples)
+
+
+@settings(max_examples=VALIDATOR_EXAMPLES, deadline=None)
+@given(flawed_record_sets())
+def test_property_validator_equals_the_oracle(records):
+    # The whole report: every violation's code, subject and message, in order.
+    assert validate_records(records) == violations_by_rule(records)
 
 def test_duplicate_ids_flagged():
     nodes = [make_node("A", 1960), make_node("A", 1961), make_node("B", 1960)]

@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import make_edge, make_node
+from helpers import flawed_record_sets, make_edge, make_node
 from gridpanel import (
     ParameterError,
     YearRangeError,
@@ -14,6 +14,7 @@ from gridpanel import (
     moving_average,
     underperformers,
 )
+from gridpanel.records import MAJOR_CHANGE_KINDS
 
 
 def records_with(edges, *, start=1950, end=2020):
@@ -116,6 +117,29 @@ def test_average_lifetime_includes_censored_as_bound(planted_records):
     assert averages[1990] == 20.0
     assert averages[1955] == 25.0
 
+
+
+def assert_lifetimes_equal_the_oracle(records, change_kinds):
+    got = line_lifetimes(records, change_kinds=change_kinds)
+    want = oracles.lifetimes_by_rule(records, change_kinds)
+    assert got == want
+    # == takes 0 for 0.0 and 1 for True, so each cell's type is compared too.
+    assert [tuple(map(type, rec)) for rec in got] == [tuple(map(type, rec)) for rec in want]
+
+
+CHANGE_KIND_SETS = [MAJOR_CHANGE_KINDS, ("other",), ()]
+
+
+@pytest.mark.parametrize("change_kinds", CHANGE_KIND_SETS)
+def test_lifetimes_equal_the_oracle_on_the_fixtures(country_records, planted_records, churned_records, change_kinds):
+    for records in (country_records, planted_records, churned_records):
+        assert_lifetimes_equal_the_oracle(records, change_kinds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flawed_record_sets(), st.sampled_from(CHANGE_KIND_SETS))
+def test_property_lifetimes_equal_the_oracle(records, change_kinds):
+    assert_lifetimes_equal_the_oracle(records, change_kinds)
 
 # -- underperformers ---------------------------------------------------------
 
