@@ -18,7 +18,7 @@ import csv
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from math import isfinite
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -43,6 +43,11 @@ EVENT_HEADER = ("edge_id", "year", "kind")
 
 _year_in = attrgetter("year_in")
 _event_order = attrgetter("year", "kind")
+# Record fields by position, for the passes over every record.
+_identifier = itemgetter(0)
+_node_year_in, _node_year_out = itemgetter(3), itemgetter(4)
+_edge_year_in, _edge_year_out, _events = itemgetter(4), itemgetter(5), itemgetter(7)
+_event_year = itemgetter(0)
 
 
 class ChangeEvent(NamedTuple):
@@ -270,9 +275,13 @@ def load_asset_records(
     # every error is raised, and worded, by the field's own helper.
     ints: dict[str, int] = {}
     years: dict[str, int | None] = {}
-    # Each station id to itself: its records and the edge endpoints that
+    # Each station id to itself, then each endpoint text read to the id it
+    # names once stripped: a station's records and the edge endpoints that
     # name it share one string.
     ids: dict[str, str] = {}
+    # Records are made by tuple.__new__, which skips their constructors'
+    # argument handling.
+    new = tuple.__new__
     nodes = []
     with _csv_rows(node_file, NODE_HEADER) as rows:
         for line, (node_id, label, voltage, y_in, y_out, lat, lon) in rows:
@@ -289,12 +298,12 @@ def load_asset_records(
             )
             lat = _opt_float_field(lat, "lat", node_file, line) if lat else None
             lon = _opt_float_field(lon, "lon", node_file, line) if lon else None
-            nodes.append(NodeRecord(node_id, label.strip(), voltage_kv, year_in, year_out, lat, lon))
+            nodes.append(new(NodeRecord, (node_id, label.strip(), voltage_kv, year_in, year_out, lat, lon)))
     if not nodes:
         raise ParseError(node_file, None, "no node records")
 
-    # Edge fields first, as EdgeRecord's positional arguments; each record
-    # is built once, after its events are known.
+    # Edge fields first, in EdgeRecord's order; each record is made once,
+    # after its events are known.
     edge_fields = []
     with _csv_rows(edge_file, EDGE_HEADER) as rows:
         for line, (edge_id, node_a, node_b, voltage, circuits, y_in, y_out) in rows:
@@ -309,29 +318,42 @@ def load_asset_records(
                 if y_out
                 else None
             )
-            node_a, node_b = node_a.strip(), node_b.strip()
-            node_a, node_b = ids.get(node_a, node_a), ids.get(node_b, node_b)
+            node_a = ids.get(node_a) or ids.setdefault(node_a, ids.get(node_a.strip(), node_a.strip()))
+            node_b = ids.get(node_b) or ids.setdefault(node_b, ids.get(node_b.strip(), node_b.strip()))
             edge_fields.append((edge_id, node_a, node_b, voltage_kv, year_in, year_out, n_circuits))
 
-    # One ChangeEvent per distinct (year, kind): events are frozen values.
     by_edge: dict[str, Sequence[ChangeEvent]] = {}
     if event_file is not None:
-        known = {fields[0] for fields in edge_fields}
+        # Each edge id to itself, then each edge text read to the id it
+        # names once stripped.
+        known = {fields[0]: fields[0] for fields in edge_fields}
+        # Each (year, kind) text pair read, and each stripped one, to its
+        # ChangeEvent: one value per distinct year and kind.
         shared: dict[tuple[str, str], ChangeEvent] = {}
         with _csv_rows(event_file, EVENT_HEADER) as rows:
             for line, (edge_id, year, kind) in rows:
-                edge_id, year, kind = edge_id.strip(), year.strip(), kind.strip()
-                if kind not in EVENT_KINDS:
-                    raise ParseError(event_file, line, f"kind must be one of {', '.join(EVENT_KINDS)}, got {kind!r}")
-                if edge_id not in known:
-                    raise ParseError(event_file, line, f"event for unknown edge_id {edge_id!r}")
-                event = shared.get((year, kind)) or shared.setdefault(
-                    (year, kind), ChangeEvent(_year_field(year, "year", event_file, line), kind)
-                )
-                by_edge.setdefault(edge_id, []).append(event)
+                event = shared.get((year, kind))
+                edge = known.get(edge_id)
+                if event is None or edge is None:
+                    # A text not read before: the stripped kind, edge and
+                    # year are checked, in that order.
+                    name = kind.strip()
+                    if name not in EVENT_KINDS:
+                        raise ParseError(event_file, line, f"kind must be one of {', '.join(EVENT_KINDS)}, got {name!r}")
+                    edge = edge_id.strip()
+                    if edge not in known:
+                        raise ParseError(event_file, line, f"event for unknown edge_id {edge!r}")
+                    edge = known[edge_id] = known[edge]
+                    if event is None:
+                        text = year.strip()
+                        event = shared.get((text, name)) or shared.setdefault(
+                            (text, name), ChangeEvent(_year_field(text, "year", event_file, line), name)
+                        )
+                        shared[year, kind] = event
+                by_edge.setdefault(edge, []).append(event)
     for edge_id, events in by_edge.items():
         by_edge[edge_id] = tuple(sorted(events, key=_event_order) if len(events) > 1 else events)
-    edges = [EdgeRecord(*fields, events=by_edge.get(fields[0], ())) for fields in edge_fields]
+    edges = [new(EdgeRecord, (*fields, by_edge.get(fields[0], ()))) for fields in edge_fields]
 
     return build_record_set(
         nodes,
@@ -352,22 +374,36 @@ def build_record_set(
 ) -> AssetRecordSet:
     """Assemble a record set, inferring the dataset span where not given.
 
-    Records are sorted by identifier so that downstream results never
-    depend on input row order.
+    A missing bound is the least or greatest year that a record or event
+    names; when none is named, as with zero records, it raises
+    :class:`ParseError`. Records are sorted by identifier so that
+    downstream results never depend on input row order.
     """
-    nodes = tuple(sorted(nodes, key=attrgetter("node_id", "year_in")))
-    edges = tuple(sorted(edges, key=attrgetter("edge_id", "year_in")))
-    years = [rec.year_in for rec in nodes]
-    years += [rec.year_in for rec in edges]
-    years += [rec.year_out for recs in (nodes, edges) for rec in recs if rec.year_out is not None]
-    years += [ev.year for rec in edges for ev in rec.events]
-    if not years:
-        raise ParseError("<records>", None, "cannot infer a dataset span from zero records")
+    # By identifier, then year_in: two stable sorts on one field each,
+    # which compare faster than one sort on the pair.
+    nodes = sorted(nodes, key=_node_year_in)
+    nodes.sort(key=_identifier)
+    edges = sorted(edges, key=_edge_year_in)
+    edges.sort(key=_identifier)
+    if dataset_start is None or dataset_end is None:
+        # Every year a record or event names, and None for an open year_out.
+        named = set().union(
+            map(_node_year_in, nodes),
+            map(_node_year_out, nodes),
+            map(_edge_year_in, edges),
+            map(_edge_year_out, edges),
+            map(_event_year, chain.from_iterable(map(_events, edges))),
+        )
+        named.discard(None)
+        if not named:
+            raise ParseError("<records>", None, "cannot infer a dataset span from zero records")
+        dataset_start = min(named) if dataset_start is None else dataset_start
+        dataset_end = max(named) if dataset_end is None else dataset_end
     return AssetRecordSet(
-        nodes=nodes,
-        edges=edges,
-        dataset_start=dataset_start if dataset_start is not None else min(years),
-        dataset_end=dataset_end if dataset_end is not None else max(years),
+        nodes=tuple(nodes),
+        edges=tuple(edges),
+        dataset_start=dataset_start,
+        dataset_end=dataset_end,
         country_tag=country_tag,
     )
 
@@ -379,26 +415,26 @@ def validate_records(records: AssetRecordSet) -> ValidationReport:
     def err(code: str, subject: str, message: str) -> None:
         out.append(Violation("error", code, subject, message))
 
-    def check_interval(subject: str, year_in: int, year_out: int | None) -> None:
-        if year_out is not None and year_out < year_in:
-            err("interval_reversed", subject, f"year_out {year_out} is before year_in {year_in}")
-        if not start <= year_in <= end or (year_out is not None and not start <= year_out <= end):
-            err("year_outside_span", subject, f"service interval leaves the dataset span {start}-{end}")
-
     start, end = records.dataset_start, records.dataset_end
+    open_end = end + 1  # where an interval without a year_out stops
     if start > end:
         err("span_reversed", "dataset", f"dataset_start {start} is after dataset_end {end}")
 
-    seen_nodes: set[str] = set()
+    # Each station id to its first record's year_in and the year its
+    # service stops; a later record with the id is a duplicate.
+    lives: dict[str, tuple[int, int]] = {}
     for node_id, _, voltage_kv, year_in, year_out, _, _ in records.nodes:
-        if node_id in seen_nodes:
+        if node_id in lives:
             err("duplicate_node_id", node_id, "node_id appears more than once")
-        seen_nodes.add(node_id)
+        else:
+            lives[node_id] = (year_in, open_end if year_out is None else year_out)
         if voltage_kv <= 0:
             err("nonpositive_voltage", node_id, f"voltage_kv must be positive, got {voltage_kv}")
-        check_interval(node_id, year_in, year_out)
+        if year_out is not None and year_out < year_in:
+            err("interval_reversed", node_id, f"year_out {year_out} is before year_in {year_in}")
+        if not start <= year_in <= end or (year_out is not None and not start <= year_out <= end):
+            err("year_outside_span", node_id, f"service interval leaves the dataset span {start}-{end}")
 
-    node_map = records.node_by_id
     seen_edges: set[str] = set()
     for edge_id, node_a, node_b, voltage_kv, year_in, year_out, circuits, events in records.edges:
         if edge_id in seen_edges:
@@ -410,35 +446,36 @@ def validate_records(records: AssetRecordSet) -> ValidationReport:
             err("nonpositive_voltage", edge_id, f"voltage_kv must be positive, got {voltage_kv}")
         if circuits <= 0:
             err("nonpositive_circuits", edge_id, f"circuits must be positive, got {circuits}")
-        check_interval(edge_id, year_in, year_out)
+        if year_out is not None and year_out < year_in:
+            err("interval_reversed", edge_id, f"year_out {year_out} is before year_in {year_in}")
+        if not start <= year_in <= end or (year_out is not None and not start <= year_out <= end):
+            err("year_outside_span", edge_id, f"service interval leaves the dataset span {start}-{end}")
+        edge_end = open_end if year_out is None else year_out
+        last_event_year = end if year_out is None else year_out
 
-        edge_end = year_out if year_out is not None else end + 1
         for endpoint in (node_a, node_b):
-            node = node_map.get(endpoint)
-            if node is None:
+            life = lives.get(endpoint)
+            if life is None:
                 err("unknown_endpoint", edge_id, f"endpoint {endpoint!r} is not a known node_id")
-                continue
-            node_end = node.year_out if node.year_out is not None else end + 1
-            if node.year_in > year_in or edge_end > node_end:
+            elif life[0] > year_in or edge_end > life[1]:
                 err(
                     "endpoint_dead",
                     edge_id,
                     f"endpoint {endpoint!r} is not in service for the whole edge interval",
                 )
 
-        last_event_year = year_out if year_out is not None else end
-        for ev in events:
-            if not year_in <= ev.year <= last_event_year:
+        for ev_year, kind in events:
+            if not year_in <= ev_year <= last_event_year:
                 err(
                     "event_out_of_range",
                     edge_id,
-                    f"{ev.kind} event in {ev.year} falls outside {year_in}-{last_event_year}",
+                    f"{kind} event in {ev_year} falls outside {year_in}-{last_event_year}",
                 )
-            if ev.kind == "decommission" and ev.year != year_out:
+            if kind == "decommission" and ev_year != year_out:
                 err(
                     "decommission_mismatch",
                     edge_id,
-                    f"decommission event in {ev.year} disagrees with year_out {year_out}",
+                    f"decommission event in {ev_year} disagrees with year_out {year_out}",
                 )
 
     return ValidationReport(tuple(out))

@@ -10,7 +10,7 @@ lower bound given by the observation window.
 from __future__ import annotations
 
 from math import lcm
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .config import check
@@ -33,7 +33,7 @@ class LifetimeRecord(NamedTuple):
     survived_ratio: float | None
 
 
-_by_commissioning = attrgetter("year_commissioned", "edge_id")
+_by_commissioning = itemgetter(1, 0)  # year_commissioned, then edge_id
 
 
 class ChangeRateSeries(NamedTuple):
@@ -72,20 +72,20 @@ def line_lifetimes(
         raise ParameterError(
             f"change kinds must be among {', '.join(EVENT_KINDS)}; got {', '.join(sorted(map(repr, unknown)))}"
         )
+    dataset_end = records.dataset_end
+    new = tuple.__new__  # a LifetimeRecord without its constructor's argument handling
     out = []
-    for rec in records.edges:
-        candidates = [ev.year for ev in rec.events if ev.kind in kinds]
-        if rec.year_out is not None:
-            candidates.append(rec.year_out)
-        first_change = min(candidates) if candidates else None
-        max_expected = records.dataset_end - rec.year_in
-        lifetime = None if first_change is None else first_change - rec.year_in
-        ratio = None
-        if lifetime is not None and max_expected > 0:
-            # True division of two ints is correctly rounded, as float(Fraction) is.
-            ratio = lifetime / max_expected
+    for edge_id, _, _, _, year_in, year_out, _, events in records.edges:
+        first_change = year_out
+        for year, kind in events:
+            if kind in kinds and (first_change is None or year < first_change):
+                first_change = year
+        max_expected = dataset_end - year_in
+        lifetime = None if first_change is None else first_change - year_in
+        # True division of two ints is correctly rounded, as float(Fraction) is.
+        ratio = lifetime / max_expected if lifetime is not None and max_expected > 0 else None
         out.append(
-            LifetimeRecord(rec.edge_id, rec.year_in, first_change, lifetime, first_change is None, max_expected, ratio)
+            new(LifetimeRecord, (edge_id, year_in, first_change, lifetime, first_change is None, max_expected, ratio))
         )
     out.sort(key=_by_commissioning)
     return out

@@ -49,6 +49,7 @@ LOUVAIN_TESTS = [
 LOADER_TESTS = [
     "tests/test_records.py::test_loader_equals_the_oracle_on_the_fixtures",
     "tests/test_records.py::test_loader_equals_the_oracle_on_odd_number_texts",
+    "tests/test_records.py::test_loader_equals_the_oracle_on_repeated_event_texts",
     "tests/test_records.py::test_a_malformed_row_is_reported_before_an_earlier_bad_field",
     "tests/test_records.py::test_errors_name_the_line_a_record_starts_on",
     "tests/test_records.py::test_property_loader_equals_the_oracle",
@@ -62,6 +63,14 @@ REPLICATES_TESTS = [
     "tests/test_generators.py::test_efficiency_comparison_validation",
 ]
 INTERVAL_TESTS = ["tests/test_records.py::test_empty_service_interval_is_clean"]
+VALIDATOR_TESTS = [
+    "tests/test_records.py::test_validator_equals_the_oracle_on_the_fixtures",
+    "tests/test_records.py::test_property_validator_equals_the_oracle",
+]
+LIFETIME_TESTS = [
+    "tests/test_temporal.py::test_lifetimes_equal_the_oracle_on_the_fixtures",
+    "tests/test_temporal.py::test_property_lifetimes_equal_the_oracle",
+]
 
 # (file, old text, new text, test ids)
 MUTANTS = [
@@ -362,8 +371,15 @@ MUTANTS = [
     # An edge endpoint keeps its own text rather than the station's identifier string.
     (
         "src/gridpanel/records.py",
-        "            node_a, node_b = ids.get(node_a, node_a), ids.get(node_b, node_b)\n",
-        "",
+        "node_a = ids.get(node_a) or ids.setdefault(node_a, ids.get(node_a.strip(), node_a.strip()))",
+        "node_a = node_a.strip()",
+        LOADER_TESTS,
+    ),
+    # An event row whose year and kind texts were read before skips the edge check.
+    (
+        "src/gridpanel/records.py",
+        "if event is None or edge is None:",
+        "if event is None:",
         LOADER_TESTS,
     ),
     # An even window passes the shared domain table.
@@ -387,12 +403,39 @@ MUTANTS = [
         '"replicates": (lambda v: v >= 0,',
         REPLICATES_TESTS,
     ),
-    # An empty service interval counts as reversed.
+    # An empty service interval counts as reversed, for a station and for a line.
     (
         "src/gridpanel/records.py",
-        "if year_out is not None and year_out < year_in:",
-        "if year_out is not None and year_out <= year_in:",
+        'if year_out is not None and year_out < year_in:\n            err("interval_reversed", node_id',
+        'if year_out is not None and year_out <= year_in:\n            err("interval_reversed", node_id',
         INTERVAL_TESTS,
+    ),
+    (
+        "src/gridpanel/records.py",
+        'if year_out is not None and year_out < year_in:\n            err("interval_reversed", edge_id',
+        'if year_out is not None and year_out <= year_in:\n            err("interval_reversed", edge_id',
+        INTERVAL_TESTS,
+    ),
+    # A station without a year_out stops a year early, in the last year of the span.
+    (
+        "src/gridpanel/records.py",
+        "lives[node_id] = (year_in, open_end if year_out is None else year_out)",
+        "lives[node_id] = (year_in, end if year_out is None else year_out)",
+        VALIDATOR_TESTS,
+    ),
+    # A decommission event off year_out is not reported.
+    (
+        "src/gridpanel/records.py",
+        'if kind == "decommission" and ev_year != year_out:',
+        "if False:",
+        VALIDATOR_TESTS,
+    ),
+    # Events of every kind end a line's lifetime.
+    (
+        "src/gridpanel/temporal.py",
+        "if kind in kinds and (first_change is None or year < first_change):",
+        "if first_change is None or year < first_change:",
+        LIFETIME_TESTS,
     ),
 ]
 

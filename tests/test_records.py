@@ -123,6 +123,23 @@ def test_span_inferred_from_years_seen(tmp_path):
     assert records.dataset_end == 1962
 
 
+
+@pytest.mark.parametrize("start,end", [(2000, 2010), (2000, None), (None, 2010), (None, None)])
+def test_a_span_is_inferred_only_where_a_bound_is_missing(start, end):
+    # Zero records name no year, so only a span with both bounds pinned
+    # can hold them; with records, each missing bound is the least or
+    # greatest year they name, here an event's.
+    if start is not None and end is not None:
+        records = build_record_set([], [], dataset_start=start, dataset_end=end)
+        assert (records.nodes, records.edges, records.dataset_start, records.dataset_end) == ((), (), start, end)
+    else:
+        with pytest.raises(ParseError, match="cannot infer a dataset span from zero records"):
+            build_record_set([], [], dataset_start=start, dataset_end=end)
+    nodes = [make_node("A", 1990), make_node("B", 1991, year_out=2015)]
+    edges = [make_edge("AB", "A", "B", 1995, events=[(1985, "other"), (2024, "split")])]
+    records = build_record_set(nodes, edges, dataset_start=start, dataset_end=end)
+    assert (records.dataset_start, records.dataset_end) == (start or 1985, end or 2024)
+
 def test_bad_header_reports_file_and_line(tmp_path):
     nodes = write_lines(tmp_path / "n.csv", ["node_id,oops", "A,x"])
     edges = write_lines(
@@ -410,6 +427,31 @@ def test_loader_equals_the_oracle_on_odd_number_texts(tmp_path, file, column):
                 got = load_outcome(load_asset_records, files)
                 assert got == load_outcome(records_by_rows, files), (text, rows_changed, in_voltage_too)
 
+
+
+@pytest.mark.parametrize(
+    "event_rows",
+    [
+        [["NOPE", "1970", "split"]],
+        [["AB", "1970", "split"], ["NOPE", "1970", "split"]],
+        [["AB", "1970", "split"], ["AB", "1970", "splitt"]],
+        [["AB", "1970", "split"], ["AB", "soon", "split"]],
+        [["AB", "1970", "split"], [" AB ", "1970", "split"], ["BC", " 1970", "split "]],
+        [["AB", "1970", "split"], ["NOPE", "1970", "splitt"]],
+        [["AB", "1970", "split"], ["NOPE", "soon", "split"]],
+        [["AB", "1970", "split"], [" NOPE", "1970", "split"]],
+        [["NOPE", "soon", "splitt"]],
+        [["AB", "soon", "split"], ["AB", "1970", "split"]],
+    ],
+)
+def test_loader_equals_the_oracle_on_repeated_event_texts(tmp_path, event_rows):
+    # The edge text and the year-and-kind pair of a row after the first
+    # are each read before or not: each row is checked in the order kind,
+    # edge, year, and repeated texts share their values.
+    rows = clean_rows()
+    rows["events.csv"] = event_rows
+    files = write_rows(tmp_path, rows)
+    assert load_outcome(load_asset_records, files) == load_outcome(records_by_rows, files)
 
 @pytest.mark.parametrize("file", sorted(HEADERS))
 def test_a_malformed_row_is_reported_before_an_earlier_bad_field(tmp_path, file):
