@@ -94,16 +94,8 @@ class AssetRecordSet(_AssetRecordSetFields):
     """All records for one network plus the observed dataset span.
 
     A named tuple; the subclass keeps an instance ``__dict__``, which
-    holds the cached lookups below.
+    holds the cached lookup below.
     """
-
-    @cached_property
-    def node_by_id(self) -> dict[str, NodeRecord]:
-        # First record wins on duplicates; validation reports them anyway.
-        out: dict[str, NodeRecord] = {}
-        for rec in self.nodes:
-            out.setdefault(rec.node_id, rec)
-        return out
 
     @cached_property
     def by_year_in(self) -> tuple[tuple[NodeRecord, ...], tuple[EdgeRecord, ...]]:
@@ -343,7 +335,7 @@ def load_asset_records(
                     edge = edge_id.strip()
                     if edge not in known:
                         raise ParseError(event_file, line, f"event for unknown edge_id {edge!r}")
-                    edge = known[edge_id] = known[edge]
+                    known[edge_id] = edge
                     if event is None:
                         text = year.strip()
                         event = shared.get((text, name)) or shared.setdefault(

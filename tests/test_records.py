@@ -369,7 +369,7 @@ def test_loader_equals_the_oracle_on_the_fixtures(tmp_path, country_records, pla
         assert loaded == records_by_rows(*files, **kwargs)
         assert loaded.edges == tuple(sorted(records.edges, key=lambda r: (r.edge_id, r.year_in)))
         # A station's records and the edge endpoints naming it share one string.
-        by_id = loaded.node_by_id
+        by_id = {rec.node_id: rec for rec in loaded.nodes}
         assert all(rec.node_id is by_id[rec.node_id].node_id for rec in loaded.nodes)
         ends = [end for rec in loaded.edges for end in (rec.node_a, rec.node_b) if end in by_id]
         assert ends and all(end is by_id[end].node_id for end in ends)
