@@ -18,16 +18,23 @@ import gc
 import os
 import sys
 from functools import partial
-from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .config import CONFIG_KEYS, STAR_VARIANTS, RunConfig, _format_value, apply_overrides, dump_config, load_config
+from .config import (
+    CONFIG_KEYS,
+    STAR_VARIANTS,
+    RunConfig,
+    _ascii_number,
+    _format_value,
+    apply_overrides,
+    dump_config,
+    load_config,
+)
 from .errors import GridPanelError, ParameterError, ValidationFailedError
 from .records import (
     AssetRecordSet,
-    _ascii_number,
     _year_range_within,
     filter_by_voltage,
     load_asset_records,
@@ -126,14 +133,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return apply_overrides(config, **overrides)
 
 
-def _require_inputs(config: RunConfig) -> None:
+def _load_records(config: RunConfig, loader: Callable[..., AssetRecordSet] = parse_asset_records) -> AssetRecordSet:
+    # The config's record files read by the loader: the validating
+    # parse_asset_records, or load_asset_records for validate's report.
     if not config.node_file or not config.edge_file:
         raise ParameterError("node and edge files are required (--nodes/--edges or config keys)")
-
-
-def _load_validated(config: RunConfig) -> AssetRecordSet:
-    _require_inputs(config)
-    return parse_asset_records(
+    return loader(
         config.node_file,
         config.edge_file,
         config.event_file,
@@ -265,14 +270,7 @@ def _send_share(write_fd: int, work: Callable, items: Iterable, k: int, w: int) 
 
 
 def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
-    _require_inputs(config)
-    records = load_asset_records(
-        config.node_file,
-        config.edge_file,
-        config.event_file,
-        country_tag=config.country_tag,
-    )
-    report = validate_records(records)
+    report = validate_records(_load_records(config, load_asset_records))
     print(report)
     if report.ok:
         return 0
@@ -283,7 +281,7 @@ def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_panel(config: RunConfig, args: argparse.Namespace) -> int:
     from .metrics import METRIC_NAMES, metric_row
 
-    records = _load_validated(config)
+    records = _load_records(config)
     start, end = _year_range_within(records, config.year_start, config.year_end)
     rows = _spread_over_cpus(
         partial(metric_row, gamma=config.gamma, seed=config.seed),
@@ -315,7 +313,7 @@ def cmd_motifs(config: RunConfig, args: argparse.Namespace) -> int:
 
     n_years = 0
     out_rows = []
-    changes = year_changes(_load_validated(config), config.year_start, config.year_end, config.voltage_floor_kv)
+    changes = year_changes(_load_records(config), config.year_start, config.year_end, config.voltage_floor_kv)
     census = carried_motif_counts(changes, chordless_only=config.chordless_only, variant=config.variant)
     for counts in census:
         n_years += 1
@@ -346,7 +344,7 @@ def cmd_motifs(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_temporal(config: RunConfig, args: argparse.Namespace) -> int:
     from .temporal import annual_change_rates, average_lifetime_by_year, line_lifetimes, underperformers
 
-    records = _load_validated(config)
+    records = _load_records(config)
     start, end = _year_range_within(records, config.year_start, config.year_end)
     scoped = filter_by_voltage(records, config.voltage_floor_kv)
     lifetimes = line_lifetimes(scoped)
@@ -400,10 +398,10 @@ def _replicate_rows(ensembles: dict) -> Iterator[tuple]:
 
 
 def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
-    from .generators import FAMILIES, _plan
+    from .generators import FAMILIES, _measure_plans, _plan
     from .metrics import _round_half_up
 
-    snapshots = year_snapshots(_load_validated(config), config.year_start, config.year_end, config.voltage_floor_kv)
+    snapshots = year_snapshots(_load_records(config), config.year_start, config.year_end, config.voltage_floor_kv)
     sizes = [(snap.year, snap.n_nodes, snap.n_edges) for snap in snapshots]
     mean_nodes = _round_half_up(sum(n_nodes for _, n_nodes, _ in sizes) / len(sizes))
     mean_edges = _round_half_up(sum(n_edges for _, _, n_edges in sizes) / len(sizes))
@@ -416,7 +414,7 @@ def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
             except ParameterError:
                 continue  # years too small to host a matched lattice
             years.append(year)
-    ensembles, *yearly = _spread_ensembles(plans)
+    ensembles, *yearly = _measure_plans(plans, lambda work, jobs: _spread_over_cpus(work, jobs, len(jobs)))
     summary = [
         (family, metric, ensembles[family].mean[metric], ensembles[family].std[metric])
         for family in FAMILIES
@@ -441,12 +439,3 @@ def cmd_baselines(config: RunConfig, args: argparse.Namespace) -> int:
     )
     return 0
 
-
-def _spread_ensembles(plans: list) -> list[dict]:
-    # generators.efficiency_comparison's result for each plan, with the
-    # reference graphs of all plans measured as one job list over the CPUs.
-    from .generators import _ensembles, _measure
-
-    jobs = [job for plan in plans for job in plan.jobs]
-    rows = iter(_spread_over_cpus(_measure, jobs, len(jobs)))
-    return [_ensembles(plan, list(islice(rows, len(plan.jobs)))) for plan in plans]

@@ -12,7 +12,6 @@ from math import isfinite
 from typing import Any, Callable, NamedTuple
 
 from .errors import ParameterError
-from .records import _ascii_number
 
 # The choices of the ``variant`` key; gridpanel.motifs counts stars by them.
 STAR_VARIANTS = ("subgraph", "induced")
@@ -42,6 +41,15 @@ def check(name: str, value: Any) -> None:
         inside = False
     if not inside:
         raise ParameterError(f"{name} {rule}, got {value!r}")
+
+
+def _ascii_number(kind: Callable[[str], Any], text: str) -> Any:
+    # int(text) or float(text) over ASCII text without underscores, which
+    # int() and float() alone would take, or a ValueError: the one number
+    # grammar of record fields, config values and flags. nan and inf parse.
+    if text.isascii() and "_" not in text:
+        return kind(text)
+    raise ValueError(f"not an ASCII {kind.__name__}: {text!r}")
 
 
 class _RunConfigFields(NamedTuple):

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple
 
 from .config import check
-from .errors import MetricUndefinedError, ParameterError
+from .errors import ParameterError
 from .graph import AnnualSnapshot, Graph, _from_rows, ring_lattice
-from .metrics import _lattice_coordination, _sigma, apsp_summary, average_degree, clustering_coefficient, random_baselines
+from .metrics import _lattice_coordination, _sigma_of, apsp_summary
 
 FAMILIES = ("erdos_renyi", "watts_strogatz", "ring_lattice")
 
@@ -140,8 +141,7 @@ def efficiency_comparison(
     feasible coordination exists or when ``replicates``, ``n_edges`` or
     ``rewiring_p`` is out of range.
     """
-    plan = _plan(n_nodes, n_edges, replicates, seed, rewiring_p)
-    return _ensembles(plan, list(map(_measure, plan.jobs)))
+    return _measure_plans([_plan(n_nodes, n_edges, replicates, seed, rewiring_p)], map)[0]
 
 
 class _Plan(NamedTuple):
@@ -197,6 +197,15 @@ def _plan(n_nodes: int, n_edges: int, replicates: int, seed: int, rewiring_p: fl
     return _Plan(specs, jobs, matched_edges)
 
 
+def _measure_plans(plans: list[_Plan], spread: Callable) -> list[dict[str, BaselineEnsemble]]:
+    # Each plan's three ensembles, the jobs of all plans measured as one
+    # list by spread(_measure, jobs): map in the library, which never
+    # forks, and the forked cli._spread_over_cpus in the baselines command.
+    jobs = [job for plan in plans for job in plan.jobs]
+    rows = iter(spread(_measure, jobs))
+    return [_ensembles(plan, list(islice(rows, len(plan.jobs)))) for plan in plans]
+
+
 def _ensembles(plan: _Plan, rows: list[dict[str, float]]) -> dict[str, BaselineEnsemble]:
     # The three ensembles from the rows of plan.jobs, in job order.
     er, ws, lattice = plan.specs
@@ -244,16 +253,12 @@ def _child_seeds(seed: int, family: str, count: int) -> list[int]:
 
 
 def _measure(job: tuple[Callable[..., AnnualSnapshot], tuple]) -> dict[str, float]:
+    # A _plan job has n >= 3 nodes and average degree c, even, 2 <= c < n,
+    # so some pair is reachable and sigma is defined.
     generator, args = job
-    snapshot = generator(*args)
-    paths = apsp_summary(snapshot)
-    row: dict[str, float] = {"n_edges": float(snapshot.n_edges), "efficiency": paths.efficiency}
-    try:
-        base = random_baselines(snapshot.n_nodes, average_degree(snapshot))
-        row["sigma"] = _sigma(paths, clustering_coefficient(snapshot), base)
-    except MetricUndefinedError:
-        pass  # degenerate replicate; left out of the sigma ensemble
-    return row
+    graph = generator(*args).graph
+    paths = apsp_summary(graph)
+    return {"n_edges": float(graph.n_edges), "efficiency": paths.efficiency, "sigma": _sigma_of(graph, paths)}
 
 
 def _root_of_ratio(p: int, q: int) -> float:
@@ -274,11 +279,10 @@ def _root_of_ratio(p: int, q: int) -> float:
 
 
 def _summarize(spec: BaselineSpec, rows: list[dict[str, float]], achieved_edges: int) -> BaselineEnsemble:
-    metrics = sorted({name for row in rows for name in row})
     mean: dict[str, float] = {}
     std: dict[str, float] = {}
-    for name in metrics:
-        values = [row[name] for row in rows if name in row]
+    for name in sorted(rows[0]):
+        values = [row[name] for row in rows]
         n = len(values)
         # The exact mean, rounded once, and the root of the exact
         # population variance: with the values scaled to integers X over

@@ -642,7 +642,11 @@ def small_world_sigma(g: Graph | AnnualSnapshot) -> float:
     ``(C / C_rand) / (L / L_rand)``. Values above one indicate
     small-world structure."""
     graph = as_graph(g)
-    paths = apsp_summary(graph)
+    return _sigma_of(graph, apsp_summary(graph))
+
+
+def _sigma_of(graph: Graph, paths: PathSummary) -> float:
+    # small_world_sigma of a graph whose paths are already summarized.
     base = random_baselines(graph.n_nodes, average_degree(graph))
     return _sigma(paths, clustering_coefficient(graph), base)
 

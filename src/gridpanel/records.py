@@ -21,8 +21,9 @@ from functools import cached_property
 from itertools import chain, islice
 from math import isfinite
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
+from .config import _ascii_number, check
 from .errors import (
     IntervalError,
     ParseError,
@@ -187,15 +188,6 @@ def _not_utf8(path: str) -> ParseError:
         line = data.count(b"\n", 0, exc.start) + 1
         return ParseError(path, line, f"not UTF-8 text: cannot decode byte {data[exc.start]:#04x}")
     return ParseError(path, None, "not UTF-8 text")
-
-
-def _ascii_number(kind: Callable[[str], Any], text: str) -> Any:
-    # int(text) or float(text) over ASCII text without underscores, which
-    # int() and float() alone would take, or a ValueError: the one number
-    # grammar of record fields, config values and flags. nan and inf parse.
-    if text.isascii() and "_" not in text:
-        return kind(text)
-    raise ValueError(f"not an ASCII {kind.__name__}: {text!r}")
 
 
 def _int_field(raw: str, name: str, path: str, line: int) -> int:
@@ -521,6 +513,7 @@ def snapshot_at(records: AssetRecordSet, year: int, voltage_floor_kv: int = 0) -
     endpoints present. Multiple circuit records between one station pair
     collapse to a single edge. Isolated nodes stay in.
     """
+    check("voltage_floor_kv", voltage_floor_kv)
     if not records.dataset_start <= year <= records.dataset_end:
         raise YearRangeError(
             f"year {year} is outside the dataset span "
@@ -723,6 +716,7 @@ def filter_by_voltage(records: AssetRecordSet, voltage_floor_kv: int) -> AssetRe
     and endpoint rule from here; :func:`snapshot_at` keeps its own copy as
     the reference the sweep is tested against.
     """
+    check("voltage_floor_kv", voltage_floor_kv)
     nodes = tuple(rec for rec in records.nodes if rec.voltage_kv >= voltage_floor_kv)
     kept = {rec.node_id for rec in nodes}
     edges = tuple(

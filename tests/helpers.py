@@ -103,6 +103,18 @@ def mesh_graph(side: int) -> Graph:
     return Graph(range(side * side), edges)
 
 
+def cycle_graph(n: int) -> Graph:
+    return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(range(n), [(a, b) for a in range(n) for b in range(a + 1, n)])
+
+
+def star_graph(leaves: int) -> Graph:
+    return Graph(range(leaves + 1), [(0, i) for i in range(1, leaves + 1)])
+
+
 def relabeled(graph: Graph, rng: random.Random) -> tuple[Graph, dict]:
     """Copy of the graph under a random node-id permutation."""
     shuffled = list(graph.nodes)

@@ -250,9 +250,9 @@ MUTANTS = [
     ),
     # Every plan reads the first rows of the job list.
     (
-        "src/gridpanel/cli.py",
-        "rows = iter(_spread_over_cpus(_measure, jobs, len(jobs)))",
-        "rows = list(_spread_over_cpus(_measure, jobs, len(jobs)))",
+        "src/gridpanel/generators.py",
+        "rows = iter(spread(_measure, jobs))",
+        "rows = list(spread(_measure, jobs))",
         CLI_SPREAD_TESTS,
     ),
     # The Watts-Strogatz ensemble also takes the lattice row.
@@ -286,8 +286,8 @@ MUTANTS = [
     # baselines measures every job in the caller.
     (
         "src/gridpanel/cli.py",
-        "rows = iter(_spread_over_cpus(_measure, jobs, len(jobs)))",
-        "rows = iter(map(_measure, jobs))",
+        "_measure_plans(plans, lambda work, jobs: _spread_over_cpus(work, jobs, len(jobs)))",
+        "_measure_plans(plans, map)",
         [*DEAD_WORKER_TESTS, "tests/test_cli.py::test_a_failed_baselines_run_writes_no_file"],
     ),
     # The lattice job comes first in a plan.
@@ -300,8 +300,10 @@ MUTANTS = [
     # efficiency_comparison spreads its jobs over the CPUs.
     (
         "src/gridpanel/generators.py",
-        "    return _ensembles(plan, list(map(_measure, plan.jobs)))\n",
-        "    from .cli import _spread_over_cpus\n\n    return _ensembles(plan, _spread_over_cpus(_measure, plan.jobs, len(plan.jobs)))\n",
+        "    return _measure_plans([_plan(n_nodes, n_edges, replicates, seed, rewiring_p)], map)[0]\n",
+        "    from .cli import _spread_over_cpus\n\n"
+        "    plans = [_plan(n_nodes, n_edges, replicates, seed, rewiring_p)]\n"
+        "    return _measure_plans(plans, lambda work, jobs: _spread_over_cpus(work, jobs, len(jobs)))[0]\n",
         CLI_SPREAD_TESTS,
     ),
     # Equal gains go to the highest label.
@@ -436,6 +438,30 @@ MUTANTS = [
         "if kind in kinds and (first_change is None or year < first_change):",
         "if first_change is None or year < first_change:",
         LIFETIME_TESTS,
+    ),
+    # A record validation failure exits 2, as an I/O or parameter problem does.
+    (
+        "src/gridpanel/cli.py",
+        'print(f"error: {exc}", file=sys.stderr)\n        return 1\n',
+        'print(f"error: {exc}", file=sys.stderr)\n        return 2\n',
+        ["tests/test_cli.py::test_analysis_commands_exit_one_on_a_validation_failure"],
+    ),
+    # filter_by_voltage takes any floor, so the sweep of a NaN floor is empty.
+    (
+        "src/gridpanel/records.py",
+        '    check("voltage_floor_kv", voltage_floor_kv)\n    nodes = tuple(',
+        "    nodes = tuple(",
+        [
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[voltage_floor_kv-nan]",
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[voltage_floor_kv--1]",
+        ],
+    ),
+    # A failure with more than eight violations does not say how many it left out.
+    (
+        "src/gridpanel/errors.py",
+        '        if extra > 0:\n            lines.append(f"... and {extra} more")\n',
+        "",
+        ["tests/test_records.py::test_a_validation_failure_lists_eight_violations_and_counts_the_rest"],
     ),
 ]
 

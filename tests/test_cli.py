@@ -55,7 +55,8 @@ def test_validate_clean_exits_zero(workspace, capsys):
     assert "OK" in capsys.readouterr().out
 
 
-def test_validate_dangling_endpoint_exits_one(tmp_path, capsys):
+def dangling_endpoint_files(tmp_path):
+    # Node and edge files whose one edge names the unknown station Z.
     (tmp_path / "n.csv").write_text(
         "node_id,label,voltage_kv,year_in,year_out,lat,lon\nA,a,220,1960,,,\n",
         encoding="utf-8",
@@ -64,11 +65,27 @@ def test_validate_dangling_endpoint_exits_one(tmp_path, capsys):
         "edge_id,node_a,node_b,voltage_kv,circuits,year_in,year_out\nE,A,Z,220,1,1960,\n",
         encoding="utf-8",
     )
-    code = run("validate", "--nodes", str(tmp_path / "n.csv"), "--edges", str(tmp_path / "e.csv"))
+    return "--nodes", str(tmp_path / "n.csv"), "--edges", str(tmp_path / "e.csv")
+
+
+def test_validate_dangling_endpoint_exits_one(tmp_path, capsys):
+    code = run("validate", *dangling_endpoint_files(tmp_path))
     assert code == 1
     out = capsys.readouterr().out
     assert "unknown_endpoint" in out
     assert "1 violation" in out
+
+
+@pytest.mark.parametrize("command", ["panel", "motifs", "temporal", "baselines"])
+def test_analysis_commands_exit_one_on_a_validation_failure(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = run(command, *dangling_endpoint_files(tmp_path), "--voltage-floor", "0", "--out", str(out))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: record validation failed:\n")
+    assert "unknown_endpoint" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_validate_missing_file_exits_two(tmp_path):

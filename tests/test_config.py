@@ -8,19 +8,24 @@ from gridpanel import (
     ParameterError,
     RunConfig,
     annual_change_rates,
+    build_panel,
     build_record_set,
     count_stars,
     efficiency_comparison,
+    filter_by_voltage,
     gen_watts_strogatz,
     metric_row,
     modularity_detect,
     modularity_of,
     motif_counts,
     moving_average,
+    snapshot_at,
     underperformers,
+    year_snapshots,
 )
 from gridpanel.config import _format_value, apply_overrides, dump_config, load_config, parse_config_text
 from gridpanel.motifs import carried_motif_counts
+from gridpanel.records import year_changes
 
 
 def test_defaults():
@@ -179,6 +184,8 @@ OUT_OF_RANGE = [
     ("threshold", 1.0),
     ("threshold", 5.0),
     ("variant", "maximal"),
+    ("voltage_floor_kv", float("nan")),
+    ("voltage_floor_kv", -1),
 ]
 
 
@@ -286,10 +293,19 @@ LIBRARY_CALLS = {
         lambda v: count_stars(_two_triangles(), 3, variant=v),
         lambda v: carried_motif_counts([], variant=v),
     ],
+    "voltage_floor_kv": [
+        lambda v: build_panel(_records(), voltage_floor_kv=v),
+        lambda v: snapshot_at(_records(), 2000, v),
+        lambda v: year_snapshots(_records(), voltage_floor_kv=v),
+        lambda v: year_changes(_records(), voltage_floor_kv=v),
+        lambda v: filter_by_voltage(_records(), v),
+    ],
 }
 
 
-@pytest.mark.parametrize("key,value", OUT_OF_RANGE)
+# A config file or flag reads the text "220" as a number; a library call
+# can be given the text itself.
+@pytest.mark.parametrize("key,value", OUT_OF_RANGE + [("voltage_floor_kv", "220")])
 def test_the_library_rejects_a_value_in_the_words_of_run_config(key, value):
     with pytest.raises(ParameterError) as expected:
         RunConfig(**{key: value})

@@ -222,10 +222,24 @@ def test_the_cli_spread_equals_efficiency_comparison(monkeypatch):
     sequential = [efficiency_comparison(n, m, r, seed, rewiring_p=p) for n, m, r, seed, p in COMPARISONS]
     monkeypatch.undo()
     plans = [generators._plan(*comparison) for comparison in COMPARISONS]
+
+    def spread(work, jobs):  # as cmd_baselines spreads them
+        return cli._spread_over_cpus(work, jobs, len(jobs))
+
     for w in (1, 2, 3):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: w)
-        assert cli._spread_ensembles(plans) == sequential
-        assert [cli._spread_ensembles([plan]) for plan in plans] == [[ensembles] for ensembles in sequential]
+        assert generators._measure_plans(plans, spread) == sequential
+        assert [generators._measure_plans([plan], spread) for plan in plans] == [[ensembles] for ensembles in sequential]
+
+
+@pytest.mark.parametrize("n_nodes, n_edges", [(3, 0), (3, 3), (10, 0), (9, 36)])
+@pytest.mark.parametrize("rewiring_p", [0.0, 1.0])
+def test_every_plan_job_yields_efficiency_and_sigma(n_nodes, n_edges, rewiring_p):
+    # A plan admits no graph on which sigma is undefined: from the fewest
+    # nodes and no edges to the complete graph.
+    plan = generators._plan(n_nodes, n_edges, 3, 5, rewiring_p)
+    for job in plan.jobs:
+        assert sorted(generators._measure(job)) == ["efficiency", "n_edges", "sigma"]
 
 
 def test_sigma_reported_when_defined():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gridpanel import Graph
+from gridpanel import Graph, as_graph
 from gridpanel.graph import ring_lattice
 
 
@@ -25,8 +25,15 @@ def test_self_loop_rejected():
 
 
 def test_unknown_endpoint_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="endpoint 5 is not a node"):
         Graph(range(2), [(0, 5)])
+    with pytest.raises(ValueError, match="endpoint 5 is not a node"):
+        Graph(range(2), [(5, 0)])
+
+
+def test_as_graph_rejects_other_types():
+    with pytest.raises(TypeError, match="expected Graph or AnnualSnapshot, got list"):
+        as_graph([(0, 1)])
 
 
 def test_neighbors_sorted_and_degree():

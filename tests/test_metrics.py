@@ -10,7 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import hanging_tree_graph, leafy_test_graph, random_test_graph, relabeled, string_relabeled, undefined_reason
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    hanging_tree_graph,
+    leafy_test_graph,
+    random_test_graph,
+    relabeled,
+    star_graph,
+    string_relabeled,
+    undefined_reason,
+)
 from gridpanel import (
     AnnualSnapshot,
     Graph,
@@ -40,14 +50,6 @@ from gridpanel.metrics import METRIC_NAMES, PathSummary, RandomBaselines, _omega
 
 def path_graph(n):
     return Graph(range(n), [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n):
-    return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n):
-    return Graph(range(n), [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
 graph_strategy = st.builds(
@@ -162,7 +164,8 @@ def test_path_stats_match_dense_oracle():
         assert got == oracles.path_summary_by_bfs(g)
 
 
-def mesh_graph(side):
+def tuple_mesh_graph(side):
+    # helpers.mesh_graph labelled by (row, column) tuples
     return Graph(
         [(r, c) for r in range(side) for c in range(side)],
         [((r, c), (r, c + 1)) for r in range(side) for c in range(side - 1)]
@@ -213,10 +216,6 @@ def long_armed_star(arms=5, length=30):
         edges.append((0, first))
         edges += [(first + i, first + i + 1) for i in range(length - 1)]
     return Graph(range(1 + arms * length), edges)
-
-
-def star_graph(leaves):
-    return Graph(range(leaves + 1), [(0, i) for i in range(1, leaves + 1)])
 
 
 def caterpillar(spine=40):
@@ -355,7 +354,7 @@ APSP_CASES = {
     "ring130x4": as_graph(gen_ring_lattice(130, 4)),
     "ring257x2": as_graph(gen_ring_lattice(257, 2)),
     "path300": path_graph(300),
-    "mesh20x20": mesh_graph(20),
+    "mesh20x20": tuple_mesh_graph(20),
     "union": disconnected_union(),
     "isolated-first": isolated_first_union(),
     "mixed-diameters": mixed_diameter_union(),
@@ -509,7 +508,7 @@ def test_clustering_matches_pair_enumeration_oracle():
     "graph",
     [
         *(as_graph(gen_ring_lattice(n, m)) for n, m in ((3, 2), (20, 4), (65, 6), (177, 2), (200, 10))),
-        mesh_graph(20),
+        tuple_mesh_graph(20),
         as_graph(gen_watts_strogatz(177, 4, 0.1, 3)),
     ],
     ids=["ring3x2", "ring20x4", "ring65x6", "ring177x2", "ring200x10", "mesh20x20", "ws177x4"],

@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import make_edge, make_node, mesh_graph, random_test_graph, small_record_sets, string_relabeled
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    make_edge,
+    make_node,
+    mesh_graph,
+    random_test_graph,
+    small_record_sets,
+    star_graph,
+    string_relabeled,
+)
 from gridpanel import (
     Graph,
     ParameterError,
@@ -23,18 +33,6 @@ from gridpanel.config import STAR_VARIANTS
 from gridpanel.graph import ring_lattice
 from gridpanel.motifs import MOTIF_NAMES, carried_motif_counts
 from gridpanel.records import year_changes
-
-
-def complete_graph(n):
-    return Graph(range(n), [(a, b) for a in range(n) for b in range(a + 1, n)])
-
-
-def cycle_graph(n):
-    return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
-
-
-def star_graph(leaves):
-    return Graph(range(leaves + 1), [(0, i) for i in range(1, leaves + 1)])
 
 
 DIAMOND = Graph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])

@@ -189,6 +189,15 @@ def test_unreadable_row_is_a_parse_error_naming_file_and_line(tmp_path, role, wi
     assert words in exc.value.message
 
 
+@pytest.mark.parametrize("role", ["nodes", "edges", "events"])
+def test_an_empty_file_is_a_parse_error_on_line_one(tmp_path, role):
+    paths = write_role_files(tmp_path)
+    Path(paths[role]).write_bytes(b"")
+    with pytest.raises(ParseError) as exc:
+        load_asset_records(paths["nodes"], paths["edges"], paths["events"])
+    assert (exc.value.source, exc.value.line, exc.value.message) == (paths[role], 1, "empty file, expected a header row")
+
+
 def test_invalid_utf8_header_is_a_parse_error_on_line_one(tmp_path):
     paths = write_role_files(tmp_path)
     Path(paths["edges"]).write_bytes(b"edge_id\xc3,node_a\n")
@@ -569,6 +578,15 @@ def test_validation_errors_pickle(error_type):
     assert type(copy) is error_type
     assert copy.report == report
     assert str(copy) == str(error)
+
+
+@pytest.mark.parametrize("dangling, rest", [(8, []), (11, ["... and 3 more"])])
+def test_a_validation_failure_lists_eight_violations_and_counts_the_rest(dangling, rest):
+    edges = [make_edge(f"E{i}", "A", f"X{i}", 1960) for i in range(dangling)]
+    report = validate_records(build_record_set([make_node("A", 1960)], edges))
+    assert len(report.violations) == dangling
+    lines = str(ValidationFailedError(report)).splitlines()
+    assert lines == ["record validation failed:", *map(str, report.violations[:8]), *rest]
 
 
 # -- validation ------------------------------------------------------------

@@ -233,6 +233,17 @@ def test_topological_changes_count_each_event_once():
     assert sum(series.topological_changes) == 4
 
 
+def test_decommission_events_apart_from_year_out_count_once_a_year():
+    # Unvalidated records: two decommission events and a split in 2003,
+    # two years before the line's recorded year_out.
+    events = [(2003, "decommission"), (2003, "decommission"), (2003, "split")]
+    records = records_with([make_edge("E1", "A", "B", 2000, year_out=2005, events=events)], start=2000, end=2006)
+    series = annual_change_rates(records)
+    by_year = dict(zip(series.years, series.topological_changes))
+    assert (by_year[2003], by_year[2005]) == (2, 1)
+    assert sum(series.topological_changes) == 3
+
+
 @pytest.mark.parametrize("start,end", [(1955, 1970), (1940, 1960)])
 def test_change_rates_reject_edges_outside_the_span(start, end):
     # commissioned before the first year, or retired after the last
