@@ -33,14 +33,31 @@ _DOMAINS: dict[str, tuple[Callable[[Any], bool], str]] = {
 
 
 def check(name: str, value: Any) -> None:
-    """Raise ``ParameterError`` unless ``value`` is in parameter ``name``'s domain."""
-    test, rule = _DOMAINS[name]
-    try:
-        inside = test(value)
-    except TypeError:  # a value the test cannot compare, such as text for a number
-        inside = False
-    if not inside:
-        raise ParameterError(f"{name} {rule}, got {value!r}")
+    """Raise ``ParameterError`` unless ``value`` is a value of run parameter ``name``.
+
+    The parameter's whole rule: its domain where it has one, then, for a
+    RunConfig field, the field's type and the text a manifest can carry.
+    """
+    if name in _DOMAINS:
+        test, rule = _DOMAINS[name]
+        try:
+            inside = test(value)
+        except TypeError:  # a value the test cannot compare, such as text for a number
+            inside = False
+        if not inside:
+            raise ParameterError(f"{name} {rule}, got {value!r}")
+        if name not in _FIELD_TYPES:
+            return
+    kind, optional = _FIELD_TYPES[name]  # a KeyError for a name that is no run parameter
+    # dump_config writes a value of another type, such as True for an
+    # int, as text that reads back as another value or not at all.
+    typed = isinstance(value, _TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
+    if not (typed or value is None and optional):
+        raise ParameterError(f"{name} must be of type {kind}{' | None' if optional else ''}, got {value!r}")
+    # A config file holds one value per line and strips it, so only such
+    # text reads back from a manifest as it was given.
+    if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
+        raise ParameterError(f"{name} must not start or end with whitespace or hold a line break, got {value!r}")
 
 
 def _ascii_number(kind: Callable[[str], Any], text: str) -> Any:
@@ -84,24 +101,10 @@ class RunConfig(_RunConfigFields):
 
     def __new__(cls, *args: Any, **kwargs: Any) -> RunConfig:
         self = super().__new__(cls, *args, **kwargs)
-        # A config file holds one value per line and strips it, so only
-        # such text reads back from a manifest as it was given.
+        # Every field is checked for every command, gamma too where no
+        # Louvain runs, so a manifest never records a value no run could use.
         for name, value in zip(self._fields, self):
-            if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
-                raise ParameterError(
-                    f"{name} must not start or end with whitespace or hold a line break, got {value!r}"
-                )
-        # gamma too is checked for every command, not only where Louvain
-        # runs, so a manifest never records a gamma no run could use.
-        for name in _DOMAINS:
-            if name in self._fields:
-                check(name, getattr(self, name))
-        # dump_config writes a value of another type, such as True for an
-        # int, as text that reads back as another value or not at all.
-        for name, value in zip(self._fields, self):
-            if not _has_field_type(name, value):
-                kind, optional = _field_type(name)
-                raise ParameterError(f"{name} must be of type {kind}{' | None' if optional else ''}, got {value!r}")
+            check(name, value)
         return self
 
     @classmethod
@@ -113,29 +116,23 @@ class RunConfig(_RunConfigFields):
 CONFIG_KEYS = RunConfig._fields
 
 
-def _field_type(key: str) -> tuple[str, bool]:
-    # A field's annotation as its type's name and whether it may be None,
+def _field_type(annotation: Any) -> tuple[str, bool]:
+    # An annotation as its type's name and whether it may be None,
     # ("int", True) for "int | None"; typing may wrap the text in a ForwardRef.
-    kind = _RunConfigFields.__annotations__[key]
-    kind = getattr(kind, "__forward_arg__", kind)
-    name, _, rest = kind.partition(" | ")
-    return name, rest == "None"
+    kind, _, rest = getattr(annotation, "__forward_arg__", annotation).partition(" | ")
+    return kind, rest == "None"
 
+
+# Each field's type, read from its annotation once for check and _parse_value.
+_FIELD_TYPES = {name: _field_type(kind) for name, kind in _RunConfigFields.__annotations__.items()}
 
 # The values each annotation's type name takes; a bool, although an int,
 # stands for neither an int nor a float.
 _TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
-def _has_field_type(key: str, value: Any) -> bool:
-    kind, optional = _field_type(key)
-    if value is None:
-        return optional
-    return isinstance(value, _TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
-
-
 def _parse_value(key: str, raw: str, source: str, line: int) -> Any:
-    kind, optional = _field_type(key)
+    kind, optional = _FIELD_TYPES[key]
     if raw == "" and optional:
         return None
     try:

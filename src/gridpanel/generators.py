@@ -138,8 +138,9 @@ def efficiency_comparison(
     ensemble reports the residual via ``achieved_edges`` alongside the
     requested count.
     Raises ParameterError, before any graph is generated, when no
-    feasible coordination exists or when ``replicates``, ``n_edges`` or
-    ``rewiring_p`` is out of range.
+    feasible coordination exists, when ``replicates``, ``n_edges`` or
+    ``rewiring_p`` is out of range, or when a run parameter is not of
+    its config key's type.
     """
     return _measure_plans([_plan(n_nodes, n_edges, replicates, seed, rewiring_p)], map)[0]
 
@@ -157,6 +158,7 @@ class _Plan(NamedTuple):
 def _plan(n_nodes: int, n_edges: int, replicates: int, seed: int, rewiring_p: float) -> _Plan:
     check("replicates", replicates)
     check("rewiring_p", rewiring_p)
+    check("seed", seed)
     coordination = _lattice_coordination(2 * n_edges / n_nodes) if n_nodes else 0
     if n_nodes < 3 or coordination >= n_nodes:
         raise ParameterError(

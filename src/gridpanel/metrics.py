@@ -524,6 +524,7 @@ def _louvain_levels(g: Graph | AnnualSnapshot, gamma: float, seed: int) -> tuple
     self-weight, every internal edge counted from both ends, and ``k[u]``
     its degree, self-weight included."""
     check("gamma", gamma)
+    check("seed", seed)
     graph = as_graph(g)
     if graph.n_edges == 0:
         raise MetricUndefinedError("community detection needs at least one edge", "no_edges")
@@ -707,9 +708,10 @@ def metric_row(snapshot: AnnualSnapshot, gamma: float = 1.0, seed: int = 42) -> 
     error's ``reason``. Sigma and omega take the reason of their first
     undefined input, the random baselines before the paths before the
     lattice, and are computed only when all their inputs are defined.
-    ``gamma`` is checked first, on an empty year too.
+    ``gamma`` and ``seed`` are checked first, on an empty year too.
     """
     check("gamma", gamma)
+    check("seed", seed)
     graph = snapshot.graph
     n = graph.n_nodes
     values: dict[str, float | int | None] = dict.fromkeys(METRIC_NAMES)

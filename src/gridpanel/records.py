@@ -541,6 +541,8 @@ def _year_range_within(
     end: int | None = None,
 ) -> tuple[int, int]:
     # Every command's range check; a missing end defaults to the span's.
+    check("year_start", start)
+    check("year_end", end)
     start = records.dataset_start if start is None else start
     end = records.dataset_end if end is None else end
     if start > end:

@@ -456,6 +456,26 @@ MUTANTS = [
             "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[voltage_floor_kv--1]",
         ],
     ),
+    # check takes a value of any type, so a library call runs on True for an int.
+    (
+        "src/gridpanel/config.py",
+        "    kind, optional = _FIELD_TYPES[name]",
+        "    return\n    kind, optional = _FIELD_TYPES[name]",
+        [
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[voltage_floor_kv-True]",
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[seed-1.5]",
+        ],
+    ),
+    # The library takes any year bounds, so a float bound escapes as a bare TypeError.
+    (
+        "src/gridpanel/records.py",
+        '    check("year_start", start)\n    check("year_end", end)\n',
+        "",
+        [
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[year_start-2000.5]",
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[year_end-2002.0]",
+        ],
+    ),
     # A failure with more than eight violations does not say how many it left out.
     (
         "src/gridpanel/errors.py",

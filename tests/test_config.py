@@ -23,7 +23,7 @@ from gridpanel import (
     underperformers,
     year_snapshots,
 )
-from gridpanel.config import _format_value, apply_overrides, dump_config, load_config, parse_config_text
+from gridpanel.config import _format_value, apply_overrides, check, dump_config, load_config, parse_config_text
 from gridpanel.motifs import carried_motif_counts
 from gridpanel.records import year_changes
 
@@ -300,12 +300,42 @@ LIBRARY_CALLS = {
         lambda v: year_changes(_records(), voltage_floor_kv=v),
         lambda v: filter_by_voltage(_records(), v),
     ],
+    "year_start": [
+        lambda v: build_panel(_records(), (v, 2005)),
+        lambda v: year_snapshots(_records(), v),
+        lambda v: year_changes(_records(), v),
+    ],
+    "year_end": [
+        lambda v: build_panel(_records(), (2000, v)),
+        lambda v: year_snapshots(_records(), None, v),
+        lambda v: year_changes(_records(), None, v),
+    ],
+    "seed": [
+        lambda v: modularity_detect(_two_triangles(), seed=v),
+        lambda v: metric_row(AnnualSnapshot(2000, 0, _two_triangles()), seed=v),
+        lambda v: metric_row(AnnualSnapshot(2000, 0, Graph([])), seed=v),
+        lambda v: efficiency_comparison(12, 24, 1, seed=v),
+    ],
 }
+
+# Values a domain test, where the parameter has one, lets through, but
+# of another type than the parameter's config key takes.
+WRONG_TYPE = [
+    ("voltage_floor_kv", True),
+    ("voltage_floor_kv", 220.5),
+    ("window", True),
+    ("replicates", True),
+    ("gamma", False),
+    ("rewiring_p", True),
+    ("seed", 1.5),
+    ("year_start", 2000.5),
+    ("year_end", 2002.0),
+]
 
 
 # A config file or flag reads the text "220" as a number; a library call
 # can be given the text itself.
-@pytest.mark.parametrize("key,value", OUT_OF_RANGE + [("voltage_floor_kv", "220")])
+@pytest.mark.parametrize("key,value", OUT_OF_RANGE + [("voltage_floor_kv", "220")] + WRONG_TYPE)
 def test_the_library_rejects_a_value_in_the_words_of_run_config(key, value):
     with pytest.raises(ParameterError) as expected:
         RunConfig(**{key: value})
@@ -313,6 +343,12 @@ def test_the_library_rejects_a_value_in_the_words_of_run_config(key, value):
         with pytest.raises(ParameterError) as exc:
             call(value)
         assert str(exc.value) == str(expected.value)
+
+
+def test_check_rejects_a_name_that_is_no_run_parameter():
+    # A misspelt name in a check call cannot pass every value silently.
+    with pytest.raises(KeyError):
+        check("no_such_parameter", 1)
 
 
 def test_inner_spaces_survive_a_manifest():
