@@ -19,7 +19,7 @@ import os
 import sys
 from functools import partial
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .config import (
@@ -28,7 +28,6 @@ from .config import (
     RunConfig,
     _ascii_number,
     _format_value,
-    apply_overrides,
     dump_config,
     load_config,
 )
@@ -123,14 +122,12 @@ def _add_common_arguments(sub: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = load_config(args.config) if args.config else RunConfig()
-    overrides: dict[str, Any] = {}
-    for key in CONFIG_KEYS:
-        if hasattr(args, key):
-            overrides[key] = getattr(args, key)
-    if overrides.get("chordless_only") is not None:
-        overrides["chordless_only"] = overrides["chordless_only"] == "true"
-    return apply_overrides(config, **overrides)
+    base = load_config(args.config) if args.config else RunConfig()
+    # A flag not given reads None, and a command without the flag has no attribute.
+    given = {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key, None) is not None}
+    if "chordless_only" in given:
+        given["chordless_only"] = given["chordless_only"] == "true"
+    return base._replace(**given)
 
 
 def _load_records(config: RunConfig, loader: Callable[..., AssetRecordSet] = parse_asset_records) -> AssetRecordSet:

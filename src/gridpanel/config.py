@@ -22,7 +22,7 @@ STAR_VARIANTS = ("subgraph", "induced")
 # with everything, fails them.
 _DOMAINS: dict[str, tuple[Callable[[Any], bool], str]] = {
     "gamma": (isfinite, "must be a finite number"),
-    "avg_degree": (isfinite, "must be a finite number"),
+    "avg_degree": (lambda v: not isinstance(v, bool) and isfinite(v), "must be a finite number"),
     "voltage_floor_kv": (lambda v: v >= 0, "must not be negative"),
     "replicates": (lambda v: v >= 1, "must be at least 1"),
     "rewiring_p": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
@@ -93,8 +93,7 @@ class RunConfig(_RunConfigFields):
     """Everything a command needs to run reproducibly.
 
     An immutable named tuple. Every way to build one checks its values:
-    the constructor, ``_make`` and ``_replace``, and so
-    :func:`apply_overrides` too.
+    the constructor, ``_make`` and ``_replace``.
     """
 
     __slots__ = ()
@@ -201,11 +200,3 @@ def dump_config(config: RunConfig, header_lines: tuple[str, ...] = ()) -> str:
     lines.extend(f"{key} = {_format_value(getattr(config, key))}" for key in CONFIG_KEYS)
     return "\n".join(lines) + "\n"
 
-
-def apply_overrides(config: RunConfig, **overrides: Any) -> RunConfig:
-    """Non-None overrides replace config values; unknown names are bugs."""
-    changes = {key: value for key, value in overrides.items() if value is not None}
-    for key in changes:
-        if key not in CONFIG_KEYS:
-            raise ParameterError(f"unknown config field {key!r}")
-    return config._replace(**changes)

@@ -363,6 +363,8 @@ def build_record_set(
     :class:`ParseError`. Records are sorted by identifier so that
     downstream results never depend on input row order.
     """
+    check("year_start", dataset_start)
+    check("year_end", dataset_end)
     # By identifier, then year_in: two stable sorts on one field each,
     # which compare faster than one sort on the pair.
     nodes = sorted(nodes, key=_node_year_in)
@@ -514,11 +516,7 @@ def snapshot_at(records: AssetRecordSet, year: int, voltage_floor_kv: int = 0) -
     collapse to a single edge. Isolated nodes stay in.
     """
     check("voltage_floor_kv", voltage_floor_kv)
-    if not records.dataset_start <= year <= records.dataset_end:
-        raise YearRangeError(
-            f"year {year} is outside the dataset span "
-            f"{records.dataset_start}-{records.dataset_end}"
-        )
+    _year_range_within(records, year, year)
     # Records are read in year_in order up to the first one not yet started.
     nodes, edges = records.by_year_in
     alive_nodes = {

@@ -476,6 +476,44 @@ MUTANTS = [
             "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[year_end-2002.0]",
         ],
     ),
+    # snapshot_at takes any year, so a float year stamps its snapshot and an
+    # out-of-span year gives an empty one.
+    (
+        "src/gridpanel/records.py",
+        "    _year_range_within(records, year, year)\n",
+        "",
+        [
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[year_start-2000.5]",
+            "tests/test_records.py::test_snapshot_outside_span_rejected",
+        ],
+    ),
+    # A bool passes as an average degree, so the lattice reference of True is 0.0.
+    (
+        "src/gridpanel/config.py",
+        '"avg_degree": (lambda v: not isinstance(v, bool) and isfinite(v),',
+        '"avg_degree": (isfinite,',
+        ["tests/test_metrics.py::test_non_finite_average_degree_rejected[10-True]"],
+    ),
+    # A record set takes span bounds of any type, so a float start reaches range().
+    (
+        "src/gridpanel/records.py",
+        '    check("year_start", dataset_start)\n    check("year_end", dataset_end)\n',
+        "",
+        [
+            "tests/test_records.py::test_a_span_bound_of_another_type_is_rejected_in_the_words_of_run_config[dataset_start-year_start-1999.5]",
+            "tests/test_records.py::test_a_span_bound_of_another_type_is_rejected_in_the_words_of_run_config[dataset_end-year_end-True]",
+        ],
+    ),
+    # A nodes file of only a header loads as a record set without stations.
+    (
+        "src/gridpanel/records.py",
+        "    if not nodes:\n",
+        "    if False:\n",
+        [
+            "tests/test_records.py::test_a_nodes_file_of_only_a_header_is_a_parse_error_of_the_file",
+            "tests/test_cli.py::test_validate_exits_two_on_a_nodes_file_of_only_a_header",
+        ],
+    ),
     # A failure with more than eight violations does not say how many it left out.
     (
         "src/gridpanel/errors.py",

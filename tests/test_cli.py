@@ -126,6 +126,14 @@ def test_validate_exits_two_on_an_unreadable_nodes_row(tmp_path, capsys, row):
     assert "n.csv:2: " in capsys.readouterr().err
 
 
+def test_validate_exits_two_on_a_nodes_file_of_only_a_header(tmp_path, capsys):
+    (tmp_path / "n.csv").write_text("node_id,label,voltage_kv,year_in,year_out,lat,lon\n", encoding="utf-8")
+    (tmp_path / "e.csv").write_text("edge_id,node_a,node_b,voltage_kv,circuits,year_in,year_out\n", encoding="utf-8")
+    code = run("validate", "--nodes", str(tmp_path / "n.csv"), "--edges", str(tmp_path / "e.csv"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'n.csv'}: no node records\n"
+
+
 def test_missing_required_inputs_exit_two():
     assert run("panel") == 2
 

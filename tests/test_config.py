@@ -23,7 +23,7 @@ from gridpanel import (
     underperformers,
     year_snapshots,
 )
-from gridpanel.config import _format_value, apply_overrides, check, dump_config, load_config, parse_config_text
+from gridpanel.config import _format_value, check, dump_config, load_config, parse_config_text
 from gridpanel.motifs import carried_motif_counts
 from gridpanel.records import year_changes
 
@@ -144,18 +144,17 @@ def test_header_lines_render_as_comments():
     assert parse_config_text(text, source="hdr") == RunConfig()
 
 
-def test_apply_overrides():
+def test_replace_returns_a_checked_copy():
     cfg = RunConfig()
-    out = apply_overrides(cfg, seed=9, country_tag="nl")
+    out = cfg._replace(seed=9, country_tag="nl")
     assert out.seed == 9
     assert out.country_tag == "nl"
     assert cfg.seed == 42
-    with pytest.raises(ParameterError):
-        apply_overrides(cfg, nope=1)
-    assert apply_overrides(cfg, seed=None).seed == 42
+    with pytest.raises(ValueError, match="nope"):
+        cfg._replace(nope=1)
     for gamma in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ParameterError, match="gamma"):
-            apply_overrides(cfg, gamma=gamma)
+            cfg._replace(gamma=gamma)
 
 
 def test_negative_voltage_floor_rejected():
@@ -164,8 +163,8 @@ def test_negative_voltage_floor_rejected():
     with pytest.raises(ParameterError, match="bad.cfg"):
         parse_config_text("voltage_floor_kv = -5\n", source="bad.cfg")
     with pytest.raises(ParameterError, match="voltage_floor_kv"):
-        apply_overrides(RunConfig(), voltage_floor_kv=-5)
-    assert apply_overrides(RunConfig(), voltage_floor_kv=0).voltage_floor_kv == 0
+        RunConfig()._replace(voltage_floor_kv=-5)
+    assert RunConfig()._replace(voltage_floor_kv=0).voltage_floor_kv == 0
 
 
 OUT_OF_RANGE = [
@@ -196,8 +195,6 @@ def test_out_of_range_run_parameters_rejected(key, value):
     with pytest.raises(ParameterError, match="bad.cfg"):
         parse_config_text(f"{key} = {value}\n", source="bad.cfg")
     with pytest.raises(ParameterError, match=key):
-        apply_overrides(RunConfig(), **{key: value})
-    with pytest.raises(ParameterError, match=key):
         RunConfig()._replace(**{key: value})
 
 
@@ -219,8 +216,6 @@ def test_string_values_a_manifest_cannot_carry_rejected(key, value):
     # so a rerun from the manifest would read a different value or fail.
     with pytest.raises(ParameterError, match=key):
         RunConfig(**{key: value})
-    with pytest.raises(ParameterError, match=key):
-        apply_overrides(RunConfig(), **{key: value})
     with pytest.raises(ParameterError, match=key):
         RunConfig()._replace(**{key: value})
 
@@ -246,8 +241,6 @@ def test_values_of_another_type_than_the_field_rejected(key, value):
     # value of the field's type, or not at all.
     with pytest.raises(ParameterError, match=key):
         RunConfig(**{key: value})
-    with pytest.raises(ParameterError, match=key):
-        apply_overrides(RunConfig(), **{key: value})
     with pytest.raises(ParameterError, match=key):
         RunConfig()._replace(**{key: value})
     text = f"{key} = {_format_value(value)}\n"
@@ -301,14 +294,17 @@ LIBRARY_CALLS = {
         lambda v: filter_by_voltage(_records(), v),
     ],
     "year_start": [
+        lambda v: snapshot_at(_records(), v),
         lambda v: build_panel(_records(), (v, 2005)),
         lambda v: year_snapshots(_records(), v),
         lambda v: year_changes(_records(), v),
+        lambda v: build_record_set([make_node("A", 2000)], [], dataset_start=v),
     ],
     "year_end": [
         lambda v: build_panel(_records(), (2000, v)),
         lambda v: year_snapshots(_records(), None, v),
         lambda v: year_changes(_records(), None, v),
+        lambda v: build_record_set([make_node("A", 2000)], [], dataset_end=v),
     ],
     "seed": [
         lambda v: modularity_detect(_two_triangles(), seed=v),
@@ -329,7 +325,10 @@ WRONG_TYPE = [
     ("rewiring_p", True),
     ("seed", 1.5),
     ("year_start", 2000.5),
+    ("year_start", "2001"),
+    ("year_start", True),
     ("year_end", 2002.0),
+    ("year_end", True),
 ]
 
 

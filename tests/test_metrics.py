@@ -549,11 +549,12 @@ def test_random_reference_guards():
     assert undefined_reason(random_baselines, 100, 0.5) == "avg_degree_not_above_one"
 
 
-@pytest.mark.parametrize("avg_degree", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("avg_degree", [math.nan, math.inf, -math.inf, True, False])
 @pytest.mark.parametrize("n_nodes", [1, 10])
 def test_non_finite_average_degree_rejected(n_nodes, avg_degree):
     # random_baselines(10, nan) returned (nan, nan) and (10, inf) returned
-    # (inf, 0.5); the lattice raised a bare ValueError or OverflowError.
+    # (inf, 0.5); the lattice raised a bare ValueError or OverflowError,
+    # and lattice_clustering(10, True) returned 0.0 as for degree 1.
     with pytest.raises(ParameterError, match="avg_degree"):
         random_baselines(n_nodes, avg_degree)
     with pytest.raises(ParameterError, match="avg_degree"):

@@ -16,8 +16,10 @@ from gridpanel import (
     Graph,
     IntervalError,
     NodeRecord,
+    ParameterError,
     ParseError,
     ReferentialError,
+    RunConfig,
     ValidationFailedError,
     YearRangeError,
     build_panel,
@@ -140,6 +142,28 @@ def test_a_span_is_inferred_only_where_a_bound_is_missing(start, end):
     records = build_record_set(nodes, edges, dataset_start=start, dataset_end=end)
     assert (records.dataset_start, records.dataset_end) == (start or 1985, end or 2024)
 
+
+@pytest.mark.parametrize(
+    "bound,key,value",
+    [("dataset_start", "year_start", 1999.5), ("dataset_start", "year_start", "1999"), ("dataset_end", "year_end", True)],
+)
+def test_a_span_bound_of_another_type_is_rejected_in_the_words_of_run_config(tmp_path, bound, key, value):
+    # The loaders pass the bounds to build_record_set. A float start reached
+    # build_panel's range() as a bare TypeError, and a text start failed the
+    # validator's comparisons the same way.
+    with pytest.raises(ParameterError) as expected:
+        RunConfig(**{key: value})
+    paths = write_role_files(tmp_path)
+    calls = [
+        lambda: load_asset_records(paths["nodes"], paths["edges"], paths["events"], **{bound: value}),
+        lambda: parse_asset_records(paths["nodes"], paths["edges"], paths["events"], **{bound: value}),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError) as exc:
+            call()
+        assert str(exc.value) == str(expected.value)
+
+
 def test_bad_header_reports_file_and_line(tmp_path):
     nodes = write_lines(tmp_path / "n.csv", ["node_id,oops", "A,x"])
     edges = write_lines(
@@ -196,6 +220,14 @@ def test_an_empty_file_is_a_parse_error_on_line_one(tmp_path, role):
     with pytest.raises(ParseError) as exc:
         load_asset_records(paths["nodes"], paths["edges"], paths["events"])
     assert (exc.value.source, exc.value.line, exc.value.message) == (paths[role], 1, "empty file, expected a header row")
+
+
+def test_a_nodes_file_of_only_a_header_is_a_parse_error_of_the_file(tmp_path):
+    paths = write_role_files(tmp_path)
+    Path(paths["nodes"]).write_text(",".join(NODE_HEADER) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_asset_records(paths["nodes"], paths["edges"], paths["events"])
+    assert (exc.value.source, exc.value.line, exc.value.message) == (paths["nodes"], None, "no node records")
 
 
 def test_invalid_utf8_header_is_a_parse_error_on_line_one(tmp_path):
