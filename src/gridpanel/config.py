@@ -33,10 +33,11 @@ _DOMAINS: dict[str, tuple[Callable[[Any], bool], str]] = {
 
 
 def check(name: str, value: Any) -> None:
-    """Raise ``ParameterError`` unless ``value`` is a value of run parameter ``name``.
+    """Raise ``ParameterError`` unless ``value`` is a value of parameter ``name``.
 
-    The parameter's whole rule: its domain where it has one, then, for a
-    RunConfig field, the field's type and the text a manifest can carry.
+    The parameter's whole rule: its domain where it has one, then its
+    type where it has one, and for a RunConfig field the text a manifest
+    can carry.
     """
     if name in _DOMAINS:
         test, rule = _DOMAINS[name]
@@ -46,9 +47,9 @@ def check(name: str, value: Any) -> None:
             inside = False
         if not inside:
             raise ParameterError(f"{name} {rule}, got {value!r}")
-        if name not in _FIELD_TYPES:
+        if name not in _PARAMETER_TYPES:
             return
-    kind, optional = _FIELD_TYPES[name]  # a KeyError for a name that is no run parameter
+    kind, optional = _PARAMETER_TYPES[name]  # a KeyError for a name that is no parameter
     # dump_config writes a value of another type, such as True for an
     # int, as text that reads back as another value or not at all.
     typed = isinstance(value, _TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
@@ -122,8 +123,11 @@ def _field_type(annotation: Any) -> tuple[str, bool]:
     return kind, rest == "None"
 
 
-# Each field's type, read from its annotation once for check and _parse_value.
-_FIELD_TYPES = {name: _field_type(kind) for name, kind in _RunConfigFields.__annotations__.items()}
+# Each parameter's type, for check and _parse_value: a field's, read from
+# its annotation once, and int for the sizes and the snapshot year that
+# only library calls take.
+_PARAMETER_TYPES = {name: _field_type(kind) for name, kind in _RunConfigFields.__annotations__.items()}
+_PARAMETER_TYPES.update(dict.fromkeys(("year", "leaves", "n_nodes", "n_edges", "coordination"), ("int", False)))
 
 # The values each annotation's type name takes; a bool, although an int,
 # stands for neither an int nor a float.
@@ -131,7 +135,7 @@ _TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 def _parse_value(key: str, raw: str, source: str, line: int) -> Any:
-    kind, optional = _FIELD_TYPES[key]
+    kind, optional = _PARAMETER_TYPES[key]
     if raw == "" and optional:
         return None
     try:

@@ -64,6 +64,9 @@ def gen_erdos_renyi(n_nodes: int, n_edges: int, seed: int) -> AnnualSnapshot:
     of node pairs ``(i, j)``, ``i < j``, so the same seed always returns
     the same graph.
     """
+    check("n_nodes", n_nodes)
+    check("n_edges", n_edges)
+    check("seed", seed)
     if n_nodes < 1:
         raise ParameterError(f"need at least one node, got {n_nodes}")
     max_edges = _max_edges(n_nodes, n_edges)
@@ -95,6 +98,7 @@ def gen_watts_strogatz(n_nodes: int, coordination: int, rewiring_p: float, seed:
     """
     _check_coordination(n_nodes, coordination)
     check("rewiring_p", rewiring_p)
+    check("seed", seed)
     rng = random.Random(seed)
     adj: list[set[int]] = [set() for _ in range(n_nodes)]
     for distance in range(1, coordination // 2 + 1):
@@ -139,8 +143,8 @@ def efficiency_comparison(
     requested count.
     Raises ParameterError, before any graph is generated, when no
     feasible coordination exists, when ``replicates``, ``n_edges`` or
-    ``rewiring_p`` is out of range, or when a run parameter is not of
-    its config key's type.
+    ``rewiring_p`` is out of range, when a run parameter is not of its
+    config key's type, or when a size is not an int.
     """
     return _measure_plans([_plan(n_nodes, n_edges, replicates, seed, rewiring_p)], map)[0]
 
@@ -156,6 +160,8 @@ class _Plan(NamedTuple):
 
 
 def _plan(n_nodes: int, n_edges: int, replicates: int, seed: int, rewiring_p: float) -> _Plan:
+    check("n_nodes", n_nodes)
+    check("n_edges", n_edges)
     check("replicates", replicates)
     check("rewiring_p", rewiring_p)
     check("seed", seed)
@@ -240,6 +246,8 @@ def _max_edges(n_nodes: int, n_edges: int) -> int:
 
 
 def _check_coordination(n_nodes: int, coordination: int) -> None:
+    check("n_nodes", n_nodes)
+    check("coordination", coordination)
     if coordination % 2 or coordination < 2:
         raise ParameterError(f"coordination must be even and at least 2, got {coordination}")
     if coordination >= n_nodes:

@@ -598,6 +598,7 @@ def random_baselines(n_nodes: int, avg_degree: float) -> RandomBaselines:
     Clustering: ``k / N``. Path length: ``(ln N - 0.5772) / ln k + 0.5``.
     Defined for at least two nodes and average degree above one.
     """
+    check("n_nodes", n_nodes)
     check("avg_degree", avg_degree)
     if n_nodes < 2:
         raise MetricUndefinedError("random-graph baselines need at least two nodes", "too_few_nodes")
@@ -630,6 +631,7 @@ def lattice_clustering(n_nodes: int, avg_degree: float) -> float:
     are linked around the far side of the ring. Every such ring has one
     clustering, so a ring of ``min(n_nodes, 3k + 1)`` nodes stands in.
     """
+    check("n_nodes", n_nodes)
     check("avg_degree", avg_degree)
     if n_nodes < 3:
         raise MetricUndefinedError("lattice reference needs at least three nodes", "too_few_nodes")

@@ -166,6 +166,7 @@ def count_stars(g: Graph | AnnualSnapshot, leaves: int, *, variant: str = "subgr
     depth-first pass over each center's neighbors that counts the
     unlinked sets of every size up to ``leaves`` on the way.
     """
+    check("leaves", leaves)
     if leaves < 1:
         raise ParameterError(f"a star needs at least one leaf, got {leaves}")
     check("variant", variant)

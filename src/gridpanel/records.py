@@ -131,74 +131,79 @@ class ValidationReport(NamedTuple):
         return "\n".join(str(v) for v in self.violations)
 
 
+class _FieldError(ValueError):
+    """A bad field or an unknown name in a record row: the message alone,
+    which ``_fault`` places at the line the row starts on."""
+
+
 @contextmanager
-def _csv_rows(path: str, header: Sequence[str]) -> Iterator[Iterator[tuple[int, list[str]]]]:
-    # (line, fields) for each non-blank row past the header row, which
-    # must name ``header``; ``line`` is the line the row starts on, which a
-    # quoted field with line breaks moves past the row count. A row of
-    # another width raises. When the block raises ParseError, the rest of
-    # the file is read first and a malformed row there is raised instead.
-    # What the csv module or the UTF-8 decoder cannot read raises
-    # ParseError too.
+def _csv_rows(path: str, header: Sequence[str]) -> Iterator[Iterator[list[str]]]:
+    # The non-blank rows past the header row, which must name ``header``,
+    # as the csv module reads them. The block unpacks each to the header's
+    # width, so a row of another width raises ValueError there, as a
+    # _FieldError and text that is not UTF-8 do. On such an error, or a
+    # row the csv module cannot read, _fault reads the file again to find
+    # the line and what to report.
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(path, None, f"cannot read file: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
-        width = len(header)
-
-        def sized_rows() -> Iterator[tuple[int, list[str]]]:
-            start = reader.line_num + 1
-            for row in reader:
-                line, start = start, reader.line_num + 1
-                if len(row) == width:
-                    yield line, row
-                elif row:
-                    raise ParseError(path, line, f"expected {width} fields, got {len(row)}") from None
-
         try:
             first = next(reader, None)
             if first is None:
                 raise ParseError(path, 1, "empty file, expected a header row")
             if [c.strip() for c in first] != list(header):
                 raise ParseError(path, 1, f"bad header, expected {','.join(header)}")
-            rows = sized_rows()
-            try:
-                yield rows
-            except ParseError:
-                # After a field-count error ``rows`` is spent and reads nothing.
-                for _ in rows:
-                    pass
-                raise
-        except csv.Error as exc:
-            raise ParseError(path, reader.line_num, f"cannot read the row: {exc}") from None
+            yield filter(None, reader)
+        except (ValueError, csv.Error) as exc:
+            raise _fault(path, len(header), reader.line_num, exc) from None
+
+
+def _fault(path: str, width: int, line_num: int, exc: Exception) -> Exception:
+    # What a file that failed to load reports, found by reading it again:
+    # its first malformed row, else the _FieldError ``exc`` at the line
+    # that the row ending on ``line_num`` starts on, which a quoted field
+    # with line breaks moves past the row count. A malformed row has
+    # another width than the header's, or the csv module or the UTF-8
+    # decoder fails on it; the decoder reads ahead of the csv reader, so
+    # the line of its first bad byte is found from the bytes. Any other
+    # exception is returned as it is.
+    line = None
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            next(reader, None)  # the header, checked before
+            start = reader.line_num + 1
+            for row in reader:
+                if row and len(row) != width:
+                    return ParseError(path, start, f"expected {width} fields, got {len(row)}")
+                if reader.line_num == line_num:
+                    line = start
+                start = reader.line_num + 1
+        except csv.Error as error:
+            return ParseError(path, reader.line_num, f"cannot read the row: {error}")
         except UnicodeDecodeError:
-            raise _not_utf8(path) from None
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as error:
+                line = data.count(b"\n", 0, error.start) + 1
+                return ParseError(path, line, f"not UTF-8 text: cannot decode byte {data[error.start]:#04x}")
+    return ParseError(path, line, str(exc)) if isinstance(exc, _FieldError) else exc
 
 
-def _not_utf8(path: str) -> ParseError:
-    # The decoder reads ahead of the csv reader, so the line is found again
-    # from the bytes: the one that holds the first byte UTF-8 cannot decode.
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        return ParseError(path, line, f"not UTF-8 text: cannot decode byte {data[exc.start]:#04x}")
-    return ParseError(path, None, "not UTF-8 text")
-
-
-def _int_field(raw: str, name: str, path: str, line: int) -> int:
+def _int_field(raw: str, name: str) -> int:
     # An optional sign and ASCII digits.
     try:
         return _ascii_number(int, raw.strip())
     except ValueError:
-        raise ParseError(path, line, f"{name} must be an integer, got {raw!r}") from None
+        raise _FieldError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def _year_field(raw: str, name: str, path: str, line: int) -> int:
+def _year_field(raw: str, name: str) -> int:
     # Four ASCII digits: four characters that int() reads as 1000 or more
     # hold neither a sign nor an underscore.
     text = raw.strip()
@@ -208,25 +213,25 @@ def _year_field(raw: str, name: str, path: str, line: int) -> int:
         year = 0
     if 1000 <= year <= 9999 and len(text) == 4 and text.isascii():
         return year
-    _int_field(raw, name, path, line)  # a non-integer gets the integer message
-    raise ParseError(path, line, f"{name} must be a 4-digit year, got {raw!r}")
+    _int_field(raw, name)  # a non-integer gets the integer message
+    raise _FieldError(f"{name} must be a 4-digit year, got {raw!r}")
 
 
-def _opt_year_field(raw: str, name: str, path: str, line: int) -> int | None:
+def _opt_year_field(raw: str, name: str) -> int | None:
     if not raw or raw.isspace():
         return None
-    return _year_field(raw, name, path, line)
+    return _year_field(raw, name)
 
 
-def _opt_float_field(raw: str, name: str, path: str, line: int) -> float | None:
+def _opt_float_field(raw: str, name: str) -> float | None:
     if not raw or raw.isspace():
         return None
     try:
         value = _ascii_number(float, raw)
     except ValueError:
-        raise ParseError(path, line, f"{name} must be a number, got {raw!r}") from None
+        raise _FieldError(f"{name} must be a number, got {raw!r}") from None
     if not isfinite(value):
-        raise ParseError(path, line, f"{name} must be a finite number, got {raw!r}")
+        raise _FieldError(f"{name} must be a finite number, got {raw!r}")
     return value
 
 
@@ -268,20 +273,16 @@ def load_asset_records(
     new = tuple.__new__
     nodes = []
     with _csv_rows(node_file, NODE_HEADER) as rows:
-        for line, (node_id, label, voltage, y_in, y_out, lat, lon) in rows:
+        for node_id, label, voltage, y_in, y_out, lat, lon in rows:
             node_id = node_id.strip()
             if not node_id:
-                raise ParseError(node_file, line, "node_id must not be empty")
+                raise _FieldError("node_id must not be empty")
             node_id = ids.setdefault(node_id, node_id)
-            voltage_kv = ints.get(voltage) or ints.setdefault(voltage, _int_field(voltage, "voltage_kv", node_file, line))
-            year_in = years.get(y_in) or years.setdefault(y_in, _year_field(y_in, "year_in", node_file, line))
-            year_out = (
-                (years.get(y_out) or years.setdefault(y_out, _opt_year_field(y_out, "year_out", node_file, line)))
-                if y_out
-                else None
-            )
-            lat = _opt_float_field(lat, "lat", node_file, line) if lat else None
-            lon = _opt_float_field(lon, "lon", node_file, line) if lon else None
+            voltage_kv = ints.get(voltage) or ints.setdefault(voltage, _int_field(voltage, "voltage_kv"))
+            year_in = years.get(y_in) or years.setdefault(y_in, _year_field(y_in, "year_in"))
+            year_out = (years.get(y_out) or years.setdefault(y_out, _opt_year_field(y_out, "year_out"))) if y_out else None
+            lat = _opt_float_field(lat, "lat") if lat else None
+            lon = _opt_float_field(lon, "lon") if lon else None
             nodes.append(new(NodeRecord, (node_id, label.strip(), voltage_kv, year_in, year_out, lat, lon)))
     if not nodes:
         raise ParseError(node_file, None, "no node records")
@@ -290,18 +291,14 @@ def load_asset_records(
     # after its events are known.
     edge_fields = []
     with _csv_rows(edge_file, EDGE_HEADER) as rows:
-        for line, (edge_id, node_a, node_b, voltage, circuits, y_in, y_out) in rows:
+        for edge_id, node_a, node_b, voltage, circuits, y_in, y_out in rows:
             edge_id = edge_id.strip()
             if not edge_id:
-                raise ParseError(edge_file, line, "edge_id must not be empty")
-            voltage_kv = ints.get(voltage) or ints.setdefault(voltage, _int_field(voltage, "voltage_kv", edge_file, line))
-            n_circuits = ints.get(circuits) or ints.setdefault(circuits, _int_field(circuits, "circuits", edge_file, line))
-            year_in = years.get(y_in) or years.setdefault(y_in, _year_field(y_in, "year_in", edge_file, line))
-            year_out = (
-                (years.get(y_out) or years.setdefault(y_out, _opt_year_field(y_out, "year_out", edge_file, line)))
-                if y_out
-                else None
-            )
+                raise _FieldError("edge_id must not be empty")
+            voltage_kv = ints.get(voltage) or ints.setdefault(voltage, _int_field(voltage, "voltage_kv"))
+            n_circuits = ints.get(circuits) or ints.setdefault(circuits, _int_field(circuits, "circuits"))
+            year_in = years.get(y_in) or years.setdefault(y_in, _year_field(y_in, "year_in"))
+            year_out = (years.get(y_out) or years.setdefault(y_out, _opt_year_field(y_out, "year_out"))) if y_out else None
             node_a = ids.get(node_a) or ids.setdefault(node_a, ids.get(node_a.strip(), node_a.strip()))
             node_b = ids.get(node_b) or ids.setdefault(node_b, ids.get(node_b.strip(), node_b.strip()))
             edge_fields.append((edge_id, node_a, node_b, voltage_kv, year_in, year_out, n_circuits))
@@ -315,7 +312,7 @@ def load_asset_records(
         # ChangeEvent: one value per distinct year and kind.
         shared: dict[tuple[str, str], ChangeEvent] = {}
         with _csv_rows(event_file, EVENT_HEADER) as rows:
-            for line, (edge_id, year, kind) in rows:
+            for edge_id, year, kind in rows:
                 event = shared.get((year, kind))
                 edge = known.get(edge_id)
                 if event is None or edge is None:
@@ -323,15 +320,15 @@ def load_asset_records(
                     # year are checked, in that order.
                     name = kind.strip()
                     if name not in EVENT_KINDS:
-                        raise ParseError(event_file, line, f"kind must be one of {', '.join(EVENT_KINDS)}, got {name!r}")
+                        raise _FieldError(f"kind must be one of {', '.join(EVENT_KINDS)}, got {name!r}")
                     edge = edge_id.strip()
                     if edge not in known:
-                        raise ParseError(event_file, line, f"event for unknown edge_id {edge!r}")
+                        raise _FieldError(f"event for unknown edge_id {edge!r}")
                     known[edge_id] = edge
                     if event is None:
                         text = year.strip()
                         event = shared.get((text, name)) or shared.setdefault(
-                            (text, name), ChangeEvent(_year_field(text, "year", event_file, line), name)
+                            (text, name), ChangeEvent(_year_field(text, "year"), name)
                         )
                         shared[year, kind] = event
                 by_edge.setdefault(edge, []).append(event)
@@ -517,6 +514,7 @@ def snapshot_at(records: AssetRecordSet, year: int, voltage_floor_kv: int = 0) -
     """
     check("voltage_floor_kv", voltage_floor_kv)
     _year_range_within(records, year, year)
+    check("year", year)  # None, which a range bound may be, too
     # Records are read in year_in order up to the first one not yet started.
     nodes, edges = records.by_year_in
     alive_nodes = {

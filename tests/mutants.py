@@ -52,6 +52,7 @@ LOADER_TESTS = [
     "tests/test_records.py::test_loader_equals_the_oracle_on_repeated_event_texts",
     "tests/test_records.py::test_a_malformed_row_is_reported_before_an_earlier_bad_field",
     "tests/test_records.py::test_errors_name_the_line_a_record_starts_on",
+    "tests/test_records.py::test_a_bad_field_in_a_record_over_two_lines_is_reported_where_it_starts",
     "tests/test_records.py::test_property_loader_equals_the_oracle",
 ]
 WINDOW_TESTS = [
@@ -345,15 +346,30 @@ MUTANTS = [
     # After a bad field the rest of the file is not scanned for a malformed row.
     (
         "src/gridpanel/records.py",
-        "                for _ in rows:\n                    pass\n",
-        "",
+        "                    line = start\n",
+        "                    return ParseError(path, start, str(exc))\n",
+        LOADER_TESTS,
+    ),
+    # A bad field is reported before the file is scanned for a malformed row.
+    (
+        "src/gridpanel/records.py",
+        "    line = None\n    with open(",
+        "    if isinstance(exc, _FieldError):\n        return ParseError(path, line_num, str(exc))\n"
+        "    line = None\n    with open(",
         LOADER_TESTS,
     ),
     # A row's line number counts records, not the lines a quoted field spans.
     (
         "src/gridpanel/records.py",
-        "line, start = start, reader.line_num + 1",
-        "line, start = start, start + 1",
+        "                    line = start\n                start = reader.line_num + 1\n",
+        "                    line = start\n                start += 1\n",
+        LOADER_TESTS,
+    ),
+    # A bad field is reported at the line its row ends on.
+    (
+        "src/gridpanel/records.py",
+        "                    line = start\n",
+        "                    line = line_num\n",
         LOADER_TESTS,
     ),
     # An edge's events are sorted by kind first.
@@ -366,8 +382,8 @@ MUTANTS = [
     # A station's year_in reads the memo of integer fields.
     (
         "src/gridpanel/records.py",
-        'years.get(y_in) or years.setdefault(y_in, _year_field(y_in, "year_in", node_file, line))',
-        'ints.get(y_in) or ints.setdefault(y_in, _year_field(y_in, "year_in", node_file, line))',
+        '"voltage_kv"))\n            year_in = years.get(y_in) or years.setdefault(y_in, _year_field(y_in, "year_in"))',
+        '"voltage_kv"))\n            year_in = ints.get(y_in) or ints.setdefault(y_in, _year_field(y_in, "year_in"))',
         LOADER_TESTS,
     ),
     # An edge endpoint keeps its own text rather than the station's identifier string.
@@ -459,8 +475,8 @@ MUTANTS = [
     # check takes a value of any type, so a library call runs on True for an int.
     (
         "src/gridpanel/config.py",
-        "    kind, optional = _FIELD_TYPES[name]",
-        "    return\n    kind, optional = _FIELD_TYPES[name]",
+        "    kind, optional = _PARAMETER_TYPES[name]",
+        "    return\n    kind, optional = _PARAMETER_TYPES[name]",
         [
             "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[voltage_floor_kv-True]",
             "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[seed-1.5]",
@@ -513,6 +529,86 @@ MUTANTS = [
             "tests/test_records.py::test_a_nodes_file_of_only_a_header_is_a_parse_error_of_the_file",
             "tests/test_cli.py::test_validate_exits_two_on_a_nodes_file_of_only_a_header",
         ],
+    ),
+    # snapshot_at takes None for its year, and bisect compares it with a year.
+    (
+        "src/gridpanel/records.py",
+        '    check("year", year)',
+        "    pass",
+        ["tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[year-None]"],
+    ),
+    # A star size of any type is taken, so True counts the one-leaf stars.
+    (
+        "src/gridpanel/motifs.py",
+        '    check("leaves", leaves)\n',
+        "",
+        [
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[leaves-True]",
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[leaves-2.0]",
+        ],
+    ),
+    # gen_erdos_renyi seeds its generator with whatever it is given.
+    (
+        "src/gridpanel/generators.py",
+        '    check("n_edges", n_edges)\n    check("seed", seed)\n',
+        '    check("n_edges", n_edges)\n',
+        [
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[seed-1.5]",
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[seed-True]",
+        ],
+    ),
+    # gen_watts_strogatz seeds its generator with whatever it is given.
+    (
+        "src/gridpanel/generators.py",
+        '    check("rewiring_p", rewiring_p)\n    check("seed", seed)\n    rng',
+        '    check("rewiring_p", rewiring_p)\n    rng',
+        [
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[seed-1.5]",
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[seed-True]",
+        ],
+    ),
+    # gen_erdos_renyi takes sizes of any type, so a bool edge count builds a graph.
+    (
+        "src/gridpanel/generators.py",
+        '    check("n_nodes", n_nodes)\n    check("n_edges", n_edges)\n    check("seed", seed)\n',
+        '    check("seed", seed)\n',
+        [
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[n_nodes-10.0]",
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[n_edges-True]",
+        ],
+    ),
+    # The ring-lattice families take a node count or coordination of any type.
+    (
+        "src/gridpanel/generators.py",
+        '    check("n_nodes", n_nodes)\n    check("coordination", coordination)\n',
+        "",
+        [
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[n_nodes-10.0]",
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[coordination-2.0]",
+        ],
+    ),
+    # efficiency_comparison takes sizes of any type, so a float edge count is reported in its specs.
+    (
+        "src/gridpanel/generators.py",
+        '    check("n_nodes", n_nodes)\n    check("n_edges", n_edges)\n    check("replicates", replicates)\n',
+        '    check("replicates", replicates)\n',
+        [
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[n_nodes-10.0]",
+            "tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[n_edges-12.0]",
+        ],
+    ),
+    # The random-graph and lattice references take a node count of any type.
+    (
+        "src/gridpanel/metrics.py",
+        '    check("n_nodes", n_nodes)\n    check("avg_degree", avg_degree)\n    if n_nodes < 2:',
+        '    check("avg_degree", avg_degree)\n    if n_nodes < 2:',
+        ["tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[n_nodes-10.5]"],
+    ),
+    (
+        "src/gridpanel/metrics.py",
+        '    check("n_nodes", n_nodes)\n    check("avg_degree", avg_degree)\n    if n_nodes < 3:',
+        '    check("avg_degree", avg_degree)\n    if n_nodes < 3:',
+        ["tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[n_nodes-10.5]"],
     ),
     # A failure with more than eight violations does not say how many it left out.
     (

@@ -18,20 +18,27 @@ from math import comb, floor, inf, ldexp, nextafter, sqrt, ulp
 import numpy as np
 
 from gridpanel import ChangeEvent, EdgeRecord, Graph, NodeRecord, ParseError, build_record_set
+from gridpanel import records as loader
 from gridpanel.metrics import METRIC_NAMES
-from gridpanel.records import (
-    EDGE_HEADER,
-    EVENT_HEADER,
-    EVENT_KINDS,
-    NODE_HEADER,
-    ValidationReport,
-    Violation,
-    _int_field,
-    _opt_float_field,
-    _opt_year_field,
-    _year_field,
-)
+from gridpanel.records import EDGE_HEADER, EVENT_HEADER, EVENT_KINDS, NODE_HEADER, ValidationReport, Violation
 from gridpanel.temporal import LifetimeRecord
+
+
+def _at_line(helper):
+    # A package field helper whose error is placed at the file and line
+    # the oracle passes, as its own checks place theirs.
+    def parse(raw: str, name: str, path: str, line: int):
+        try:
+            return helper(raw, name)
+        except loader._FieldError as exc:
+            raise ParseError(path, line, str(exc)) from None
+
+    return parse
+
+
+_int_field, _year_field, _opt_year_field, _opt_float_field = map(
+    _at_line, (loader._int_field, loader._year_field, loader._opt_year_field, loader._opt_float_field)
+)
 
 
 def index_of(graph) -> dict:

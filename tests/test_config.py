@@ -13,6 +13,8 @@ from gridpanel import (
     count_stars,
     efficiency_comparison,
     filter_by_voltage,
+    gen_erdos_renyi,
+    gen_ring_lattice,
     gen_watts_strogatz,
     metric_row,
     modularity_detect,
@@ -23,7 +25,8 @@ from gridpanel import (
     underperformers,
     year_snapshots,
 )
-from gridpanel.config import _format_value, check, dump_config, load_config, parse_config_text
+from gridpanel.config import CONFIG_KEYS, _format_value, check, dump_config, load_config, parse_config_text
+from gridpanel.metrics import lattice_clustering, random_baselines
 from gridpanel.motifs import carried_motif_counts
 from gridpanel.records import year_changes
 
@@ -311,7 +314,22 @@ LIBRARY_CALLS = {
         lambda v: metric_row(AnnualSnapshot(2000, 0, _two_triangles()), seed=v),
         lambda v: metric_row(AnnualSnapshot(2000, 0, Graph([])), seed=v),
         lambda v: efficiency_comparison(12, 24, 1, seed=v),
+        lambda v: gen_erdos_renyi(10, 3, v),
+        lambda v: gen_watts_strogatz(10, 2, 0.1, v),
     ],
+    # Parameters that only library calls take.
+    "year": [lambda v: snapshot_at(_records(), v)],
+    "leaves": [lambda v: count_stars(_two_triangles(), v)],
+    "n_nodes": [
+        lambda v: gen_erdos_renyi(v, 3, 1),
+        lambda v: gen_ring_lattice(v, 2),
+        lambda v: gen_watts_strogatz(v, 2, 0.1, 1),
+        lambda v: efficiency_comparison(v, 12, 2, 1),
+        lambda v: lattice_clustering(v, 2.0),
+        lambda v: random_baselines(v, 3.0),
+    ],
+    "n_edges": [lambda v: gen_erdos_renyi(10, v, 1), lambda v: efficiency_comparison(12, v, 1, 1)],
+    "coordination": [lambda v: gen_ring_lattice(10, v), lambda v: gen_watts_strogatz(10, v, 0.1, 1)],
 }
 
 # Values a domain test, where the parameter has one, lets through, but
@@ -329,6 +347,15 @@ WRONG_TYPE = [
     ("year_start", True),
     ("year_end", 2002.0),
     ("year_end", True),
+    ("seed", True),
+    ("year", None),
+    ("leaves", True),
+    ("leaves", 2.0),
+    ("n_nodes", 10.0),
+    ("n_nodes", 10.5),
+    ("n_edges", True),
+    ("n_edges", 12.0),
+    ("coordination", 2.0),
 ]
 
 
@@ -336,12 +363,16 @@ WRONG_TYPE = [
 # can be given the text itself.
 @pytest.mark.parametrize("key,value", OUT_OF_RANGE + [("voltage_floor_kv", "220")] + WRONG_TYPE)
 def test_the_library_rejects_a_value_in_the_words_of_run_config(key, value):
-    with pytest.raises(ParameterError) as expected:
-        RunConfig(**{key: value})
+    # A parameter that no RunConfig field holds is an int, in check's words.
+    words = f"{key} must be of type int, got {value!r}"
+    if key in CONFIG_KEYS:
+        with pytest.raises(ParameterError) as expected:
+            RunConfig(**{key: value})
+        words = str(expected.value)
     for call in LIBRARY_CALLS[key]:
         with pytest.raises(ParameterError) as exc:
             call(value)
-        assert str(exc.value) == str(expected.value)
+        assert str(exc.value) == words
 
 
 def test_check_rejects_a_name_that_is_no_run_parameter():

@@ -547,6 +547,32 @@ def test_an_unreadable_row_below_a_bad_field_is_reported(tmp_path, file):
     assert load_outcome(load_asset_records, files) == load_outcome(records_by_rows, files) == expected
 
 
+@pytest.mark.parametrize("copies", [0, 1000])
+@pytest.mark.parametrize("file", sorted(HEADERS))
+def test_a_byte_that_is_not_utf8_below_a_bad_field_is_reported(tmp_path, file, copies):
+    # A bad field on line 2 and a byte that is not UTF-8 on the last line.
+    # The decoder reads ahead of the csv reader: with no copies of the
+    # clean rows between them it fails before the field is read, with a
+    # thousand, tens of kilobytes on, only after the bad field was.
+    rows = clean_rows()
+    rows[file][0][-2] = "soon"
+    rows[file] += rows[file][1:] * copies
+    files = write_rows(tmp_path, rows)
+    with open(tmp_path / file, "ab") as handle:
+        handle.write(b"A\xff" + b"," * (len(HEADERS[file]) - 1) + b"\n")
+    line = len(rows[file]) + 2
+    expected = (ParseError, f"{tmp_path / file}:{line}: not UTF-8 text: cannot decode byte 0xff")
+    assert load_outcome(load_asset_records, files) == expected
+
+
+def test_a_bad_field_in_a_record_over_two_lines_is_reported_where_it_starts(tmp_path):
+    # The first record's quoted label spans lines 2-3 and holds a bad year.
+    nodes = write_lines(tmp_path / "nodes.csv", [",".join(NODE_HEADER), 'A,"two', 'lines",220,soon,,,', "B,b,220,1960,,,"])
+    edges = write_lines(tmp_path / "edges.csv", [",".join(EDGE_HEADER)])
+    expected = (ParseError, f"{nodes}:2: year_in must be an integer, got 'soon'")
+    assert load_outcome(load_asset_records, (nodes, edges)) == load_outcome(records_by_rows, (nodes, edges)) == expected
+
+
 odd_texts = st.text(alphabet="0123456789 +-_.\teEnaif١\n", max_size=6)
 years = st.sampled_from(["1960", "1961", "1975", " 1960"])
 end_years = st.sampled_from(["", "1990", "1975", " "])
