@@ -174,26 +174,9 @@ def _plan(n_nodes: int, n_edges: int, replicates: int, seed: int, rewiring_p: fl
     _max_edges(n_nodes, n_edges)
     matched_edges = n_nodes * coordination // 2
 
-    specs = (
-        BaselineSpec("erdos_renyi", n_nodes, n_edges=n_edges, replicates=replicates, seed=seed),
-        BaselineSpec(
-            "watts_strogatz",
-            n_nodes,
-            n_edges=n_edges,
-            coordination=coordination,
-            rewiring_p=rewiring_p,
-            replicates=replicates,
-            seed=seed,
-        ),
-        BaselineSpec(
-            "ring_lattice",
-            n_nodes,
-            n_edges=n_edges,
-            coordination=coordination,
-            replicates=replicates,
-            seed=seed,
-        ),
-    )
+    er = BaselineSpec("erdos_renyi", n_nodes, n_edges=n_edges, replicates=replicates, seed=seed)
+    ws = er._replace(family="watts_strogatz", coordination=coordination, rewiring_p=rewiring_p)
+    specs = (er, ws, ws._replace(family="ring_lattice", rewiring_p=None))
     jobs = [
         (gen_erdos_renyi, (n_nodes, matched_edges, child)) for child in _child_seeds(seed, "erdos_renyi", replicates)
     ]

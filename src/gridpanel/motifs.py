@@ -152,6 +152,7 @@ def count_four_cycles(g: Graph | AnnualSnapshot, *, chordless_only: bool = True)
     subtracts the linked pairs among their common neighbours, which is
     exactly the induced-cycle condition.
     """
+    check("chordless_only", chordless_only)
     rows = as_graph(g).neighbor_rows()
     _, cycles = _pair_sums(rows, _wedges(rows), chordless_only)
     return cycles // 2
@@ -199,6 +200,7 @@ def motif_counts(
 ) -> MotifCounts:
     """All four motif counts for one graph or snapshot, with triangles
     and 4-cycles read from one wedge count."""
+    check("chordless_only", chordless_only)
     check("variant", variant)
     year = g.year if isinstance(g, AnnualSnapshot) else 0
     rows = as_graph(g).neighbor_rows()
@@ -237,8 +239,9 @@ def carried_motif_counts(
     A year whose set's size times ``RECOUNT_SHARE`` is at least its
     graph's station count is recounted from scratch by
     :func:`motif_counts` instead, and so is the first year. Both ways give the same counts; the
-    rule only picks the cheaper one. The variant is checked on the call.
+    rule only picks the cheaper one. Both options are checked on the call.
     """
+    check("chordless_only", chordless_only)
     check("variant", variant)
     return _carry(years, chordless_only, variant)
 

@@ -722,10 +722,4 @@ def filter_by_voltage(records: AssetRecordSet, voltage_floor_kv: int) -> AssetRe
         for rec in records.edges
         if rec.voltage_kv >= voltage_floor_kv and rec.node_a in kept and rec.node_b in kept
     )
-    return AssetRecordSet(
-        nodes=nodes,
-        edges=edges,
-        dataset_start=records.dataset_start,
-        dataset_end=records.dataset_end,
-        country_tag=records.country_tag,
-    )
+    return records._replace(nodes=nodes, edges=edges)

@@ -9,9 +9,10 @@ lower bound given by the observation window.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import lcm
-from operator import itemgetter
-from typing import NamedTuple, Sequence
+from operator import add, itemgetter, sub
+from typing import Iterable, NamedTuple, Sequence
 
 from .config import check
 from .errors import ParameterError, YearRangeError
@@ -140,66 +141,56 @@ def moving_average(values: Sequence[float | None], window: int = 5) -> list[floa
 def annual_change_rates(records: AssetRecordSet, *, window: int = 5) -> ChangeRateSeries:
     """Commissioning, decommissioning and change activity per year.
 
-    Topological changes are all dated events plus decommissionings; a
-    decommission recorded both as an event and as ``year_out`` counts
-    once. Counts respect the stock balance: lines in operation change
-    from one year to the next by new lines minus decommissions.
+    Topological changes are all dated events plus decommissionings;
+    decommission events count once a year, and not in ``year_out``,
+    where the decommission itself counts. Counts respect the stock
+    balance: lines in operation change from one year to the next by new
+    lines minus decommissions.
     Edges commissioned or retired outside the dataset span raise
     :class:`YearRangeError`; events outside it are ignored.
     """
+    # Counts keyed by the span's years, so a year outside it has no key.
     start, end = records.dataset_start, records.dataset_end
-    n_years = end - start + 1
-    alive_delta = [0] * (n_years + 1)
-    new_lines = [0] * n_years
-    decommissions = [0] * n_years
-    changes = [0] * n_years
+    years = range(start, end + 1)
+    new_lines = dict.fromkeys(years, 0)
+    decommissions = dict.fromkeys(years, 0)
+    events = dict.fromkeys(years, 0)
+    ends = {None, *years}  # a line still in service has no year_out
 
-    for rec in records.edges:
-        for year in (rec.year_in, rec.year_out):
-            if year is not None and not start <= year <= end:
-                raise YearRangeError(
-                    f"edge {rec.edge_id} has year {year} outside the dataset span {start}-{end}"
-                )
-        first = rec.year_in - start
-        new_lines[first] += 1
-        alive_delta[first] += 1
-        if rec.year_out is not None:
-            last = rec.year_out - start
-            alive_delta[last] -= 1
-            decommissions[last] += 1
-            changes[last] += 1
-        decom_years = set()
-        for ev in rec.events:
-            if ev.kind == "decommission":
-                # already counted through year_out when the two agree
-                if ev.year != rec.year_out and 0 <= ev.year - start < n_years:
-                    decom_years.add(ev.year)
-                continue
-            if 0 <= ev.year - start < n_years:
-                changes[ev.year - start] += 1
-        for year in decom_years:
-            changes[year - start] += 1
+    for edge_id, _, _, _, year_in, year_out, _, dated in records.edges:
+        if year_in not in new_lines or year_out not in ends:
+            year = year_out if year_in in new_lines else year_in
+            raise YearRangeError(f"edge {edge_id} has year {year} outside the dataset span {start}-{end}")
+        new_lines[year_in] += 1
+        if year_out is not None:
+            decommissions[year_out] += 1
+        if dated:
+            counted = {year_out}  # the years whose decommission has counted
+            for year, kind in dated:
+                if kind == "decommission":
+                    if year in counted:
+                        continue
+                    counted.add(year)
+                if year in events:
+                    events[year] += 1
 
-    in_operation = []
-    running = 0
-    for i in range(n_years):
-        running += alive_delta[i]
-        in_operation.append(running)
+    in_operation = tuple(accumulate(map(sub, new_lines.values(), decommissions.values())))
+    changes = tuple(map(add, events.values(), decommissions.values()))
 
-    def relative(counts: list[int]) -> list[float | None]:
+    def relative(counts: Iterable[int]) -> list[float | None]:
         return [
             count / stock if stock > 0 else None
             for count, stock in zip(counts, in_operation)
         ]
 
-    new_rel = relative(new_lines)
+    new_rel = relative(new_lines.values())
     changes_rel = relative(changes)
     return ChangeRateSeries(
-        years=tuple(range(start, end + 1)),
-        lines_in_operation=tuple(in_operation),
-        new_lines=tuple(new_lines),
-        decommissions=tuple(decommissions),
-        topological_changes=tuple(changes),
+        years=tuple(years),
+        lines_in_operation=in_operation,
+        new_lines=tuple(new_lines.values()),
+        decommissions=tuple(decommissions.values()),
+        topological_changes=changes,
         new_lines_relative=tuple(new_rel),
         changes_relative=tuple(changes_rel),
         new_lines_relative_smooth=tuple(moving_average(new_rel, window)),

@@ -72,6 +72,11 @@ LIFETIME_TESTS = [
     "tests/test_temporal.py::test_lifetimes_equal_the_oracle_on_the_fixtures",
     "tests/test_temporal.py::test_property_lifetimes_equal_the_oracle",
 ]
+CHANGE_RATE_TESTS = [
+    "tests/test_temporal.py::test_change_rates_equal_the_oracle_on_the_fixtures",
+    "tests/test_temporal.py::test_change_rates_equal_the_oracle_on_every_event_rule",
+    "tests/test_temporal.py::test_property_change_rates_equal_the_oracle",
+]
 
 # (file, old text, new text, test ids)
 MUTANTS = [
@@ -298,6 +303,13 @@ MUTANTS = [
         "    jobs.insert(0, (gen_ring_lattice, (n_nodes, coordination)))\n",
         ["tests/test_generators.py::test_efficiency_ordering_random_above_rewired_above_ring", *GOLDEN_TESTS],
     ),
+    # The lattice spec keeps the Watts-Strogatz rewiring probability.
+    (
+        "src/gridpanel/generators.py",
+        'ws._replace(family="ring_lattice", rewiring_p=None)',
+        'ws._replace(family="ring_lattice")',
+        ["tests/test_generators.py::test_each_family_spec_holds_its_own_generation_parameters"],
+    ),
     # efficiency_comparison spreads its jobs over the CPUs.
     (
         "src/gridpanel/generators.py",
@@ -455,6 +467,34 @@ MUTANTS = [
         "if first_change is None or year < first_change:",
         LIFETIME_TESTS,
     ),
+    # A decommission event in year_out counts again.
+    (
+        "src/gridpanel/temporal.py",
+        "counted = {year_out}",
+        "counted = set()",
+        CHANGE_RATE_TESTS,
+    ),
+    # Decommission events count once each, not once a year.
+    (
+        "src/gridpanel/temporal.py",
+        "                    if year in counted:\n                        continue\n                    counted.add(year)\n",
+        "                    if year == year_out:\n                        continue\n",
+        CHANGE_RATE_TESTS,
+    ),
+    # A line with both years outside the span is reported by its year_out.
+    (
+        "src/gridpanel/temporal.py",
+        "year = year_out if year_in in new_lines else year_in",
+        "year = year_out if year_out not in ends else year_in",
+        ["tests/test_temporal.py::test_change_rates_reject_edges_outside_the_span[1955-1960]"],
+    ),
+    # The stock counts every line ever commissioned.
+    (
+        "src/gridpanel/temporal.py",
+        "accumulate(map(sub, new_lines.values(), decommissions.values()))",
+        "accumulate(new_lines.values())",
+        CHANGE_RATE_TESTS,
+    ),
     # A record validation failure exits 2, as an I/O or parameter problem does.
     (
         "src/gridpanel/cli.py",
@@ -609,6 +649,13 @@ MUTANTS = [
         '    check("n_nodes", n_nodes)\n    check("avg_degree", avg_degree)\n    if n_nodes < 3:',
         '    check("avg_degree", avg_degree)\n    if n_nodes < 3:',
         ["tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[n_nodes-10.5]"],
+    ),
+    # motif_counts takes any value for chordless_only.
+    (
+        "src/gridpanel/motifs.py",
+        '    check("chordless_only", chordless_only)\n    check("variant", variant)\n    year =',
+        '    check("variant", variant)\n    year =',
+        ["tests/test_config.py::test_the_library_rejects_a_value_in_the_words_of_run_config[chordless_only-no]"],
     ),
     # A failure with more than eight violations does not say how many it left out.
     (

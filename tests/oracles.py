@@ -17,11 +17,11 @@ from math import comb, floor, inf, ldexp, nextafter, sqrt, ulp
 
 import numpy as np
 
-from gridpanel import ChangeEvent, EdgeRecord, Graph, NodeRecord, ParseError, build_record_set
+from gridpanel import ChangeEvent, EdgeRecord, Graph, NodeRecord, ParseError, YearRangeError, build_record_set
 from gridpanel import records as loader
 from gridpanel.metrics import METRIC_NAMES
 from gridpanel.records import EDGE_HEADER, EVENT_HEADER, EVENT_KINDS, NODE_HEADER, ValidationReport, Violation
-from gridpanel.temporal import LifetimeRecord
+from gridpanel.temporal import ChangeRateSeries, LifetimeRecord
 
 
 def _at_line(helper):
@@ -666,3 +666,58 @@ def lifetimes_by_rule(records, change_kinds) -> list:
             )
         )
     return sorted(out, key=lambda rec: (rec.year_commissioned, rec.edge_id))
+
+
+def change_rates_by_rule(records, window: int) -> ChangeRateSeries:
+    """``annual_change_rates`` from its definitions, one year at a time.
+
+    In each year of the span: the lines in operation are those
+    commissioned by then less those retired by then, which for a life
+    that runs forward are the lines in service that year; the new lines
+    and decommissions are the lines whose ``year_in`` or ``year_out`` is
+    that year; the topological changes are the decommissions, the events
+    of other kinds dated that year, and each line's decommission events
+    of that year, once, unless the year is its ``year_out``. Each
+    relative rate is the exact ratio to the lines in operation, rounded
+    once, where there are any; the smoothed ones are
+    ``moving_average_by_fractions`` of those. The first line with a year
+    outside the span raises ``YearRangeError``."""
+    start, end = records.dataset_start, records.dataset_end
+    for edge in records.edges:
+        for year in (edge.year_in, edge.year_out):
+            if year is not None and not start <= year <= end:
+                raise YearRangeError(f"edge {edge.edge_id} has year {year} outside the dataset span {start}-{end}")
+    years = list(range(start, end + 1))
+    edges = records.edges
+    in_operation = [
+        sum(edge.year_in <= year for edge in edges)
+        - sum(edge.year_out is not None and edge.year_out <= year for edge in edges)
+        for year in years
+    ]
+    new_lines = [sum(edge.year_in == year for edge in edges) for year in years]
+    decommissions = [sum(edge.year_out == year for edge in edges) for year in years]
+    changes = [
+        decommissions[i]
+        + sum(event.year == year and event.kind != "decommission" for edge in edges for event in edge.events)
+        + sum(
+            year != edge.year_out and any(event == (year, "decommission") for event in edge.events)
+            for edge in edges
+        )
+        for i, year in enumerate(years)
+    ]
+
+    def relative(counts):
+        return [float(Fraction(count, stock)) if stock > 0 else None for count, stock in zip(counts, in_operation)]
+
+    new_rel, changes_rel = relative(new_lines), relative(changes)
+    return ChangeRateSeries(
+        years=tuple(years),
+        lines_in_operation=tuple(in_operation),
+        new_lines=tuple(new_lines),
+        decommissions=tuple(decommissions),
+        topological_changes=tuple(changes),
+        new_lines_relative=tuple(new_rel),
+        changes_relative=tuple(changes_rel),
+        new_lines_relative_smooth=tuple(moving_average_by_fractions(new_rel, window)),
+        changes_relative_smooth=tuple(moving_average_by_fractions(changes_rel, window)),
+    )

@@ -10,6 +10,7 @@ from gridpanel import (
     annual_change_rates,
     build_panel,
     build_record_set,
+    count_four_cycles,
     count_stars,
     efficiency_comparison,
     filter_by_voltage,
@@ -284,6 +285,11 @@ LIBRARY_CALLS = {
     ],
     "window": [lambda v: moving_average([1.0, 2.0], v), lambda v: annual_change_rates(_records(), window=v)],
     "threshold": [lambda v: underperformers([], v)],
+    "chordless_only": [
+        lambda v: count_four_cycles(_two_triangles(), chordless_only=v),
+        lambda v: motif_counts(_two_triangles(), chordless_only=v),
+        lambda v: carried_motif_counts([], chordless_only=v),
+    ],
     "variant": [
         lambda v: motif_counts(_two_triangles(), variant=v),
         lambda v: count_stars(_two_triangles(), 3, variant=v),
@@ -356,6 +362,10 @@ WRONG_TYPE = [
     ("n_edges", True),
     ("n_edges", 12.0),
     ("coordination", 2.0),
+    ("chordless_only", "no"),
+    ("chordless_only", 1),
+    ("chordless_only", None),
+    ("chordless_only", 0),
 ]
 
 

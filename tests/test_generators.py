@@ -172,6 +172,18 @@ def test_efficiency_comparison_matches_edges_across_families():
     assert efficiency_comparison(60, 150, replicates=1, seed=21)["ring_lattice"].achieved_edges == 180
 
 
+def test_each_family_spec_holds_its_own_generation_parameters():
+    # The lattice has no rewiring and the random graphs no coordination.
+    result = efficiency_comparison(60, 90, replicates=3, seed=21, rewiring_p=0.25)
+    assert {family: ensemble.spec for family, ensemble in result.items()} == {
+        "erdos_renyi": BaselineSpec("erdos_renyi", 60, n_edges=90, replicates=3, seed=21),
+        "watts_strogatz": BaselineSpec(
+            "watts_strogatz", 60, n_edges=90, coordination=4, rewiring_p=0.25, replicates=3, seed=21
+        ),
+        "ring_lattice": BaselineSpec("ring_lattice", 60, n_edges=90, coordination=4, replicates=3, seed=21),
+    }
+
+
 def test_efficiency_ordering_random_above_rewired_above_ring():
     result = efficiency_comparison(60, 90, replicates=50, seed=33)
     er = result["erdos_renyi"].mean["efficiency"]

@@ -128,6 +128,8 @@ def assert_lifetimes_equal_the_oracle(records, change_kinds):
 
 
 CHANGE_KIND_SETS = [MAJOR_CHANGE_KINDS, ("other",), ()]
+# The thorough profile (tests/conftest.py) raises this for a deep run.
+ORACLE_EXAMPLES = max(200, settings.default.max_examples)
 
 
 @pytest.mark.parametrize("change_kinds", CHANGE_KIND_SETS)
@@ -136,7 +138,7 @@ def test_lifetimes_equal_the_oracle_on_the_fixtures(country_records, planted_rec
         assert_lifetimes_equal_the_oracle(records, change_kinds)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
 @given(flawed_record_sets(), st.sampled_from(CHANGE_KIND_SETS))
 def test_property_lifetimes_equal_the_oracle(records, change_kinds):
     assert_lifetimes_equal_the_oracle(records, change_kinds)
@@ -244,14 +246,81 @@ def test_decommission_events_apart_from_year_out_count_once_a_year():
     assert sum(series.topological_changes) == 3
 
 
-@pytest.mark.parametrize("start,end", [(1955, 1970), (1940, 1960)])
+@pytest.mark.parametrize("start,end", [(1955, 1970), (1940, 1960), (1955, 1960)])
 def test_change_rates_reject_edges_outside_the_span(start, end):
-    # commissioned before the first year, or retired after the last
+    # commissioned before the first year, or retired after the last, or
+    # both, when the year_in is named
+    year = 1950 if start > 1950 else 1962
     nodes = [make_node("a", 1950, voltage=400), make_node("b", 1950, voltage=400)]
     edges = [make_edge("ab", "a", "b", 1950, year_out=1962, voltage=400)]
     records = build_record_set(nodes, edges, dataset_start=start, dataset_end=end)
-    with pytest.raises(YearRangeError, match="outside the dataset span"):
+    with pytest.raises(YearRangeError) as exc:
         annual_change_rates(records)
+    assert str(exc.value) == f"edge ab has year {year} outside the dataset span {start}-{end}"
+
+
+def assert_change_rates_equal_the_oracle(records, window):
+    try:
+        want = oracles.change_rates_by_rule(records, window)
+    except YearRangeError as expected:
+        with pytest.raises(YearRangeError) as exc:
+            annual_change_rates(records, window=window)
+        assert str(exc.value) == str(expected)
+        return
+    got = annual_change_rates(records, window=window)
+    assert got == want
+    # == takes 0 for 0.0, so each cell's type is compared too.
+    assert [list(map(type, column)) for column in got] == [list(map(type, column)) for column in want]
+
+
+def spanning(records):
+    # The record set with its span widened to every line's years, so that
+    # no line falls outside it; events may still.
+    years = [year for edge in records.edges for year in (edge.year_in, edge.year_out) if year is not None]
+    return records._replace(dataset_start=min(years), dataset_end=max(years))
+
+
+def test_change_rates_equal_the_oracle_on_the_fixtures(country_records, planted_records, churned_records):
+    for records in (country_records, planted_records, churned_records):
+        for window in (1, 3, 5):
+            assert_change_rates_equal_the_oracle(records, window)
+        # Validated records run forward, so the stock is the lines in service.
+        series = annual_change_rates(records)
+        in_service = [
+            sum(edge.year_in <= year and (edge.year_out is None or year < edge.year_out) for edge in records.edges)
+            for year in series.years
+        ]
+        assert list(series.lines_in_operation) == in_service
+
+
+def test_change_rates_equal_the_oracle_on_every_event_rule():
+    events = {
+        # dated before and after the span, and decommissioned with the line still open
+        "outside": [(1990, "split"), (2012, "decommission"), (2003, "decommission")],
+        # three decommission events in one year, one in year_out, and one more year
+        "repeated": [(2002, "decommission")] * 3 + [(2006, "decommission"), (2004, "decommission"), (2004, "other")],
+    }
+    records = records_with(
+        [
+            make_edge("E1", "A", "B", 2000, events=events["outside"]),
+            make_edge("E2", "A", "C", 2001, year_out=2006, events=events["repeated"]),
+            make_edge("E3", "B", "C", 2002, year_out=2008),
+        ],
+        start=2000,
+        end=2010,
+    )
+    series = annual_change_rates(records, window=3)
+    by_year = dict(zip(series.years, series.topological_changes))
+    assert by_year == {**dict.fromkeys(range(2000, 2011), 0), 2002: 1, 2003: 1, 2004: 2, 2006: 1, 2008: 1}
+    assert series.lines_in_operation == (1, 2, 3, 3, 3, 3, 2, 2, 1, 1, 1)
+    assert_change_rates_equal_the_oracle(records, 3)
+
+
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
+@given(flawed_record_sets(), st.sampled_from([1, 3, 5]))
+def test_property_change_rates_equal_the_oracle(records, window):
+    assert_change_rates_equal_the_oracle(records, window)
+    assert_change_rates_equal_the_oracle(spanning(records), window)
 
 
 def test_smoothed_series_present_and_aligned(country_records):
